@@ -25,7 +25,6 @@ from .training import (
     RunResult,
     TrainConfig,
     TrainState,
-    build_scene_pool,
 )
 
 SUMMARY_HEADER = (
@@ -179,36 +178,53 @@ def write_run_dir(
     out_dir: str,
     result: RunResult,
     sim_config: SimConfig,
-    pool: list[LabeledScene] | None = None,
+    pool: list[LabeledScene],
 ) -> str:
-    """Write one run's artifacts under out_dir/<variant>_seed<seed>/."""
-    if pool is None:
-        pool = build_scene_pool(result.config, sim_config)
-    run_dir = os.path.join(out_dir, run_dir_name(result.config))
-    os.makedirs(run_dir, exist_ok=True)
-    _write_text(
-        os.path.join(run_dir, "metrics.csv"), result.metrics.to_csv()
-    )
-    _write_text(
-        os.path.join(run_dir, "resolved-config.txt"),
-        format_config(result.config, sim_config),
-    )
+    """Write one run's artifacts under out_dir/<variant>_seed<seed>/.
+
+    pool is the scene pool the run trained on; scene 0 is exported.
+    """
+    return write_seed_dirs(out_dir, [result], sim_config, pool)[0]
+
+
+def write_seed_dirs(
+    out_dir: str,
+    results: list[RunResult],
+    sim_config: SimConfig,
+    pool: list[LabeledScene],
+) -> list[str]:
+    """Write the run directories of results trained on one seed's pool.
+
+    Scene 0's feature dump is the same text for every such run, so it is
+    formatted once and written into each directory.
+    """
     scene0 = pool[0]
-    _write_text(
-        os.path.join(run_dir, "scene0_features.txt"),
-        dump_feature_map(scene0.scene.features),
-    )
-    _write_text(os.path.join(run_dir, "scene0_boxes.csv"), boxes_csv(scene0.scene))
-    files = heatmap_files(
-        result.final_state,
-        scene0,
-        sim_config,
-        channel=0,
-        step=result.config.total_steps,
-    )
-    for name, payload in files.items():
-        _write_bytes(os.path.join(run_dir, name), payload)
-    return run_dir
+    features_text = dump_feature_map(scene0.scene.features)
+    boxes_text = boxes_csv(scene0.scene)
+    run_dirs = []
+    for result in results:
+        run_dir = os.path.join(out_dir, run_dir_name(result.config))
+        os.makedirs(run_dir, exist_ok=True)
+        _write_text(
+            os.path.join(run_dir, "metrics.csv"), result.metrics.to_csv()
+        )
+        _write_text(
+            os.path.join(run_dir, "resolved-config.txt"),
+            format_config(result.config, sim_config),
+        )
+        _write_text(os.path.join(run_dir, "scene0_features.txt"), features_text)
+        _write_text(os.path.join(run_dir, "scene0_boxes.csv"), boxes_text)
+        files = heatmap_files(
+            result.final_state,
+            scene0,
+            sim_config,
+            channel=0,
+            step=result.config.total_steps,
+        )
+        for name, payload in files.items():
+            _write_bytes(os.path.join(run_dir, name), payload)
+        run_dirs.append(run_dir)
+    return run_dirs
 
 
 def summary_csv(report: ExperimentReport) -> str:

@@ -20,6 +20,7 @@ from .artifacts import (
     summary_csv,
     variant_name,
     write_run_dir,
+    write_seed_dirs,
 )
 from .config import format_config, parse_config
 from .errors import ConfigError, DomainError, ProbanetError
@@ -174,15 +175,16 @@ def cmd_train(args) -> int:
 
     cfg_base = replace(train_cfg, probanet_enabled=False)
     cfg_gate = replace(train_cfg, probanet_enabled=True)
-    report = run_experiment(cfg_base, cfg_gate, args.seeds, sim_cfg)
-    for pair in report.pairs:
-        for result in (pair.baseline, pair.variant):
-            write_run_dir(args.out, result, sim_cfg)
+
+    def write_pair(pair, pool):
+        write_seed_dirs(args.out, [pair.baseline, pair.variant], sim_cfg, pool)
         print(
             f"seed {pair.seed}: baseline {pair.baseline.tail_hard_ratio:.4f}, "
             f"probanet {pair.variant.tail_hard_ratio:.4f}, "
             f"uplift {pair.variant.tail_hard_ratio - pair.baseline.tail_hard_ratio:+.4f}"
         )
+
+    report = run_experiment(cfg_base, cfg_gate, args.seeds, sim_cfg, write_pair)
     summary_path = os.path.join(args.out, "summary.csv")
     with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(summary_csv(report))

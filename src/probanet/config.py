@@ -8,6 +8,7 @@ exactly (every value serializes via a round-trip-safe form).
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 from .errors import ConfigError
@@ -47,7 +48,10 @@ def parse_value(key: str, text: str, lineno: int):
             return tuple(shapes)
         if key in _INT_KEYS:
             return int(text)
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
 

@@ -20,6 +20,7 @@ from .tensor import (
     FeatureMap,
     conv1x1_backward,
     conv1x1_forward,
+    conv1x1_param_grads,
     hadamard,
     mean_and_variance,
     relu,
@@ -166,6 +167,11 @@ def gate_backward(
 ) -> tuple[FeatureMap, FeatureMap, GateParamGrads]:
     """Reverse pass through the gate.
 
+    Returns (grad_z1, grad_a, parameter gradients), where grad_z1 is the
+    gradient at the reduce conv's output.  The features x are data to
+    training, so their gradient is not formed here;
+    conv1x1_input_grad(params.reduce_conv, grad_z1) gives it.
+
     Truncation is a hard mask: positions dropped in the forward pass
     contribute no gradient.  grad_t2, when given, is added to the weight
     gradient before it enters the sigmoid; the variance loss feeds its
@@ -185,9 +191,9 @@ def gate_backward(
     # t1 > 0 exactly where the pre-activation was > 0, so t1 doubles as
     # the ReLU mask carrier.
     grad_z1 = relu_backward(out.t1, grad_t1)
-    grad_x, grad_rw, grad_rb = conv1x1_backward(x, params.reduce_conv, grad_z1)
+    grad_rw, grad_rb = conv1x1_param_grads(x, params.reduce_conv, grad_z1)
     return (
-        grad_x,
+        grad_z1,
         grad_a,
         GateParamGrads(
             reduce_weight=grad_rw,

@@ -32,6 +32,8 @@ from .tensor import (
     Conv1x1Params,
     conv1x1_backward,
     conv1x1_forward,
+    conv1x1_input_grad,
+    conv1x1_param_grads,
     finite_diff_gradient,
     hadamard,
     hadamard_backward,
@@ -221,7 +223,8 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     g_t2 = rng.uniform_range(-1.0, 1.0, (hh, ww, k))
 
     out = gate_forward(x, a, params, mode="train")
-    grad_x, grad_a, pg = gate_backward(out, x, a, params, g_b, g_t2)
+    grad_z1, grad_a, pg = gate_backward(out, x, a, params, g_b, g_t2)
+    grad_x = conv1x1_input_grad(params.reduce_conv, grad_z1)
 
     def value(xx=None, aa=None, pp=None) -> float:
         o = gate_forward(
@@ -371,7 +374,7 @@ def check_end_to_end(
     grad_b = grad_b.reshape(hh, ww, k)
     grad_t2 = probanet_loss_grad_v(v0, cls0, alpha) * grad_v0
     _, grad_a, pg = gate_backward(out0, x, a0, params, grad_b, grad_t2)
-    _, grad_hw, grad_hb = conv1x1_backward(x, head, grad_a)
+    grad_hw, grad_hb = conv1x1_param_grads(x, head, grad_a)
 
     worst = relative_error(
         grad_hw,

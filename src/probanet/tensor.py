@@ -87,6 +87,18 @@ def conv1x1_backward(
     x: FeatureMap, p: Conv1x1Params, grad_out: FeatureMap
 ) -> tuple[FeatureMap, np.ndarray, np.ndarray]:
     """VJPs of conv1x1_forward w.r.t. input, weight and bias."""
+    grad_weight, grad_bias = conv1x1_param_grads(x, p, grad_out)
+    return conv1x1_input_grad(p, grad_out), grad_weight, grad_bias
+
+
+def conv1x1_param_grads(
+    x: FeatureMap, p: Conv1x1Params, grad_out: FeatureMap
+) -> tuple[np.ndarray, np.ndarray]:
+    """VJPs of conv1x1_forward w.r.t. weight and bias only.
+
+    Training calls this where the input is data (scene features), whose
+    gradient nothing reads.
+    """
     h, w, c = x.shape
     if grad_out.shape != (h, w, p.out_channels):
         raise DimensionError(
@@ -94,10 +106,17 @@ def conv1x1_backward(
             f"shape {(h, w, p.out_channels)}"
         )
     g = grad_out.reshape(h * w, p.out_channels)
-    grad_x = (g @ p.weight).reshape(h, w, c)
-    grad_weight = g.T @ x.reshape(h * w, c)
-    grad_bias = g.sum(axis=0)
-    return grad_x, grad_weight, grad_bias
+    return g.T @ x.reshape(h * w, c), g.sum(axis=0)
+
+
+def conv1x1_input_grad(p: Conv1x1Params, grad_out: FeatureMap) -> FeatureMap:
+    """VJP of conv1x1_forward w.r.t. its input: grad_out(i,j) @ weight."""
+    h, w, k = grad_out.shape
+    if k != p.out_channels:
+        raise DimensionError(
+            f"grad_out has {k} channels but conv emits {p.out_channels}"
+        )
+    return (grad_out.reshape(h * w, k) @ p.weight).reshape(h, w, p.in_channels)
 
 
 def relu(x: FeatureMap) -> FeatureMap:
@@ -185,12 +204,14 @@ def finite_diff_gradient(
 
 
 def dump_feature_map(x: FeatureMap) -> str:
-    """Text dump: header "H W C", then H*W lines of C values, row-major."""
+    """Text dump: header "H W C", then H*W lines of C values, row-major.
+
+    Each value is printed with "%.17g", which round-trips float64.
+    """
     h, w, c = x.shape
+    row_format = " ".join(["%.17g"] * c)
     lines = [f"{h} {w} {c}"]
-    rows = x.reshape(h * w, c)
-    for row in rows:
-        lines.append(" ".join(format(v, ".17g") for v in row))
+    lines.extend(row_format % tuple(row.tolist()) for row in x.reshape(h * w, c))
     return "\n".join(lines) + "\n"
 
 

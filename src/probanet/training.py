@@ -6,17 +6,18 @@ The trainable parameters are the proposal head (a 1x1 convolution from
 features to one logit source per anchor shape), the gate convolutions
 when the gate is enabled, and a scalar affine (scale, shift) that turns
 gathered proposal values into logits.  Scene features are data, never
-parameters: their gradient is discarded.
+parameters: their gradient is never formed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, EmptyPoolError, NumericError
 from .gate import (
     GateParams,
     gate_backward,
@@ -40,7 +41,7 @@ from .sim import (
     label_arrays,
     sample_minibatch,
 )
-from .tensor import Conv1x1Params, FeatureMap, conv1x1_backward, conv1x1_forward
+from .tensor import Conv1x1Params, FeatureMap, conv1x1_forward, conv1x1_param_grads
 
 METRICS_HEADER = (
     "step,cls_loss,probanet_loss,variance,beta,hard_ratio,"
@@ -124,6 +125,20 @@ class MetricsRecord:
     bg_gate_mean: float
     kept_fraction: float
 
+    def is_finite(self) -> bool:
+        """Whether every metric column after step is finite."""
+        values = (
+            self.cls_loss,
+            self.probanet_loss,
+            self.variance,
+            self.beta,
+            self.hard_ratio,
+            self.fg_gate_mean,
+            self.bg_gate_mean,
+            self.kept_fraction,
+        )
+        return all(math.isfinite(v) for v in values)
+
 
 @dataclass
 class MetricsLog:
@@ -132,17 +147,7 @@ class MetricsLog:
     records: list[MetricsRecord] = field(default_factory=list)
 
     def append(self, rec: MetricsRecord) -> None:
-        values = (
-            rec.cls_loss,
-            rec.probanet_loss,
-            rec.variance,
-            rec.beta,
-            rec.hard_ratio,
-            rec.fg_gate_mean,
-            rec.bg_gate_mean,
-            rec.kept_fraction,
-        )
-        if not all(math.isfinite(v) for v in values):
+        if not rec.is_finite():
             raise NumericError(f"non-finite metrics at step {rec.step}: {rec}")
         self.records.append(rec)
 
@@ -343,8 +348,13 @@ def train_step(
 
     labels = _concat_labels([ls.labels for ls in scenes])
     mask = np.concatenate(keeps)
+    kept_fraction = float(mask.mean())
+    where = f"step {step}, seed {config.seed}, kept fraction {kept_fraction:.4g}"
     rng = SplitMix64(derive_seed(config.seed, "sampler", step))
-    batch = sample_minibatch(labels, mask, rng)
+    try:
+        batch = sample_minibatch(labels, mask, rng)
+    except EmptyPoolError as exc:
+        raise EmptyPoolError(f"{exc} at {where}") from exc
 
     b_flat = np.concatenate(
         [(outs[i].b if outs[i] is not None else a_maps[i]).ravel()
@@ -370,8 +380,27 @@ def train_step(
             if config.variance_target == "gate":
                 grad_v_coeff = probanet_loss_grad_v(variance, cls_loss, config.alpha)
 
-    if not (math.isfinite(cls_loss) and math.isfinite(aux_loss)):
-        raise NumericError(f"non-finite loss at step {step}")
+    if state.gate is not None:
+        t2_flat = np.concatenate([out.t2.ravel() for out in outs])
+        fg_sel = labels.category == FG
+        bg_sel = labels.category == BG
+        fg_gate_mean = float(t2_flat[fg_sel].mean()) if fg_sel.any() else 0.0
+        bg_gate_mean = float(t2_flat[bg_sel].mean()) if bg_sel.any() else 0.0
+    else:
+        fg_gate_mean, bg_gate_mean = 1.0, 1.0
+    record = MetricsRecord(
+        step=step,
+        cls_loss=cls_loss,
+        probanet_loss=aux_loss,
+        variance=variance,
+        beta=beta,
+        hard_ratio=hard_ratio(batch, labels),
+        fg_gate_mean=fg_gate_mean,
+        bg_gate_mean=bg_gate_mean,
+        kept_fraction=kept_fraction,
+    )
+    if not record.is_finite():
+        raise NumericError(f"non-finite metrics at {where}: {record}")
 
     # Backward.
     dlogits = binary_cross_entropy_grad(logits, targets)
@@ -412,34 +441,12 @@ def train_step(
         # The proposal-map bias stays at zero: the scalar affine's shift
         # already models a batch-wide offset, and a trainable per-map bias
         # feeds every cell the same constant, drowning per-cell contrast.
-        _, gw, _ = conv1x1_backward(ls.scene.features, head, grad_a)
+        gw, _ = conv1x1_param_grads(ls.scene.features, head, grad_a)
         grads["head_weight"] += gw
         offset += size
 
     _sgd_update(state, grads, config)
     state.step += 1
-
-    if state.gate is not None:
-        t2_flat = np.concatenate([out.t2.ravel() for out in outs])
-        fg_sel = labels.category == FG
-        bg_sel = labels.category == BG
-        fg_gate_mean = float(t2_flat[fg_sel].mean()) if fg_sel.any() else 0.0
-        bg_gate_mean = float(t2_flat[bg_sel].mean()) if bg_sel.any() else 0.0
-        kept_fraction = float(mask.mean())
-    else:
-        fg_gate_mean, bg_gate_mean, kept_fraction = 1.0, 1.0, 1.0
-
-    record = MetricsRecord(
-        step=step,
-        cls_loss=cls_loss,
-        probanet_loss=aux_loss,
-        variance=variance,
-        beta=beta,
-        hard_ratio=hard_ratio(batch, labels),
-        fg_gate_mean=fg_gate_mean,
-        bg_gate_mean=bg_gate_mean,
-        kept_fraction=kept_fraction,
-    )
     return state, record
 
 
@@ -657,12 +664,15 @@ def run_experiment(
     config_variant: TrainConfig,
     n_seeds: int,
     sim_config: SimConfig | None = None,
+    on_pair: Callable[[SeedPair, list[LabeledScene]], None] | None = None,
 ) -> ExperimentReport:
     """Train both variants on identical scene pools over n_seeds seeds.
 
     Seed s of the experiment runs both configs with seed field
     config.seed + s; the scene pool and the sampler streams depend only
-    on that seed, so the comparison is paired draw for draw.
+    on that seed, so the comparison is paired draw for draw.  Each seed's
+    pool is built once; on_pair, when given, receives the seed's pair and
+    pool before the next seed starts, and no pool outlives its seed.
     """
     if n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -684,7 +694,10 @@ def run_experiment(
         pool = build_scene_pool(cfg_b, sim_config)
         base = run_training(cfg_b, sim_config, pool)
         variant = run_training(cfg_v, sim_config, pool)
-        pairs.append(SeedPair(seed=seed, baseline=base, variant=variant))
+        pair = SeedPair(seed=seed, baseline=base, variant=variant)
+        if on_pair is not None:
+            on_pair(pair, pool)
+        pairs.append(pair)
     return ExperimentReport(
         baseline_config=config_baseline,
         variant_config=config_variant,

@@ -207,8 +207,9 @@ def test_criterion_8_byte_for_byte_determinism(tmp_path, capsys):
     config = replace(GATED, epochs=1, steps_per_epoch=50, seed=123)
     dirs = []
     for name in ("first", "second"):
-        result = run_training(config, SIM)
-        dirs.append(write_run_dir(str(tmp_path / name), result, SIM))
+        pool = build_scene_pool(config, SIM)
+        result = run_training(config, SIM, pool)
+        dirs.append(write_run_dir(str(tmp_path / name), result, SIM, pool))
     names_a = sorted(os.listdir(dirs[0]))
     names_b = sorted(os.listdir(dirs[1]))
     assert names_a == names_b

@@ -143,8 +143,9 @@ def test_variant_and_run_dir_names():
 
 
 def test_write_run_dir_emits_expected_files(tmp_path):
-    result = run_training(CONFIG, SIM)
-    run_dir = write_run_dir(str(tmp_path), result, SIM)
+    pool = build_scene_pool(CONFIG, SIM)
+    result = run_training(CONFIG, SIM, pool)
+    run_dir = write_run_dir(str(tmp_path), result, SIM, pool)
     assert os.path.basename(run_dir) == "probanet_seed5"
     names = sorted(os.listdir(run_dir))
     assert names == [
@@ -167,10 +168,12 @@ def test_write_run_dir_emits_expected_files(tmp_path):
 
 
 def test_write_run_dir_is_byte_reproducible(tmp_path):
-    result_a = run_training(CONFIG, SIM)
-    result_b = run_training(CONFIG, SIM)
-    dir_a = write_run_dir(str(tmp_path / "a"), result_a, SIM)
-    dir_b = write_run_dir(str(tmp_path / "b"), result_b, SIM)
+    dirs = []
+    for name in ("a", "b"):
+        pool = build_scene_pool(CONFIG, SIM)
+        result = run_training(CONFIG, SIM, pool)
+        dirs.append(write_run_dir(str(tmp_path / name), result, SIM, pool))
+    dir_a, dir_b = dirs
     for name in sorted(os.listdir(dir_a)):
         with open(os.path.join(dir_a, name), "rb") as fh:
             payload_a = fh.read()

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -268,3 +269,53 @@ def test_heatmap_missing_run_dir(tmp_path, capsys):
     )
     assert code == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_train_rejects_non_finite_config_value(tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text("learning_rate = nan\n", encoding="ascii")
+    code = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "learning_rate" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "r")
+
+
+@pytest.mark.parametrize("variant", [[], ["--probanet"]], ids=["paired", "single"])
+def test_train_builds_one_pool_and_one_dump_per_seed(
+    tmp_path, tiny_config_path, capsys, monkeypatch, variant
+):
+    import probanet.tensor
+    import probanet.training
+
+    calls = {"build_scene_pool": 0, "dump_feature_map": 0}
+
+    def count_calls(original):
+        def wrapper(*args, **kwargs):
+            calls[original.__name__] += 1
+            return original(*args, **kwargs)
+
+        # Patch every probanet namespace that imported the function.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("probanet") and getattr(
+                module, original.__name__, None
+            ) is original:
+                monkeypatch.setattr(module, original.__name__, wrapper)
+
+    count_calls(probanet.training.build_scene_pool)
+    count_calls(probanet.tensor.dump_feature_map)
+
+    out_dir = tmp_path / "runs"
+    code = main(
+        ["train", "--config", tiny_config_path, "--out", str(out_dir), "--seeds", "2"]
+        + variant
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert calls == {"build_scene_pool": 2, "dump_feature_map": 2}
+    if not variant:
+        for seed in (3, 4):
+            dumps = [
+                (out_dir / f"{name}_seed{seed}" / "scene0_features.txt").read_bytes()
+                for name in ("baseline", "probanet")
+            ]
+            assert dumps[0] == dumps[1]

@@ -1,5 +1,7 @@
 """Tests for the flat key = value configuration format."""
 
+from dataclasses import fields
+
 import pytest
 
 from probanet import ConfigError, SimConfig, TrainConfig
@@ -109,6 +111,21 @@ def test_bad_value_reports_key_and_line():
         parse_config("epochs = 1.5\n")
     with pytest.raises(ConfigError, match="anchor_shapes"):
         parse_config("anchor_shapes = 3by3\n")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_non_finite_floats_rejected_for_every_float_key(text):
+    defaults = (TrainConfig(), SimConfig())
+    keys = [
+        f.name
+        for cfg in defaults
+        for f in fields(cfg)
+        if isinstance(getattr(cfg, f.name), float)
+    ]
+    assert len(keys) == 16
+    for key in keys:
+        with pytest.raises(ConfigError, match=f"line 1: bad value for {key}"):
+            parse_config(f"{key} = {text}\n")
 
 
 def test_semantic_validation_still_applies():

@@ -61,3 +61,17 @@ def test_single_op_selection():
     assert len(results) == 1
     assert results[0].op == "relu"
     assert results[0].worst < REL_TOL
+
+
+def test_gate_check_covers_the_feature_gradient(monkeypatch):
+    # gate_backward stops at the reduce conv's output gradient; the check
+    # maps it to d/dx itself, and a wrong map must fail the audit.
+    from probanet import gradcheck
+
+    kwargs = dict(ops=["gate"], n_seeds=1, shapes=((3, 3, 4),))
+    assert run_suite(**kwargs)[0].passed
+    input_grad = gradcheck.conv1x1_input_grad
+    monkeypatch.setattr(
+        gradcheck, "conv1x1_input_grad", lambda p, g: 2.0 * input_grad(p, g)
+    )
+    assert not run_suite(**kwargs)[0].passed

@@ -196,6 +196,22 @@ def test_dump_header_and_line_count():
     assert all(len(line.split()) == 4 for line in lines[1:])
 
 
+def test_dump_matches_per_value_format_reference():
+    values = [
+        -0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300,
+        3.0, -7.0, 1e16, 0.1, -1.0 / 3.0, 2.0**-1074 * 12345,
+    ]
+    x = np.array(values, dtype=np.float64).reshape(2, 3, 2)
+    h, w, c = x.shape
+    lines = [f"{h} {w} {c}"]
+    for row in x.reshape(h * w, c):
+        lines.append(" ".join(format(v, ".17g") for v in row))
+    reference = "\n".join(lines) + "\n"
+    assert dump_feature_map(x) == reference
+    assert "-0 0\n4.9406564584124654e-324 " in reference
+    assert np.array_equal(load_feature_map(reference), x)
+
+
 def test_load_feature_map_rejects_malformed_text():
     with pytest.raises(DimensionError):
         load_feature_map("2 2\n1 2\n3 4\n")

@@ -10,6 +10,7 @@ from probanet import (
     ConfigError,
     Conv1x1Params,
     DomainError,
+    EmptyPoolError,
     ExperimentReport,
     MetricsLog,
     MetricsRecord,
@@ -21,6 +22,7 @@ from probanet import (
     SplitMix64,
     TrainConfig,
     build_scene_pool,
+    conv1x1_backward,
     conv1x1_forward,
     derive_seed,
     finite_diff_gradient,
@@ -32,6 +34,7 @@ from probanet import (
     sample_minibatch,
     train_step,
 )
+from probanet import training
 from probanet.gate import GateParams
 from probanet.training import (
     binary_cross_entropy,
@@ -40,6 +43,7 @@ from probanet.training import (
     head_forward,
 )
 from probanet.sim import FG, LabelArrays
+from probanet.tensor import relu_backward, sigmoid_backward
 
 
 TINY_SIM = SimConfig(
@@ -342,6 +346,100 @@ def test_single_step_matches_finite_difference_oracle():
     assert np.all(new_state.head_bias == 0.0)
     # The loss recomputed by the closure agrees with the recorded one.
     assert abs(record.cls_loss - loss_with(w0, rw0, rb0, ew0, eb0, s0, h0)) < 1e-12
+
+
+def _full_gate_backward(out, x, a, params, grad_b, grad_t2):
+    """The gate's reverse pass through full conv1x1_backward VJPs, input
+    gradients included: the reference for the parameter gradients."""
+    grad_a_prime = np.where(out.keep_mask, grad_b, 0.0)
+    grad_weights = grad_a_prime * a
+    if grad_t2 is not None:
+        grad_weights = grad_weights + grad_t2
+    grad_z2 = sigmoid_backward(out.t2, grad_weights)
+    grad_t1, grad_ew, grad_eb = conv1x1_backward(out.t1, params.expand_conv, grad_z2)
+    grad_z1 = relu_backward(out.t1, grad_t1)
+    _, grad_rw, grad_rb = conv1x1_backward(x, params.reduce_conv, grad_z1)
+    return grad_a_prime * out.t2, {
+        "reduce_weight": grad_rw,
+        "reduce_bias": grad_rb,
+        "expand_weight": grad_ew,
+        "expand_bias": grad_eb,
+    }
+
+
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "baseline"])
+def test_train_step_param_grads_equal_full_backward(monkeypatch, gated):
+    # th = 0.5 truncates part of the map and epsilon = 1e-9 keeps the
+    # variance above its floor, so the mask and the t2 hook both act.
+    config = tiny_config(probanet_enabled=gated, alpha=0.5, th=0.5, epsilon=1e-9)
+    pool = build_scene_pool(config, TINY_SIM)
+    state = init_state(config, TINY_SIM)
+    calls = {"gate_backward": [], "conv1x1_param_grads": [], "_sgd_update": []}
+
+    def spy(name):
+        original = getattr(training, name)
+
+        def wrapper(*args):
+            result = original(*args)
+            calls[name].append((args, result))
+            return result
+
+        monkeypatch.setattr(training, name, wrapper)
+
+    for name in calls:
+        spy(name)
+    _, record = train_step(state, [pool[0], pool[1]], config)
+    (_, grads, _), _ = calls["_sgd_update"][0]
+
+    head_calls = calls["conv1x1_param_grads"]
+    assert len(head_calls) == 2
+    head_sum = np.zeros_like(grads["head_weight"])
+    for (x, p, grad_a), (grad_w, grad_b) in head_calls:
+        _, ref_w, ref_b = conv1x1_backward(x, p, grad_a)
+        assert np.array_equal(grad_w, ref_w)
+        assert np.array_equal(grad_b, ref_b)
+        head_sum += ref_w
+    assert np.array_equal(grads["head_weight"], head_sum)
+
+    gate_calls = calls["gate_backward"]
+    if not gated:
+        assert gate_calls == []
+        return
+    assert 0.0 < record.kept_fraction < 1.0
+    assert len(gate_calls) == 2
+    gate_sums = {}
+    for i, (args, (_, grad_a, param_grads)) in enumerate(gate_calls):
+        assert args[5] is not None
+        ref_grad_a, ref = _full_gate_backward(*args)
+        assert np.array_equal(grad_a, ref_grad_a)
+        assert head_calls[i][0][2] is grad_a
+        for name, value in ref.items():
+            assert np.array_equal(getattr(param_grads, name), value)
+            gate_sums[name] = gate_sums.get(name, 0.0) + value
+    for name, value in gate_sums.items():
+        assert np.array_equal(grads[name], value)
+
+
+def test_empty_pool_error_names_step_seed_and_kept_fraction():
+    # The built-in threshold truncates every background anchor of seed
+    # 323's first two scenes at step 0.
+    config = TrainConfig(seed=323, epochs=1, steps_per_epoch=1)
+    with pytest.raises(
+        EmptyPoolError,
+        match="no background anchors survive the mask at step 0, seed 323, "
+        "kept fraction 0",
+    ):
+        run_training(config, SimConfig(scene_pool_size=2))
+
+
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "baseline"])
+def test_divergence_error_names_step_seed_and_kept_fraction(gated):
+    # A huge learning rate overflows the parameters at step 0's update.
+    config = tiny_config(probanet_enabled=gated, learning_rate=1e308)
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericError, match="non-finite metrics at step 1, seed 3, kept fraction 1:"
+    ):
+        run_training(config, TINY_SIM)
 
 
 def test_momentum_accumulates_across_steps():
