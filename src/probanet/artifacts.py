@@ -18,7 +18,7 @@ from .errors import DomainError
 from .gate import gate_forward
 from .netpbm import write_pgm, write_ppm
 from .sim import AnchorGrid, Scene, SimConfig, boxes_csv, grid_for
-from .tensor import conv1x1_forward, dump_feature_map
+from .tensor import dump_feature_map
 from .training import (
     ExperimentReport,
     LabeledScene,
@@ -135,8 +135,7 @@ def gate_weights_for(
     shape = (sim_config.height, sim_config.width, k)
     if state.gate is None:
         return np.ones(shape)
-    a = conv1x1_forward(labeled.scene.features, state.head_conv())
-    return gate_forward(labeled.scene.features, a, state.gate, mode="test").t2
+    return gate_forward(labeled.scene.features, state.gate).t2
 
 
 def heatmap_files(

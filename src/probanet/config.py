@@ -8,7 +8,6 @@ exactly (every value serializes via a round-trip-safe form).
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields
 
 from .errors import ConfigError
@@ -48,10 +47,7 @@ def parse_value(key: str, text: str, lineno: int):
             return tuple(shapes)
         if key in _INT_KEYS:
             return int(text)
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"expected a finite number, got {text!r}")
-        return value
+        return float(text)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
 
@@ -67,7 +63,7 @@ def format_value(key: str, value) -> str:
 def parse_config(text: str) -> tuple[TrainConfig, SimConfig]:
     """Parse the flat key = value format into the two config objects."""
     train_kv, sim_kv = {}, {}
-    seen = set()
+    linenos = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -76,9 +72,9 @@ def parse_config(text: str) -> tuple[TrainConfig, SimConfig]:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = key.strip(), value.strip()
-        if key in seen:
+        if key in linenos:
             raise ConfigError(f"line {lineno}: duplicate key {key}")
-        seen.add(key)
+        linenos[key] = lineno
         if key in _TRAIN_FIELDS:
             train_kv[key] = parse_value(key, value, lineno)
         elif key in _SIM_FIELDS:
@@ -87,7 +83,11 @@ def parse_config(text: str) -> tuple[TrainConfig, SimConfig]:
             raise ConfigError(f"line {lineno}: unknown key {key}")
     try:
         return TrainConfig(**train_kv), SimConfig(**sim_kv)
-    except ConfigError:
+    except ConfigError as exc:
+        if exc.field in linenos:
+            raise ConfigError(
+                f"line {linenos[exc.field]}: bad value for {exc}", field=exc.field
+            ) from exc
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc

@@ -3,6 +3,12 @@ threshold truncation of the weighted proposal map, a variance floor on the
 gate weights, and the variance-driven auxiliary loss with its
 auto-adjusted coefficient.
 
+The gate network reads only the backbone features.  Weighting the
+proposal map by t2 and truncating it are elementwise, so a caller that
+needs the weighted map at a few anchors only (training reads the sampled
+mini-batch) applies them there, and passes the gradient that reaches t2
+back into gate_backward.
+
 Complexity accounting (parameter and multiply-accumulate counts) lives
 here too, since both formulas are functions of the gate geometry alone.
 """
@@ -21,7 +27,6 @@ from .tensor import (
     conv1x1_backward,
     conv1x1_forward,
     conv1x1_param_grads,
-    hadamard,
     mean_and_variance,
     relu,
     relu_backward,
@@ -83,20 +88,14 @@ class GateParams:
 
 @dataclass(frozen=True)
 class GateOutput:
-    """Everything the forward pass of the gate produces.
+    """Everything the forward pass of the gate network produces.
 
     t1: reduced hidden map, after ReLU.
     t2: per-proposal weights, strictly inside (0, 1).
-    a_prime: proposal map scaled elementwise by t2.
-    b: a_prime with sub-threshold entries zeroed (the truncated map).
-    keep_mask: which entries of a_prime survived truncation.
     """
 
     t1: FeatureMap
     t2: FeatureMap
-    a_prime: FeatureMap
-    b: FeatureMap
-    keep_mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,59 +133,34 @@ def truncate(
     return np.where(keep, a_prime, 0.0), keep
 
 
-def gate_forward(
-    x: FeatureMap, a: FeatureMap, params: GateParams, mode: str = "train"
-) -> GateOutput:
-    """Score every proposal channel from the features and gate the map.
+def gate_forward(x: FeatureMap, params: GateParams) -> GateOutput:
+    """Score every proposal channel from the features.
 
-    t1 = relu(reduce(x)); t2 = sigmoid(expand(t1)); a_prime = a * t2;
-    b keeps a_prime where t2 exceeds the threshold (always, in test mode).
+    t1 = relu(reduce(x)); t2 = sigmoid(expand(t1)).  The weighted map is
+    a * t2, and truncation keeps the entries with t2 above the threshold
+    (see truncate).
     """
-    if x.shape[:2] != a.shape[:2]:
-        raise DimensionError(
-            f"feature grid {x.shape[:2]} does not match proposal grid {a.shape[:2]}"
-        )
-    if a.shape[2] != params.out_channels:
-        raise DimensionError(
-            f"proposal map has {a.shape[2]} channels, gate emits {params.out_channels}"
-        )
     t1 = relu(conv1x1_forward(x, params.reduce_conv))
     t2 = sigmoid(conv1x1_forward(t1, params.expand_conv))
-    a_prime = hadamard(a, t2)
-    b, keep = truncate(a_prime, t2, params.threshold, mode)
-    return GateOutput(t1=t1, t2=t2, a_prime=a_prime, b=b, keep_mask=keep)
+    return GateOutput(t1=t1, t2=t2)
 
 
 def gate_backward(
-    out: GateOutput,
-    x: FeatureMap,
-    a: FeatureMap,
-    params: GateParams,
-    grad_b: FeatureMap,
-    grad_t2: FeatureMap | None = None,
-) -> tuple[FeatureMap, FeatureMap, GateParamGrads]:
-    """Reverse pass through the gate.
+    out: GateOutput, x: FeatureMap, params: GateParams, grad_t2: FeatureMap
+) -> tuple[FeatureMap, GateParamGrads]:
+    """Reverse pass through the gate network from the gradient at t2.
 
-    Returns (grad_z1, grad_a, parameter gradients), where grad_z1 is the
+    Returns (grad_z1, parameter gradients), where grad_z1 is the
     gradient at the reduce conv's output.  The features x are data to
     training, so their gradient is not formed here;
     conv1x1_input_grad(params.reduce_conv, grad_z1) gives it.
 
-    Truncation is a hard mask: positions dropped in the forward pass
-    contribute no gradient.  grad_t2, when given, is added to the weight
-    gradient before it enters the sigmoid; the variance loss feeds its
-    gradient in through that hook.
+    A caller that weights and truncates the proposal map sums every
+    path into grad_t2: the weighted map's gradient times a at the kept
+    entries (zero where truncation dropped them) plus any loss on t2
+    itself, such as the variance loss.
     """
-    if grad_b.shape != out.b.shape:
-        raise DimensionError(
-            f"grad_b shape {grad_b.shape} does not match output {out.b.shape}"
-        )
-    grad_a_prime = np.where(out.keep_mask, grad_b, 0.0)
-    grad_a = grad_a_prime * out.t2
-    grad_weights = grad_a_prime * a
-    if grad_t2 is not None:
-        grad_weights = grad_weights + grad_t2
-    grad_z2 = sigmoid_backward(out.t2, grad_weights)
+    grad_z2 = sigmoid_backward(out.t2, grad_t2)
     grad_t1, grad_ew, grad_eb = conv1x1_backward(out.t1, params.expand_conv, grad_z2)
     # t1 > 0 exactly where the pre-activation was > 0, so t1 doubles as
     # the ReLU mask carrier.
@@ -194,7 +168,6 @@ def gate_backward(
     grad_rw, grad_rb = conv1x1_param_grads(x, params.reduce_conv, grad_z1)
     return (
         grad_z1,
-        grad_a,
         GateParamGrads(
             reduce_weight=grad_rw,
             reduce_bias=grad_rb,

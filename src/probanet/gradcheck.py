@@ -14,26 +14,19 @@ so the composed functional is smooth on the differencing neighborhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .gate import (
-    GateParams,
-    gate_backward,
-    gate_forward,
-    probanet_loss_grad_v,
-    variance_constraint,
-)
+from .gate import GateParams, gate_backward, gate_forward, variance_constraint
 from .rng import SplitMix64, derive_seed
-from .sim import BG, FG, IGNORE, LabelArrays, sample_minibatch
+from .sim import BG, FG, IGNORE, LabelArrays, Scene
 from .tensor import (
     Conv1x1Params,
     conv1x1_backward,
     conv1x1_forward,
     conv1x1_input_grad,
-    conv1x1_param_grads,
     finite_diff_gradient,
     hadamard,
     hadamard_backward,
@@ -44,10 +37,19 @@ from .tensor import (
     sigmoid_backward,
     variance_backward,
 )
+from .training import (
+    LabeledScene,
+    TrainConfig,
+    TrainState,
+    binary_cross_entropy,
+    binary_cross_entropy_grad,
+    loss_and_grads,
+)
 
 REL_TOL = 1e-4
 DEFAULT_SHAPES = ((2, 3, 4), (4, 4, 4), (3, 5, 6), (5, 2, 6), (6, 6, 8))
 _MARGIN = 1e-3
+_MIN_VARIANCE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -161,14 +163,15 @@ def _gate_instance(rng: SplitMix64, shape, k: int, r: int):
     Weights are drawn wide so the gate outputs spread; the truncation
     threshold lands at the widest spacing of the resulting weights, and
     the draw repeats until the hidden pre-activations also clear the
-    ReLU kink.
+    ReLU kink.  The draw also repeats while the weights' variance is
+    below _MIN_VARIANCE: the auxiliary term exp(1/v) curves so sharply
+    there that central differences lose the digits the check needs.
     """
     hh, ww, c = shape
     mid = c // r
     s1, s2 = 3.0 / np.sqrt(c), 3.0 / np.sqrt(mid)
     for _ in range(64):
         x = rng.uniform_range(-1.0, 1.0, shape)
-        a = rng.uniform_range(-1.0, 1.0, (hh, ww, k))
         reduce_conv = Conv1x1Params(
             weight=rng.uniform_range(-s1, s1, (mid, c)),
             bias=rng.uniform_range(-0.5, 0.5, mid),
@@ -180,97 +183,66 @@ def _gate_instance(rng: SplitMix64, shape, k: int, r: int):
         z1 = conv1x1_forward(x, reduce_conv)
         t2 = sigmoid(conv1x1_forward(relu(z1), expand_conv))
         th, margin = _safe_threshold(t2)
-        if np.abs(z1).min() > _MARGIN and margin > _MARGIN:
+        if (
+            np.abs(z1).min() > _MARGIN
+            and margin > _MARGIN
+            and mean_and_variance(t2)[1] > _MIN_VARIANCE
+        ):
             params = GateParams(
                 reduce_conv=reduce_conv,
                 expand_conv=expand_conv,
                 reduction=r,
                 threshold=th,
             )
-            return x, a, params
+            return x, params
     raise NumericError("could not place a gate instance away from its kinks")
 
 
-def _gate_with(params: GateParams, field: str, value: np.ndarray) -> GateParams:
+# Gate parameter name -> (convolution, array) inside GateParams.
+_GATE_FIELDS = {
+    "reduce_weight": ("reduce_conv", "weight"),
+    "reduce_bias": ("reduce_conv", "bias"),
+    "expand_weight": ("expand_conv", "weight"),
+    "expand_bias": ("expand_conv", "bias"),
+}
+
+
+def _gate_array(params: GateParams, name: str) -> np.ndarray:
+    conv, part = _GATE_FIELDS[name]
+    return getattr(getattr(params, conv), part)
+
+
+def _gate_with(params: GateParams, name: str, value: np.ndarray) -> GateParams:
     """Copy of GateParams with one weight array replaced."""
-    reduce_conv, expand_conv = params.reduce_conv, params.expand_conv
-    if field == "reduce_weight":
-        reduce_conv = Conv1x1Params(weight=value, bias=reduce_conv.bias)
-    elif field == "reduce_bias":
-        reduce_conv = Conv1x1Params(weight=reduce_conv.weight, bias=value)
-    elif field == "expand_weight":
-        expand_conv = Conv1x1Params(weight=value, bias=expand_conv.bias)
-    elif field == "expand_bias":
-        expand_conv = Conv1x1Params(weight=expand_conv.weight, bias=value)
-    else:
-        raise DomainError(f"unknown gate field {field}")
-    return GateParams(
-        reduce_conv=reduce_conv,
-        expand_conv=expand_conv,
-        reduction=params.reduction,
-        threshold=params.threshold,
-    )
+    conv, part = _GATE_FIELDS[name]
+    return replace(params, **{conv: replace(getattr(params, conv), **{part: value})})
 
 
 def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
-    """Full gate forward/backward, including the auxiliary weight-gradient
-    hook, against differencing of sum(b*G) + sum(t2*H)."""
+    """The gate network's forward/backward, d/dx included, against
+    differencing of sum(t2*G)."""
     hh, ww, c = shape
     k = max(2, c // 2)
-    r = 2
-    x, a, params = _gate_instance(rng, shape, k, r)
-    g_b = rng.uniform_range(-1.0, 1.0, (hh, ww, k))
+    x, params = _gate_instance(rng, shape, k, r=2)
     g_t2 = rng.uniform_range(-1.0, 1.0, (hh, ww, k))
 
-    out = gate_forward(x, a, params, mode="train")
-    grad_z1, grad_a, pg = gate_backward(out, x, a, params, g_b, g_t2)
+    grad_z1, pg = gate_backward(gate_forward(x, params), x, params, g_t2)
     grad_x = conv1x1_input_grad(params.reduce_conv, grad_z1)
 
-    def value(xx=None, aa=None, pp=None) -> float:
-        o = gate_forward(
-            x if xx is None else xx,
-            a if aa is None else aa,
-            params if pp is None else pp,
-            mode="train",
-        )
-        return float((o.b * g_b).sum() + (o.t2 * g_t2).sum())
+    def value(xx, pp) -> float:
+        return float((gate_forward(xx, pp).t2 * g_t2).sum())
 
     worst = relative_error(
-        grad_x, finite_diff_gradient(lambda v: value(xx=v), x, h)
+        grad_x, finite_diff_gradient(lambda v: value(v, params), x, h)
     )
-    worst = max(
-        worst,
-        relative_error(grad_a, finite_diff_gradient(lambda v: value(aa=v), a, h)),
-    )
-    analytic = {
-        "reduce_weight": pg.reduce_weight,
-        "reduce_bias": pg.reduce_bias,
-        "expand_weight": pg.expand_weight,
-        "expand_bias": pg.expand_bias,
-    }
-    starts = {
-        "reduce_weight": params.reduce_conv.weight,
-        "reduce_bias": params.reduce_conv.bias,
-        "expand_weight": params.expand_conv.weight,
-        "expand_bias": params.expand_conv.bias,
-    }
-    for name, start in starts.items():
+    for name in _GATE_FIELDS:
         fd = finite_diff_gradient(
-            lambda v, nm=name: value(pp=_gate_with(params, nm, v)),
-            start.copy(),
+            lambda v, nm=name: value(x, _gate_with(params, nm, v)),
+            _gate_array(params, name).copy(),
             h,
         )
-        worst = max(worst, relative_error(analytic[name], fd))
+        worst = max(worst, relative_error(getattr(pg, name), fd))
     return worst
-
-
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def check_head(rng: SplitMix64, shape, h: float = 1e-5) -> float:
@@ -282,12 +254,9 @@ def check_head(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     shift = rng.uniform() - 0.5
 
     def loss(v, s, sh) -> float:
-        z = s * v + sh
-        per = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
-        return float(per.mean())
+        return binary_cross_entropy(s * v + sh, targets)
 
-    z = scale * values + shift
-    dz = (_stable_sigmoid(z) - targets) / n
+    dz = binary_cross_entropy_grad(scale * values + shift, targets)
     grad_v = scale * dz
     grad_scale = float(np.dot(dz, values))
     grad_shift = float(dz.sum())
@@ -309,119 +278,89 @@ def check_head(rng: SplitMix64, shape, h: float = 1e-5) -> float:
 def check_end_to_end(
     rng: SplitMix64, shape, h: float = 1e-5, alpha: float = 0.5
 ) -> float:
-    """The composed training loss against differencing, parameter by
-    parameter, with the auxiliary coefficient frozen at the base point.
+    """The gradients of one training step (training.loss_and_grads)
+    against differencing of a dense forward pass, parameter by parameter,
+    with the step's mini-batch and auxiliary coefficient frozen at the
+    base point.
 
     The functional is cls(p) + exp(ln(alpha*cls0) - 1/v0 + 1/v(p)); at
     the base point its gradient equals the training gradient, in which
     the coefficient is a detached constant.  The exponential is kept in
-    log form so no intermediate overflows for small variances.
+    log form so no intermediate overflows for small variances.  The
+    labels are redrawn until a background anchor survives truncation,
+    since the sampler needs one.
     """
     hh, ww, c = shape
     k = max(2, c // 2)
-    r = 2
     eps = 1e-9
-    x, _, params = _gate_instance(rng, shape, k, r)
-    head = Conv1x1Params(
-        weight=rng.uniform_range(-1.0, 1.0, (k, c)) / np.sqrt(c),
-        bias=rng.uniform_range(-0.2, 0.2, k),
-    )
+    x, params = _gate_instance(rng, shape, k, r=2)
+    head_weight = rng.uniform_range(-1.0, 1.0, (k, c)) / np.sqrt(c)
+    head_bias = rng.uniform_range(-0.2, 0.2, k)
     scale = 1.0 + rng.uniform()
     shift = rng.uniform() - 0.5
 
     n = hh * ww * k
-    u = rng.uniform(n)
-    category = np.full(n, BG, dtype=np.int8)
-    category[u < 0.25] = FG
-    category[u > 0.9] = IGNORE
+    kept = gate_forward(x, params).t2.ravel() > params.threshold
+    for _ in range(64):
+        u = rng.uniform(n)
+        category = np.full(n, BG, dtype=np.int8)
+        category[u < 0.25] = FG
+        category[u > 0.9] = IGNORE
+        if (category[kept] == BG).any():
+            break
+    else:
+        raise NumericError("could not label a kept background anchor")
     labels = LabelArrays(
         category=category, hard=np.zeros(n, dtype=bool), iou=np.zeros(n)
     )
-
-    def forward(hd, gp):
-        a = conv1x1_forward(x, hd)
-        return a, gate_forward(x, a, gp, mode="train")
-
-    a0, out0 = forward(head, params)
-    batch = sample_minibatch(labels, out0.keep_mask, rng.clone())
+    state = TrainState(
+        head_weight=head_weight,
+        head_bias=head_bias,
+        scale=scale,
+        shift=shift,
+        gate=params,
+        velocity={},
+    )
+    config = TrainConfig(
+        alpha=alpha, epsilon=eps, th=params.threshold, r=2, seed=rng.next_u64()
+    )
+    scene = LabeledScene(scene=Scene(objects=(), features=x, seed=0), labels=labels)
+    _, grads, batch, _ = loss_and_grads(state, [scene], config)
     targets = (category[batch.indices] == FG).astype(np.float64)
 
-    def cls_of(out, sc, sh) -> float:
-        z = sc * out.b.ravel()[batch.indices] + sh
-        per = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
-        return float(per.mean())
+    def parts(hw, gp, sc, sh) -> tuple[float, float]:
+        """Classification loss and gate-weight variance, over the whole map."""
+        a = conv1x1_forward(x, Conv1x1Params(weight=hw, bias=head_bias))
+        t2 = gate_forward(x, gp).t2
+        z = sc * (a * t2).ravel()[batch.indices] + sh
+        return binary_cross_entropy(z, targets), variance_constraint(t2, eps)[0]
 
-    cls0 = cls_of(out0, scale, shift)
-    v0, grad_v0 = variance_constraint(out0.t2, eps)
+    cls0, v0 = parts(head_weight, params, scale, shift)
     log_beta0 = np.log(alpha * cls0) - 1.0 / v0
 
-    def total(hd=None, gp=None, sc=None, sh=None) -> float:
-        hd = head if hd is None else hd
-        gp = params if gp is None else gp
-        sc = scale if sc is None else sc
-        sh = shift if sh is None else sh
-        _, out = forward(hd, gp)
-        v, _ = variance_constraint(out.t2, eps)
-        return cls_of(out, sc, sh) + float(np.exp(log_beta0 + 1.0 / v))
-
-    # Analytic gradient at the base point, mirroring one training step.
-    z0 = scale * out0.b.ravel()[batch.indices] + shift
-    dz = (_stable_sigmoid(z0) - targets) / z0.size
-    grad_scale = float(np.dot(dz, out0.b.ravel()[batch.indices]))
-    grad_shift = float(dz.sum())
-    grad_b = np.zeros(n)
-    grad_b[batch.indices] = scale * dz
-    grad_b = grad_b.reshape(hh, ww, k)
-    grad_t2 = probanet_loss_grad_v(v0, cls0, alpha) * grad_v0
-    _, grad_a, pg = gate_backward(out0, x, a0, params, grad_b, grad_t2)
-    grad_hw, grad_hb = conv1x1_param_grads(x, head, grad_a)
+    def total(hw=head_weight, gp=params, sc=scale, sh=shift) -> float:
+        cls, v = parts(hw, gp, sc, sh)
+        return cls + float(np.exp(log_beta0 + 1.0 / v))
 
     worst = relative_error(
-        grad_hw,
-        finite_diff_gradient(
-            lambda v: total(hd=Conv1x1Params(weight=v, bias=head.bias)),
-            head.weight.copy(),
-            h,
-        ),
+        grads["head_weight"],
+        finite_diff_gradient(lambda v: total(hw=v), head_weight.copy(), h),
     )
-    worst = max(
-        worst,
-        relative_error(
-            grad_hb,
-            finite_diff_gradient(
-                lambda v: total(hd=Conv1x1Params(weight=head.weight, bias=v)),
-                head.bias.copy(),
-                h,
-            ),
-        ),
-    )
-    analytic = {
-        "reduce_weight": pg.reduce_weight,
-        "reduce_bias": pg.reduce_bias,
-        "expand_weight": pg.expand_weight,
-        "expand_bias": pg.expand_bias,
-    }
-    starts = {
-        "reduce_weight": params.reduce_conv.weight,
-        "reduce_bias": params.reduce_conv.bias,
-        "expand_weight": params.expand_conv.weight,
-        "expand_bias": params.expand_conv.bias,
-    }
-    for name, start in starts.items():
+    for name in _GATE_FIELDS:
         fd = finite_diff_gradient(
             lambda v, nm=name: total(gp=_gate_with(params, nm, v)),
-            start.copy(),
+            _gate_array(params, name).copy(),
             h,
         )
-        worst = max(worst, relative_error(analytic[name], fd))
+        worst = max(worst, relative_error(grads[name], fd))
     fd_scale = finite_diff_gradient(
         lambda v: total(sc=float(v[0])), np.array([scale]), h
     )
     fd_shift = finite_diff_gradient(
         lambda v: total(sh=float(v[0])), np.array([shift]), h
     )
-    worst = max(worst, relative_error(np.array([grad_scale]), fd_scale))
-    worst = max(worst, relative_error(np.array([grad_shift]), fd_shift))
+    worst = max(worst, relative_error(np.array([grads["scale"]]), fd_scale))
+    worst = max(worst, relative_error(np.array([grads["shift"]]), fd_shift))
     return worst
 
 

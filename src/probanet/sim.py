@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, EmptyPoolError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    DomainError,
+    EmptyPoolError,
+    require_finite_floats,
+)
 from .rng import SplitMix64
 from .tensor import FeatureMap
 
@@ -82,6 +88,7 @@ class SimConfig:
     scene_pool_size: int = 64
 
     def __post_init__(self):
+        require_finite_floats(self)
         if self.height < 1 or self.width < 1 or self.channels < 1:
             raise ConfigError(
                 f"grid must be positive, got {self.height}x{self.width}"
@@ -425,9 +432,18 @@ def sample_minibatch(labels, keep_mask, rng: SplitMix64) -> MiniBatch:
 def _draw_without_replacement(
     pool: np.ndarray, take: int, rng: SplitMix64
 ) -> np.ndarray:
+    """The first `take` of pool in a stable sort by one random key each.
+
+    Only the candidates at or below the take-th smallest key can be
+    picked, so only they are sorted; they stay in pool order, so ties at
+    the cut resolve as in a sort of every key.  The draws depend on
+    pool.size alone.
+    """
     keys = rng.u64(pool.size)
-    order = np.argsort(keys, kind="stable")
-    return pool[order[:take]]
+    if 0 < take < pool.size:
+        head = np.flatnonzero(keys <= np.partition(keys, take - 1)[take - 1])
+        pool, keys = pool[head], keys[head]
+    return pool[np.argsort(keys, kind="stable")[:take]]
 
 
 def hard_ratio(batch: MiniBatch, labels) -> float:

@@ -129,18 +129,20 @@ def relu_backward(x: FeatureMap, grad_out: FeatureMap) -> FeatureMap:
     return np.where(x > 0.0, grad_out, 0.0)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """Stable logistic, unclipped: with e = exp(-|x|), 1/(1+e) where
+    x >= 0 and e/(1+e) elsewhere, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: FeatureMap) -> FeatureMap:
     """Numerically stable logistic, clipped into the open interval (0, 1).
 
     Without the clip, float64 saturates to exactly 0 or 1 for |x| > ~37;
     the clip keeps the strict-bounds contract at a sub-ulp perturbation.
     """
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, _SIG_LO, _SIG_HI)
+    return np.clip(_logistic(x), _SIG_LO, _SIG_HI)
 
 
 def sigmoid_backward(y: FeatureMap, grad_out: FeatureMap) -> FeatureMap:

@@ -7,6 +7,11 @@ features to one logit source per anchor shape), the gate convolutions
 when the gate is enabled, and a scalar affine (scale, shift) that turns
 gathered proposal values into logits.  Scene features are data, never
 parameters: their gradient is never formed.
+
+A step's loss reads only the sampled mini-batch (at most 256 anchors),
+and the gate's truncation mask reads only the gate weights.  So a step
+runs the gate network over the whole grid, samples, and evaluates the
+head only at the sampled anchors' feature rows.
 """
 
 from __future__ import annotations
@@ -17,7 +22,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EmptyPoolError, NumericError
+from .errors import (
+    ConfigError,
+    DomainError,
+    EmptyPoolError,
+    NumericError,
+    require_finite_floats,
+)
 from .gate import (
     GateParams,
     gate_backward,
@@ -32,16 +43,16 @@ from .sim import (
     BG,
     FG,
     LabelArrays,
+    MiniBatch,
     Scene,
     SimConfig,
-    as_label_arrays,
     generate_scene,
     grid_for,
     hard_ratio,
     label_arrays,
     sample_minibatch,
 )
-from .tensor import Conv1x1Params, FeatureMap, conv1x1_forward, conv1x1_param_grads
+from .tensor import Conv1x1Params, _logistic, conv1x1_forward, conv1x1_param_grads
 
 METRICS_HEADER = (
     "step,cls_loss,probanet_loss,variance,beta,hard_ratio,"
@@ -70,6 +81,7 @@ class TrainConfig:
     scenes_per_batch: int = 2
 
     def __post_init__(self):
+        require_finite_floats(self)
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
@@ -270,85 +282,52 @@ def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
 
 def binary_cross_entropy_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """d(mean BCE)/d(logits) = (sigmoid(z) - y) / n."""
-    z = logits
-    sig = np.empty_like(z)
-    pos = z >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    sig[~pos] = ez / (1.0 + ez)
-    return (sig - targets) / z.size
-
-
-def head_forward(
-    b: FeatureMap, labels, batch, scale: float, shift: float
-) -> tuple[np.ndarray, float]:
-    """Logits for the sampled anchors and their mean BCE against fg/bg.
-
-    Each sampled anchor's logit is the truncated proposal value at its
-    (i, j, k), pushed through the scalar affine scale*value + shift.
-    """
-    if batch.size == 0:
-        raise DomainError("head_forward on an empty batch")
-    arrs = as_label_arrays(labels)
-    values = b.ravel()[batch.indices]
-    logits = scale * values + shift
-    targets = (arrs.category[batch.indices] == FG).astype(np.float64)
-    return logits, binary_cross_entropy(logits, targets)
-
-
-def evaluate_separation(t2: FeatureMap, labels) -> tuple[float, float, float]:
-    """Mean gate weight over fg anchors, over bg anchors, and their gap."""
-    arrs = as_label_arrays(labels)
-    flat = t2.ravel()
-    if flat.size != len(arrs):
-        raise DomainError(
-            f"gate map covers {flat.size} anchors, labels cover {len(arrs)}"
-        )
-    fg_sel = arrs.category == FG
-    bg_sel = arrs.category == BG
-    if not fg_sel.any():
-        raise DomainError("no foreground anchors to evaluate")
-    if not bg_sel.any():
-        raise DomainError("no background anchors to evaluate")
-    fg_mean = float(flat[fg_sel].mean())
-    bg_mean = float(flat[bg_sel].mean())
-    return fg_mean, bg_mean, fg_mean - bg_mean
+    return (_logistic(logits) - targets) / logits.size
 
 
 def train_step(
     state: TrainState, scenes, config: TrainConfig
 ) -> tuple[TrainState, MetricsRecord]:
-    """One SGD step over one or more scenes sharing a single mini-batch.
+    """One SGD step over one or more scenes sharing a single mini-batch:
+    loss_and_grads, then the momentum update of every parameter."""
+    record, grads, _, _ = loss_and_grads(state, scenes, config)
+    _sgd_update(state, grads, config)
+    state.step += 1
+    return state, record
 
-    Forward: head conv per scene, gate (when enabled), truncation,
+
+def loss_and_grads(
+    state: TrainState, scenes, config: TrainConfig
+) -> tuple[MetricsRecord, dict, MiniBatch, np.ndarray]:
+    """Forward and backward pass of one step, without the update.
+
+    Forward: the gate network per scene (when enabled), truncation,
     fixed-ratio sampling over the union of the scenes' surviving anchors,
-    scalar-affine logits, mean BCE.  The auxiliary variance loss feeds
-    its gradient into the gate weights; its coefficient is recomputed
-    from the current classification loss and treated as a constant.
+    the head at the sampled anchors, scalar-affine logits, mean BCE.  The
+    auxiliary variance loss feeds its gradient into the gate weights; its
+    coefficient is recomputed from the current classification loss and
+    treated as a constant.
+
+    Returns the step's metrics, the gradient of every trainable
+    parameter by name, the mini-batch (indices into the scenes' anchors
+    in order) and its logits.
     """
     if isinstance(scenes, LabeledScene):
         scenes = [scenes]
     if not scenes:
         raise DomainError("train_step needs at least one scene")
     step = state.step
-    head = state.head_conv()
-
-    a_maps, outs, keeps = [], [], []
-    for ls in scenes:
-        a = conv1x1_forward(ls.scene.features, head)
-        if state.gate is not None:
-            out = gate_forward(ls.scene.features, a, state.gate, mode="train")
-            a_maps.append(a)
-            outs.append(out)
-            keeps.append(out.keep_mask.ravel())
-        else:
-            a_maps.append(a)
-            outs.append(None)
-            keeps.append(np.ones(a.size, dtype=bool))
+    gate = state.gate
 
     labels = _concat_labels([ls.labels for ls in scenes])
-    mask = np.concatenate(keeps)
-    kept_fraction = float(mask.mean())
+    mask = None
+    kept_fraction = 1.0
+    if gate is not None:
+        outs = [gate_forward(ls.scene.features, gate) for ls in scenes]
+        t2_flat = np.concatenate([out.t2.ravel() for out in outs])
+        # Truncation keeps the entries weighted strictly above the threshold.
+        mask = t2_flat > gate.threshold
+        kept_fraction = float(mask.mean())
     where = f"step {step}, seed {config.seed}, kept fraction {kept_fraction:.4g}"
     rng = SplitMix64(derive_seed(config.seed, "sampler", step))
     try:
@@ -356,38 +335,48 @@ def train_step(
     except EmptyPoolError as exc:
         raise EmptyPoolError(f"{exc} at {where}") from exc
 
-    b_flat = np.concatenate(
-        [(outs[i].b if outs[i] is not None else a_maps[i]).ravel()
-         for i in range(len(scenes))]
-    )
-    values = b_flat[batch.indices]
+    # The head at the sampled anchors only.  Every scene holds k anchors
+    # per cell, so flat anchor index i sits at anchor slot i % k of cell
+    # i // k, counting the cells of the scenes in order.
+    head = state.head_conv()
+    n, k, c = batch.size, head.out_channels, head.in_channels
+    cell, anchor = np.divmod(batch.indices, k)
+    rows = np.empty((n, 1, c))
+    first = 0
+    for ls in scenes:
+        x = ls.scene.features.reshape(-1, c)
+        pos = np.flatnonzero((cell >= first) & (cell < first + len(x)))
+        rows[pos, 0] = x[cell[pos] - first]
+        first += len(x)
+    a_sel = conv1x1_forward(rows, head).reshape(n, k)[np.arange(n), anchor]
+    if gate is not None:
+        t2_sel = t2_flat[batch.indices]
+        values = a_sel * t2_sel
+    else:
+        values = a_sel
     logits = state.scale * values + state.shift
     targets = (labels.category[batch.indices] == FG).astype(np.float64)
     cls_loss = binary_cross_entropy(logits, targets)
 
     # Auxiliary loss bookkeeping (the gradient enters through grad_t2).
     aux_loss, beta, variance = 0.0, 0.0, 0.0
-    grad_v_coeff, grad_v = 0.0, None
-    if state.gate is not None:
+    grad_v_coeff = 0.0
+    fg_gate_mean, bg_gate_mean = 1.0, 1.0
+    if gate is not None:
         if config.variance_target == "input":
             v_src = np.concatenate([ls.scene.features.ravel() for ls in scenes])
         else:
-            v_src = np.concatenate([out.t2.ravel() for out in outs])
+            v_src = t2_flat
         variance, grad_v = variance_constraint(v_src, config.epsilon)
         if config.alpha > 0.0:
             terms = probanet_loss(variance, cls_loss, config.alpha)
             aux_loss, beta = terms.probanet_loss, terms.beta
             if config.variance_target == "gate":
                 grad_v_coeff = probanet_loss_grad_v(variance, cls_loss, config.alpha)
-
-    if state.gate is not None:
-        t2_flat = np.concatenate([out.t2.ravel() for out in outs])
         fg_sel = labels.category == FG
         bg_sel = labels.category == BG
         fg_gate_mean = float(t2_flat[fg_sel].mean()) if fg_sel.any() else 0.0
         bg_gate_mean = float(t2_flat[bg_sel].mean()) if bg_sel.any() else 0.0
-    else:
-        fg_gate_mean, bg_gate_mean = 1.0, 1.0
     record = MetricsRecord(
         step=step,
         cls_loss=cls_loss,
@@ -404,50 +393,32 @@ def train_step(
 
     # Backward.
     dlogits = binary_cross_entropy_grad(logits, targets)
-    grads = {
-        "scale": float(np.dot(dlogits, values)),
-        "shift": float(dlogits.sum()),
-        "head_weight": np.zeros_like(state.head_weight),
-    }
-    if state.gate is not None:
-        grads.update(
-            reduce_weight=np.zeros_like(state.gate.reduce_conv.weight),
-            reduce_bias=np.zeros_like(state.gate.reduce_conv.bias),
-            expand_weight=np.zeros_like(state.gate.expand_conv.weight),
-            expand_bias=np.zeros_like(state.gate.expand_conv.bias),
-        )
-    grad_b_flat = np.zeros_like(b_flat)
-    grad_b_flat[batch.indices] = state.scale * dlogits
-
-    offset = 0
-    for i, ls in enumerate(scenes):
-        size = a_maps[i].size
-        grad_b = grad_b_flat[offset : offset + size].reshape(a_maps[i].shape)
-        if state.gate is not None:
-            grad_t2 = None
-            if grad_v is not None and grad_v_coeff != 0.0:
-                grad_t2 = (
-                    grad_v_coeff * grad_v[offset : offset + size]
-                ).reshape(a_maps[i].shape)
-            _, grad_a, ggrads = gate_backward(
-                outs[i], ls.scene.features, a_maps[i], state.gate, grad_b, grad_t2
-            )
-            grads["reduce_weight"] += ggrads.reduce_weight
-            grads["reduce_bias"] += ggrads.reduce_bias
-            grads["expand_weight"] += ggrads.expand_weight
-            grads["expand_bias"] += ggrads.expand_bias
+    grad_values = state.scale * dlogits
+    grads = {"scale": float(np.dot(dlogits, values)), "shift": float(dlogits.sum())}
+    grad_a = np.zeros((n, 1, k))
+    grad_a[np.arange(n), 0, anchor] = (
+        grad_values * t2_sel if gate is not None else grad_values
+    )
+    # The proposal-map bias stays at zero: the scalar affine's shift
+    # already models a batch-wide offset, and a trainable per-map bias
+    # feeds every cell the same constant, drowning per-cell contrast.
+    grads["head_weight"], _ = conv1x1_param_grads(rows, head, grad_a)
+    if gate is not None:
+        if grad_v_coeff != 0.0:
+            grad_t2_flat = grad_v_coeff * grad_v
         else:
-            grad_a = grad_b
-        # The proposal-map bias stays at zero: the scalar affine's shift
-        # already models a batch-wide offset, and a trainable per-map bias
-        # feeds every cell the same constant, drowning per-cell contrast.
-        gw, _ = conv1x1_param_grads(ls.scene.features, head, grad_a)
-        grads["head_weight"] += gw
-        offset += size
-
-    _sgd_update(state, grads, config)
-    state.step += 1
-    return state, record
+            grad_t2_flat = np.zeros(t2_flat.size)
+        # Every sampled anchor was kept, so its weighted value a * t2
+        # passes grad_values * a to t2; dropped entries pass nothing.
+        grad_t2_flat[batch.indices] += grad_values * a_sel
+        start = 0
+        for s, (ls, out) in enumerate(zip(scenes, outs)):
+            grad_t2 = grad_t2_flat[start : start + out.t2.size].reshape(out.t2.shape)
+            _, ggrads = gate_backward(out, ls.scene.features, gate, grad_t2)
+            for name, g in vars(ggrads).items():
+                grads[name] = grads[name] + g if s else g
+            start += out.t2.size
+    return record, grads, batch, logits
 
 
 def _concat_labels(parts: list[LabelArrays]) -> LabelArrays:
@@ -564,14 +535,14 @@ def _finalize_run(
     head = state.head_conv()
     fg_t2, bg_t2, fg_z, bg_z = [], [], [], []
     for ls in pool:
-        a = conv1x1_forward(ls.scene.features, head)
+        # Evaluation truncates nothing: every anchor gets a logit.
+        a = conv1x1_forward(ls.scene.features, head).ravel()
         if state.gate is not None:
-            out = gate_forward(ls.scene.features, a, state.gate, mode="test")
-            t2_flat = out.t2.ravel()
-            b_flat = out.b.ravel()
+            t2_flat = gate_forward(ls.scene.features, state.gate).t2.ravel()
+            b_flat = a * t2_flat
         else:
             t2_flat = np.ones(a.size)
-            b_flat = a.ravel()
+            b_flat = a
         z = state.scale * b_flat + state.shift
         fg_sel = ls.labels.category == FG
         bg_sel = ls.labels.category == BG

@@ -128,6 +128,21 @@ def test_non_finite_floats_rejected_for_every_float_key(text):
             parse_config(f"{key} = {text}\n")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_configs_reject_non_finite_floats_when_built_directly(value):
+    defaults = (TrainConfig(), SimConfig())
+    checked = 0
+    for cfg in defaults:
+        for f in fields(cfg):
+            if not isinstance(getattr(cfg, f.name), float):
+                continue
+            with pytest.raises(ConfigError, match=f"^{f.name}: expected a finite") as exc:
+                type(cfg)(**{f.name: value})
+            assert exc.value.field == f.name
+            checked += 1
+    assert checked == 16
+
+
 def test_semantic_validation_still_applies():
     with pytest.raises(ConfigError):
         parse_config("momentum = 2.0\n")

@@ -11,6 +11,7 @@ from probanet import (
     SplitMix64,
     allocated_param_count,
     conv1x1_forward,
+    finite_diff_gradient,
     gate_backward,
     gate_forward,
     init_gate_params,
@@ -81,16 +82,13 @@ def test_init_geometry_errors():
 def test_gate_forward_matches_manual_composition():
     params = small_gate(seed=3)
     x = random_map(4, (2, 3, 4))
-    a = random_map(5, (2, 3, 2))
-    out = gate_forward(x, a, params, mode="train")
+    out = gate_forward(x, params)
 
     t1 = relu(conv1x1_forward(x, params.reduce_conv))
     t2 = sigmoid(conv1x1_forward(t1, params.expand_conv))
-    assert np.allclose(out.t1, t1, atol=1e-15)
-    assert np.allclose(out.t2, t2, atol=1e-15)
-    assert np.allclose(out.a_prime, a * t2, atol=1e-15)
-    assert np.array_equal(out.keep_mask, t2 > 0.5)
-    assert np.array_equal(out.b, np.where(out.keep_mask, out.a_prime, 0.0))
+    assert np.array_equal(out.t1, t1)
+    assert np.array_equal(out.t2, t2)
+    assert out.t2.shape == (2, 3, 2)
     assert np.all(out.t2 > 0.0)
     assert np.all(out.t2 < 1.0)
 
@@ -98,11 +96,9 @@ def test_gate_forward_matches_manual_composition():
 def test_gate_forward_shape_errors():
     params = small_gate()
     with pytest.raises(DimensionError):
-        gate_forward(random_map(0, (2, 2, 3)), random_map(1, (2, 2, 2)), params)
+        gate_forward(random_map(0, (2, 2, 3)), params)
     with pytest.raises(DimensionError):
-        gate_forward(random_map(0, (2, 2, 4)), random_map(1, (2, 3, 2)), params)
-    with pytest.raises(DimensionError):
-        gate_forward(random_map(0, (2, 2, 4)), random_map(1, (2, 2, 3)), params)
+        gate_forward(random_map(0, (2, 2, 5)), params)
 
 
 def test_truncate_train_strict_and_test_keeps_all():
@@ -130,9 +126,18 @@ def test_gate_test_mode_keeps_everything():
     params = small_gate(threshold=0.9)
     x = random_map(6, (3, 3, 4))
     a = random_map(7, (3, 3, 2))
-    out = gate_forward(x, a, params, mode="test")
-    assert np.all(out.keep_mask)
-    assert np.array_equal(out.b, out.a_prime)
+    t2 = gate_forward(x, params).t2
+    assert not (t2 > params.threshold).any()
+    b, keep = truncate(a * t2, t2, params.threshold, "test")
+    assert np.all(keep)
+    assert np.array_equal(b, a * t2)
+
+
+def _truncated_map_grad_t2(params, x, a, g):
+    """Gradient at t2 of sum(truncated(a * t2) * g): g * a where t2 clears
+    the threshold, zero where truncation dropped the entry."""
+    t2 = gate_forward(x, params).t2
+    return np.where(t2 > params.threshold, g * a, 0.0)
 
 
 def test_gate_backward_blocks_dropped_positions():
@@ -140,14 +145,30 @@ def test_gate_backward_blocks_dropped_positions():
     params = small_gate(seed=8, threshold=0.52)
     x = random_map(9, (3, 4, 4))
     a = random_map(10, (3, 4, 2))
-    out = gate_forward(x, a, params, mode="train")
-    dropped = ~out.keep_mask
-    assert dropped.any() and out.keep_mask.any()
+    g = random_map(11, (3, 4, 2))
+    out = gate_forward(x, params)
+    keep = out.t2 > params.threshold
+    assert keep.any() and not keep.all()
+    # No weight sits within differencing reach of the threshold.
+    assert np.abs(out.t2 - params.threshold).min() > 1e-4
 
-    grad_b = np.ones_like(out.b)
-    _, grad_a, _ = gate_backward(out, x, a, params, grad_b)
-    assert np.all(grad_a[dropped] == 0.0)
-    assert np.allclose(grad_a[out.keep_mask], out.t2[out.keep_mask], atol=1e-15)
+    _, grads = gate_backward(out, x, params, _truncated_map_grad_t2(params, x, a, g))
+
+    def f(bias):
+        p = GateParams(
+            reduce_conv=params.reduce_conv,
+            expand_conv=Conv1x1Params(weight=params.expand_conv.weight, bias=bias),
+            reduction=params.reduction,
+            threshold=params.threshold,
+        )
+        t2 = gate_forward(x, p).t2
+        return float((truncate(a * t2, t2, p.threshold, "train")[0] * g).sum())
+
+    fd = finite_diff_gradient(f, params.expand_conv.bias.copy(), h=1e-6)
+    assert np.allclose(grads.expand_bias, fd, rtol=1e-6, atol=1e-9)
+    # Only the kept entries feed the expand bias gradient.
+    kept_only = (out.t2 * (1 - out.t2) * np.where(keep, g * a, 0.0)).sum(axis=(0, 1))
+    assert np.allclose(grads.expand_bias, kept_only, rtol=0, atol=1e-15)
 
 
 def test_gate_backward_t2_hook_reaches_dropped_cells():
@@ -156,25 +177,22 @@ def test_gate_backward_t2_hook_reaches_dropped_cells():
     params = small_gate(seed=13, threshold=0.9)
     x = random_map(14, (2, 2, 4))
     a = random_map(15, (2, 2, 2))
-    out = gate_forward(x, a, params, mode="train")
-    assert not out.keep_mask.any()
+    out = gate_forward(x, params)
+    cls_path = _truncated_map_grad_t2(params, x, a, np.ones_like(a))
+    assert not cls_path.any()
 
-    zero_b = np.zeros_like(out.b)
-    _, _, grads_quiet = gate_backward(out, x, a, params, zero_b)
+    _, grads_quiet = gate_backward(out, x, params, cls_path)
     assert np.all(grads_quiet.expand_weight == 0.0)
-    _, _, grads_hook = gate_backward(
-        out, x, a, params, zero_b, grad_t2=np.ones_like(out.t2)
-    )
+    _, grads_hook = gate_backward(out, x, params, cls_path + np.ones_like(out.t2))
     assert np.any(grads_hook.expand_weight != 0.0)
 
 
 def test_gate_backward_shape_check():
     params = small_gate()
     x = random_map(1, (2, 2, 4))
-    a = random_map(2, (2, 2, 2))
-    out = gate_forward(x, a, params)
+    out = gate_forward(x, params)
     with pytest.raises(DimensionError):
-        gate_backward(out, x, a, params, np.zeros((2, 2, 3)))
+        gate_backward(out, x, params, np.zeros((2, 2, 3)))
 
 
 def test_variance_floor_clamps_with_zero_gradient():

@@ -75,3 +75,14 @@ def test_gate_check_covers_the_feature_gradient(monkeypatch):
         gradcheck, "conv1x1_input_grad", lambda p, g: 2.0 * input_grad(p, g)
     )
     assert not run_suite(**kwargs)[0].passed
+
+
+@pytest.mark.parametrize("seed", [25, 32, 77, 80, 51, 256, 3, 52, 108])
+def test_end_to_end_passes_where_instances_were_ill_conditioned(seed):
+    # Single seeds whose instances had gate weights of tiny variance, where
+    # the exp(1/v) term defeats central differences (25, 77, 80 under the
+    # earlier draw; 51 and 256 without the variance floor), or no
+    # background anchor kept by truncation, so the sampler had no pool
+    # (32 under the earlier draw; 3, 52 and 108 without the label redraw).
+    result = run_suite(seed=seed, ops=["end_to_end"], n_seeds=1)[0]
+    assert result.passed, f"worst {result.worst:.3e}"

@@ -29,7 +29,7 @@ from probanet import (
     label_arrays,
     sample_minibatch,
 )
-from probanet.sim import as_label_arrays, boxes_csv
+from probanet.sim import _draw_without_replacement, as_label_arrays, boxes_csv
 
 
 def brute_force_labels(scene, grid, fg_iou=0.7, bg_iou=0.3, lo=0.1, hi=0.75):
@@ -355,6 +355,42 @@ def test_sampler_consumption_depends_only_on_pool_sizes():
     ranks_a = np.searchsorted(pool_a_fg, ba.indices[: ba.fg_count])
     ranks_b = np.searchsorted(pool_b_fg, bb.indices[: bb.fg_count])
     assert np.array_equal(ranks_a, ranks_b)
+
+
+def _full_sort_draw(pool, take, rng):
+    """The sampler's reference draw: a stable sort of every key."""
+    keys = rng.u64(pool.size)
+    return pool[np.argsort(keys, kind="stable")[:take]]
+
+
+@pytest.mark.parametrize(
+    "size,take,tied",
+    [
+        (5000, 192, False),  # random keys
+        (300, 64, True),  # forced ties at the cut
+        (300, 300, False),  # take == pool.size
+        (300, 300, True),
+        (1, 1, False),  # one-element pool
+        (40, 0, False),
+    ],
+)
+def test_partial_selection_equals_full_stable_sort(monkeypatch, size, take, tied):
+    pool = np.arange(10, 10 + 3 * size, 3)
+    rng_ref, rng_new = SplitMix64(size + take), SplitMix64(size + take)
+    if tied:
+        # Few distinct key values, so many keys equal the take-th one.
+        for r in (rng_ref, rng_new):
+            u64 = r.u64
+            monkeypatch.setattr(r, "u64", lambda n, u64=u64: u64(n) % np.uint64(7))
+        keys = SplitMix64(size + take).u64(size) % np.uint64(7)
+        if take < size:
+            cut = np.sort(keys)[take - 1]
+            assert (keys == cut).sum() > 1
+            assert (keys <= cut).sum() > take
+    ref = _full_sort_draw(pool, take, rng_ref)
+    got = _draw_without_replacement(pool, take, rng_new)
+    assert np.array_equal(got, ref)
+    assert rng_new.counter == rng_ref.counter == size
 
 
 def test_masking_out_easy_background_raises_expected_hard_ratio():

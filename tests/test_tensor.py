@@ -20,7 +20,14 @@ from probanet import (
     relu,
     sigmoid,
 )
-from probanet.tensor import relu_backward, sigmoid_backward, hadamard_backward
+from probanet.tensor import (
+    _SIG_HI,
+    _SIG_LO,
+    _logistic,
+    hadamard_backward,
+    relu_backward,
+    sigmoid_backward,
+)
 
 
 def random_map(seed, shape):
@@ -129,6 +136,33 @@ def test_sigmoid_values_and_open_interval():
     assert np.all(extreme < 1.0)
     midway = sigmoid(np.array([[[2.0]]]))[0, 0, 0]
     assert abs(midway - 1.0 / (1.0 + np.exp(-2.0))) < 1e-15
+
+
+def _masked_logistic(x):
+    """The masked-index logistic the where-form helper replaced."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_logistic_is_bit_identical_to_masked_form():
+    special = np.array(
+        [0.0, -0.0, 37.0, -37.0, 38.0, -38.0, 709.0, -709.0, 710.0, -710.0,
+         745.0, -745.0, 746.0, -746.0, np.inf, -np.inf, np.nan]
+    )
+    maps = [special, random_map(40, (7, 9, 5)), 30.0 * random_map(41, (4, 4, 3))]
+    with np.errstate(over="ignore"):
+        for x in maps:
+            ref = _masked_logistic(x)
+            assert np.array_equal(_logistic(x), ref, equal_nan=True)
+            assert np.array_equal(
+                sigmoid(x), np.clip(ref, _SIG_LO, _SIG_HI), equal_nan=True
+            )
+    # -0.0 takes the x >= 0 branch in both forms.
+    assert _logistic(np.array([-0.0]))[0] == 0.5
 
 
 def test_sigmoid_backward_uses_forward_output():

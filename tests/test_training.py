@@ -14,7 +14,6 @@ from probanet import (
     ExperimentReport,
     MetricsLog,
     MetricsRecord,
-    MiniBatch,
     NumericError,
     RunResult,
     SeedPair,
@@ -28,19 +27,20 @@ from probanet import (
     finite_diff_gradient,
     gate_forward,
     init_state,
+    probanet_loss_grad_v,
     run_experiment,
     run_partial,
     run_training,
     sample_minibatch,
     train_step,
+    truncate,
+    variance_constraint,
 )
-from probanet import training
 from probanet.gate import GateParams
 from probanet.training import (
     binary_cross_entropy,
     binary_cross_entropy_grad,
-    evaluate_separation,
-    head_forward,
+    loss_and_grads,
 )
 from probanet.sim import FG, LabelArrays
 from probanet.tensor import relu_backward, sigmoid_backward
@@ -148,43 +148,6 @@ def test_binary_cross_entropy_grad_matches_fd():
     assert np.allclose(analytic, numeric, atol=1e-8)
 
 
-def test_head_forward_values_and_empty_batch():
-    b = np.arange(8.0).reshape(2, 2, 2)
-    labels = LabelArrays(
-        category=np.array([1, 0, 0, 0, 1, 0, 0, 0], dtype=np.int8),
-        hard=np.zeros(8, bool),
-        iou=np.zeros(8),
-    )
-    batch = MiniBatch(indices=np.array([0, 3, 4]), fg_count=2, bg_count=1)
-    logits, loss = head_forward(b, labels, batch, scale=2.0, shift=-1.0)
-    assert np.array_equal(logits, 2.0 * np.array([0.0, 3.0, 4.0]) - 1.0)
-    targets = np.array([1.0, 0.0, 1.0])
-    assert abs(loss - binary_cross_entropy(logits, targets)) < 1e-15
-    empty = MiniBatch(indices=np.zeros(0, dtype=np.int64), fg_count=0, bg_count=0)
-    with pytest.raises(DomainError):
-        head_forward(b, labels, empty, 1.0, 0.0)
-
-
-def test_evaluate_separation():
-    t2 = np.array([[[0.9], [0.8]], [[0.1], [0.2]]])
-    labels = LabelArrays(
-        category=np.array([1, 1, 0, 0], dtype=np.int8),
-        hard=np.zeros(4, bool),
-        iou=np.zeros(4),
-    )
-    fg_mean, bg_mean, gap = evaluate_separation(t2, labels)
-    assert abs(fg_mean - 0.85) < 1e-15
-    assert abs(bg_mean - 0.15) < 1e-15
-    assert abs(gap - 0.7) < 1e-15
-    with pytest.raises(DomainError):
-        evaluate_separation(np.ones((1, 1, 3)), labels)
-    no_fg = LabelArrays(
-        category=np.zeros(4, dtype=np.int8), hard=np.zeros(4, bool), iou=np.zeros(4)
-    )
-    with pytest.raises(DomainError):
-        evaluate_separation(t2, no_fg)
-
-
 def test_init_state_layout_and_shared_head():
     gated = init_state(tiny_config(), TINY_SIM)
     assert gated.head_weight.shape == (1, 4)
@@ -280,8 +243,8 @@ def test_single_step_matches_finite_difference_oracle():
         b_parts = []
         for ls in scenes:
             a = conv1x1_forward(ls.scene.features, head)
-            out = gate_forward(ls.scene.features, a, gate, mode="train")
-            b_parts.append(out.b.ravel())
+            t2 = gate_forward(ls.scene.features, gate).t2
+            b_parts.append(truncate(a * t2, t2, gate.threshold, "train")[0].ravel())
         values = np.concatenate(b_parts)[batch.indices]
         logits = scale * values + shift
         targets = (labels.category[batch.indices] == FG).astype(np.float64)
@@ -348,76 +311,121 @@ def test_single_step_matches_finite_difference_oracle():
     assert abs(record.cls_loss - loss_with(w0, rw0, rb0, ew0, eb0, s0, h0)) < 1e-12
 
 
-def _full_gate_backward(out, x, a, params, grad_b, grad_t2):
-    """The gate's reverse pass through full conv1x1_backward VJPs, input
-    gradients included: the reference for the parameter gradients."""
-    grad_a_prime = np.where(out.keep_mask, grad_b, 0.0)
-    grad_weights = grad_a_prime * a
-    if grad_t2 is not None:
-        grad_weights = grad_weights + grad_t2
-    grad_z2 = sigmoid_backward(out.t2, grad_weights)
-    grad_t1, grad_ew, grad_eb = conv1x1_backward(out.t1, params.expand_conv, grad_z2)
-    grad_z1 = relu_backward(out.t1, grad_t1)
-    _, grad_rw, grad_rb = conv1x1_backward(x, params.reduce_conv, grad_z1)
-    return grad_a_prime * out.t2, {
-        "reduce_weight": grad_rw,
-        "reduce_bias": grad_rb,
-        "expand_weight": grad_ew,
-        "expand_bias": grad_eb,
-    }
+# Two anchor shapes and a grid larger than one batch, so the sampled
+# anchors are a strict subset of the candidates and sit at every anchor
+# slot of their cells.
+WIDE_SIM = replace(
+    TINY_SIM,
+    height=12,
+    width=12,
+    channels=8,
+    anchor_shapes=((3, 3), (2, 4)),
+    n_objects_max=2,
+    object_max_size=4,
+)
+
+
+def _dense_step(state, scenes, config):
+    """One step's logits and loss gradients by the dense path, the
+    reference for loss_and_grads: the head conv and the gate over every
+    anchor, truncation as a mask over the whole map, and full
+    conv1x1_backward VJPs, input gradients included."""
+    head, gate = state.head_conv(), state.gate
+    a_maps = [conv1x1_forward(ls.scene.features, head) for ls in scenes]
+    if gate is None:
+        outs = [None] * len(scenes)
+        b_flat = np.concatenate([a.ravel() for a in a_maps])
+        mask = np.ones(b_flat.size, dtype=bool)
+    else:
+        outs = [gate_forward(ls.scene.features, gate) for ls in scenes]
+        b_flat = np.concatenate([
+            truncate(a * out.t2, out.t2, gate.threshold, "train")[0].ravel()
+            for a, out in zip(a_maps, outs)
+        ])
+        t2_flat = np.concatenate([out.t2.ravel() for out in outs])
+        mask = t2_flat > gate.threshold
+    labels = LabelArrays(
+        category=np.concatenate([ls.labels.category for ls in scenes]),
+        hard=np.concatenate([ls.labels.hard for ls in scenes]),
+        iou=np.concatenate([ls.labels.iou for ls in scenes]),
+    )
+    rng = SplitMix64(derive_seed(config.seed, "sampler", state.step))
+    batch = sample_minibatch(labels, mask, rng)
+    values = b_flat[batch.indices]
+    logits = state.scale * values + state.shift
+    targets = (labels.category[batch.indices] == FG).astype(np.float64)
+    dlogits = binary_cross_entropy_grad(logits, targets)
+    grads = {"scale": float(np.dot(dlogits, values)), "shift": float(dlogits.sum())}
+    grad_b_flat = np.zeros_like(b_flat)
+    grad_b_flat[batch.indices] = state.scale * dlogits
+    if gate is not None:
+        variance, grad_v = variance_constraint(t2_flat, config.epsilon)
+        coeff = probanet_loss_grad_v(
+            variance, binary_cross_entropy(logits, targets), config.alpha
+        )
+        grad_v = coeff * grad_v
+    offset = 0
+    for ls, a, out in zip(scenes, a_maps, outs):
+        x = ls.scene.features
+        grad_b = grad_b_flat[offset : offset + a.size].reshape(a.shape)
+        if gate is None:
+            grad_a = grad_b
+        else:
+            grad_a_prime = np.where(out.t2 > gate.threshold, grad_b, 0.0)
+            grad_a = grad_a_prime * out.t2
+            grad_t2 = grad_a_prime * a + grad_v[offset : offset + a.size].reshape(a.shape)
+            grad_z2 = sigmoid_backward(out.t2, grad_t2)
+            grad_t1, grad_ew, grad_eb = conv1x1_backward(out.t1, gate.expand_conv, grad_z2)
+            grad_z1 = relu_backward(out.t1, grad_t1)
+            _, grad_rw, grad_rb = conv1x1_backward(x, gate.reduce_conv, grad_z1)
+            for name, value in (
+                ("reduce_weight", grad_rw),
+                ("reduce_bias", grad_rb),
+                ("expand_weight", grad_ew),
+                ("expand_bias", grad_eb),
+            ):
+                grads[name] = grads.get(name, 0.0) + value
+        _, grad_hw, _ = conv1x1_backward(x, head, grad_a)
+        grads["head_weight"] = grads.get("head_weight", 0.0) + grad_hw
+        offset += a.size
+    return batch, logits, grads
+
+
+def _assert_close(got, ref):
+    """Equal within 1e-12 of the reference's largest entry: the sampled
+    path sums over the batch's rows, the dense path over the whole grid."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("gated", [True, False], ids=["gated", "baseline"])
-def test_train_step_param_grads_equal_full_backward(monkeypatch, gated):
+def test_train_step_param_grads_equal_full_backward(gated):
     # th = 0.5 truncates part of the map and epsilon = 1e-9 keeps the
     # variance above its floor, so the mask and the t2 hook both act.
     config = tiny_config(probanet_enabled=gated, alpha=0.5, th=0.5, epsilon=1e-9)
-    pool = build_scene_pool(config, TINY_SIM)
-    state = init_state(config, TINY_SIM)
-    calls = {"gate_backward": [], "conv1x1_param_grads": [], "_sgd_update": []}
+    pool = build_scene_pool(config, WIDE_SIM)
+    state = init_state(config, WIDE_SIM)
+    scenes = [pool[0], pool[1]]
+    record, grads, batch, logits = loss_and_grads(state, scenes, config)
+    ref_batch, ref_logits, ref = _dense_step(state, scenes, config)
 
-    def spy(name):
-        original = getattr(training, name)
-
-        def wrapper(*args):
-            result = original(*args)
-            calls[name].append((args, result))
-            return result
-
-        monkeypatch.setattr(training, name, wrapper)
-
-    for name in calls:
-        spy(name)
-    _, record = train_step(state, [pool[0], pool[1]], config)
-    (_, grads, _), _ = calls["_sgd_update"][0]
-
-    head_calls = calls["conv1x1_param_grads"]
-    assert len(head_calls) == 2
-    head_sum = np.zeros_like(grads["head_weight"])
-    for (x, p, grad_a), (grad_w, grad_b) in head_calls:
-        _, ref_w, ref_b = conv1x1_backward(x, p, grad_a)
-        assert np.array_equal(grad_w, ref_w)
-        assert np.array_equal(grad_b, ref_b)
-        head_sum += ref_w
-    assert np.array_equal(grads["head_weight"], head_sum)
-
-    gate_calls = calls["gate_backward"]
-    if not gated:
-        assert gate_calls == []
-        return
-    assert 0.0 < record.kept_fraction < 1.0
-    assert len(gate_calls) == 2
-    gate_sums = {}
-    for i, (args, (_, grad_a, param_grads)) in enumerate(gate_calls):
-        assert args[5] is not None
-        ref_grad_a, ref = _full_gate_backward(*args)
-        assert np.array_equal(grad_a, ref_grad_a)
-        assert head_calls[i][0][2] is grad_a
-        for name, value in ref.items():
-            assert np.array_equal(getattr(param_grads, name), value)
-            gate_sums[name] = gate_sums.get(name, 0.0) + value
-    for name, value in gate_sums.items():
-        assert np.array_equal(grads[name], value)
+    assert np.array_equal(batch.indices, ref_batch.indices)
+    per_scene = scenes[0].labels.category.size
+    assert (batch.indices < per_scene).any() and (batch.indices >= per_scene).any()
+    anchors = batch.indices % len(WIDE_SIM.anchor_shapes)
+    assert (anchors == 0).any() and (anchors == 1).any()
+    _assert_close(logits, ref_logits)
+    assert set(grads) == set(ref)
+    for name, value in ref.items():
+        _assert_close(grads[name], value)
+    if gated:
+        assert 0.0 < record.kept_fraction < 1.0
+        assert record.variance > config.epsilon
+        assert len(ref) == 7
+    else:
+        assert record.kept_fraction == 1.0
+        assert len(ref) == 3
 
 
 def test_empty_pool_error_names_step_seed_and_kept_fraction():
