@@ -18,7 +18,6 @@ _TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
 _SIM_FIELDS = {f.name: f.type for f in fields(SimConfig)}
 
 _BOOL_KEYS = {"probanet_enabled"}
-_STR_KEYS = {"variance_target"}
 _SHAPE_KEYS = {"anchor_shapes"}
 _INT_KEYS = {
     "epochs", "steps_per_epoch", "r", "seed", "lr_decay_every",
@@ -27,7 +26,7 @@ _INT_KEYS = {
 }
 _FLOAT_KEYS = (
     set(_TRAIN_FIELDS) | set(_SIM_FIELDS)
-) - _BOOL_KEYS - _STR_KEYS - _SHAPE_KEYS - _INT_KEYS
+) - _BOOL_KEYS - _SHAPE_KEYS - _INT_KEYS
 
 
 def parse_value(key: str, text: str, lineno: int):
@@ -37,8 +36,6 @@ def parse_value(key: str, text: str, lineno: int):
             if low not in ("true", "false"):
                 raise ValueError(f"expected true/false, got {text!r}")
             return low == "true"
-        if key in _STR_KEYS:
-            return text
         if key in _SHAPE_KEYS:
             shapes = []
             for tok in text.split(","):

@@ -15,6 +15,7 @@ here too, since both formulas are functions of the gate geometry alone.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,56 +38,6 @@ from .tensor import (
 
 
 @dataclass(frozen=True)
-class GateParams:
-    """Weights of the gating sub-network plus its two scalar knobs.
-
-    reduce_conv maps the backbone features (C channels) down to C/r;
-    expand_conv maps back up to one weight per proposal channel (C').
-    """
-
-    reduce_conv: Conv1x1Params
-    expand_conv: Conv1x1Params
-    reduction: int
-    threshold: float
-
-    def __post_init__(self):
-        c = self.reduce_conv.in_channels
-        if self.reduction < 1:
-            raise DomainError(f"reduction must be >= 1, got {self.reduction}")
-        if c % self.reduction != 0:
-            raise DomainError(
-                f"channels {c} not divisible by reduction {self.reduction}"
-            )
-        mid = c // self.reduction
-        if self.reduce_conv.out_channels != mid:
-            raise DimensionError(
-                f"reduce conv outputs {self.reduce_conv.out_channels} channels, "
-                f"expected {mid}"
-            )
-        if self.expand_conv.in_channels != mid:
-            raise DimensionError(
-                f"expand conv expects {self.expand_conv.in_channels} channels, "
-                f"got {mid} from the reduce stage"
-            )
-        if not 0.0 <= self.threshold < 1.0:
-            raise DomainError(
-                f"threshold must lie in [0, 1), got {self.threshold}"
-            )
-
-    @property
-    def in_channels(self) -> int:
-        return self.reduce_conv.in_channels
-
-    @property
-    def mid_channels(self) -> int:
-        return self.reduce_conv.out_channels
-
-    @property
-    def out_channels(self) -> int:
-        return self.expand_conv.out_channels
-
-
-@dataclass(frozen=True)
 class GateOutput:
     """Everything the forward pass of the gate network produces.
 
@@ -96,14 +47,6 @@ class GateOutput:
 
     t1: FeatureMap
     t2: FeatureMap
-
-
-@dataclass(frozen=True)
-class GateParamGrads:
-    reduce_weight: np.ndarray
-    reduce_bias: np.ndarray
-    expand_weight: np.ndarray
-    expand_bias: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,48 +76,63 @@ def truncate(
     return np.where(keep, a_prime, 0.0), keep
 
 
-def gate_forward(x: FeatureMap, params: GateParams) -> GateOutput:
+def _convs(params: Mapping[str, np.ndarray]) -> tuple[Conv1x1Params, Conv1x1Params]:
+    """The reduce and expand convolutions over the named gate arrays."""
+    return (
+        Conv1x1Params(weight=params["reduce_weight"], bias=params["reduce_bias"]),
+        Conv1x1Params(weight=params["expand_weight"], bias=params["expand_bias"]),
+    )
+
+
+def gate_forward(x: FeatureMap, params: Mapping[str, np.ndarray]) -> GateOutput:
     """Score every proposal channel from the features.
+
+    params maps reduce_weight, reduce_bias, expand_weight and
+    expand_bias to the arrays of the two convolutions: reduce maps the C
+    feature channels down to C/r, expand maps them up to one weight per
+    proposal channel (C').  Other keys are ignored.
 
     t1 = relu(reduce(x)); t2 = sigmoid(expand(t1)).  The weighted map is
     a * t2, and truncation keeps the entries with t2 above the threshold
     (see truncate).
     """
-    t1 = relu(conv1x1_forward(x, params.reduce_conv))
-    t2 = sigmoid(conv1x1_forward(t1, params.expand_conv))
+    reduce_conv, expand_conv = _convs(params)
+    t1 = relu(conv1x1_forward(x, reduce_conv))
+    t2 = sigmoid(conv1x1_forward(t1, expand_conv))
     return GateOutput(t1=t1, t2=t2)
 
 
 def gate_backward(
-    out: GateOutput, x: FeatureMap, params: GateParams, grad_t2: FeatureMap
-) -> tuple[FeatureMap, GateParamGrads]:
+    out: GateOutput,
+    x: FeatureMap,
+    params: Mapping[str, np.ndarray],
+    grad_t2: FeatureMap,
+) -> tuple[FeatureMap, dict[str, np.ndarray]]:
     """Reverse pass through the gate network from the gradient at t2.
 
-    Returns (grad_z1, parameter gradients), where grad_z1 is the
-    gradient at the reduce conv's output.  The features x are data to
-    training, so their gradient is not formed here;
-    conv1x1_input_grad(params.reduce_conv, grad_z1) gives it.
+    Returns (grad_z1, the four parameter gradients keyed as in params),
+    where grad_z1 is the gradient at the reduce conv's output.  The
+    features x are data to training, so their gradient is not formed
+    here; conv1x1_input_grad(reduce conv, grad_z1) gives it.
 
     A caller that weights and truncates the proposal map sums every
     path into grad_t2: the weighted map's gradient times a at the kept
     entries (zero where truncation dropped them) plus any loss on t2
     itself, such as the variance loss.
     """
+    reduce_conv, expand_conv = _convs(params)
     grad_z2 = sigmoid_backward(out.t2, grad_t2)
-    grad_t1, grad_ew, grad_eb = conv1x1_backward(out.t1, params.expand_conv, grad_z2)
+    grad_t1, grad_ew, grad_eb = conv1x1_backward(out.t1, expand_conv, grad_z2)
     # t1 > 0 exactly where the pre-activation was > 0, so t1 doubles as
     # the ReLU mask carrier.
     grad_z1 = relu_backward(out.t1, grad_t1)
-    grad_rw, grad_rb = conv1x1_param_grads(x, params.reduce_conv, grad_z1)
-    return (
-        grad_z1,
-        GateParamGrads(
-            reduce_weight=grad_rw,
-            reduce_bias=grad_rb,
-            expand_weight=grad_ew,
-            expand_bias=grad_eb,
-        ),
-    )
+    grad_rw, grad_rb = conv1x1_param_grads(x, reduce_conv, grad_z1)
+    return grad_z1, {
+        "reduce_weight": grad_rw,
+        "reduce_bias": grad_rb,
+        "expand_weight": grad_ew,
+        "expand_bias": grad_eb,
+    }
 
 
 def variance_constraint(
@@ -233,7 +191,7 @@ def param_count(c: int, c_prime: int, r: int) -> int:
 
 
 def allocated_param_count(c: int, c_prime: int, r: int) -> int:
-    """Number of scalars actually stored in GateParams for this geometry.
+    """Number of scalars init_gate_params allocates for this geometry.
 
     Differs from param_count by exactly c - c_prime: the closed-form
     count books one bias row per input channel on the reduce stage,
@@ -261,11 +219,11 @@ def init_gate_params(
     c: int,
     c_prime: int,
     r: int,
-    threshold: float,
     rng: SplitMix64,
     weight_scale: float = 1.0,
-) -> GateParams:
-    """Fresh gate: weights uniform in +-weight_scale/sqrt(fan_in), biases zero.
+) -> dict[str, np.ndarray]:
+    """Fresh gate arrays by name (see gate_forward): weights uniform in
+    +-weight_scale/sqrt(fan_in), biases zero.
 
     Zero biases put the initial weights near 0.5, so a 0.5 threshold is
     non-degenerate from the first step.  Draw order (reduce weights row
@@ -277,12 +235,12 @@ def init_gate_params(
     s2 = weight_scale / np.sqrt(mid)
     reduce_w = rng.uniform_range(-s1, s1, (mid, c))
     expand_w = rng.uniform_range(-s2, s2, (c_prime, mid))
-    return GateParams(
-        reduce_conv=Conv1x1Params(weight=reduce_w, bias=np.zeros(mid)),
-        expand_conv=Conv1x1Params(weight=expand_w, bias=np.zeros(c_prime)),
-        reduction=r,
-        threshold=threshold,
-    )
+    return {
+        "reduce_weight": reduce_w,
+        "reduce_bias": np.zeros(mid),
+        "expand_weight": expand_w,
+        "expand_bias": np.zeros(c_prime),
+    }
 
 
 def _check_geometry(c: int, c_prime: int, r: int) -> None:

@@ -14,12 +14,12 @@ so the composed functional is smooth on the differencing neighborhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .gate import GateParams, gate_backward, gate_forward, variance_constraint
+from .gate import gate_backward, gate_forward, variance_constraint
 from .rng import SplitMix64, derive_seed
 from .sim import BG, FG, IGNORE, LabelArrays, Scene
 from .tensor import (
@@ -158,7 +158,8 @@ def _safe_threshold(t2: np.ndarray) -> tuple[float, float]:
 
 
 def _gate_instance(rng: SplitMix64, shape, k: int, r: int):
-    """Random gate instance with every kink a safe margin away.
+    """Random gate instance with every kink a safe margin away: the
+    features, the gate arrays by name and a truncation threshold.
 
     Weights are drawn wide so the gate outputs spread; the truncation
     threshold lands at the widest spacing of the resulting weights, and
@@ -172,50 +173,25 @@ def _gate_instance(rng: SplitMix64, shape, k: int, r: int):
     s1, s2 = 3.0 / np.sqrt(c), 3.0 / np.sqrt(mid)
     for _ in range(64):
         x = rng.uniform_range(-1.0, 1.0, shape)
+        params = {
+            "reduce_weight": rng.uniform_range(-s1, s1, (mid, c)),
+            "reduce_bias": rng.uniform_range(-0.5, 0.5, mid),
+            "expand_weight": rng.uniform_range(-s2, s2, (k, mid)),
+            "expand_bias": rng.uniform_range(-0.5, 0.5, k),
+        }
         reduce_conv = Conv1x1Params(
-            weight=rng.uniform_range(-s1, s1, (mid, c)),
-            bias=rng.uniform_range(-0.5, 0.5, mid),
-        )
-        expand_conv = Conv1x1Params(
-            weight=rng.uniform_range(-s2, s2, (k, mid)),
-            bias=rng.uniform_range(-0.5, 0.5, k),
+            weight=params["reduce_weight"], bias=params["reduce_bias"]
         )
         z1 = conv1x1_forward(x, reduce_conv)
-        t2 = sigmoid(conv1x1_forward(relu(z1), expand_conv))
+        t2 = gate_forward(x, params).t2
         th, margin = _safe_threshold(t2)
         if (
             np.abs(z1).min() > _MARGIN
             and margin > _MARGIN
             and mean_and_variance(t2)[1] > _MIN_VARIANCE
         ):
-            params = GateParams(
-                reduce_conv=reduce_conv,
-                expand_conv=expand_conv,
-                reduction=r,
-                threshold=th,
-            )
-            return x, params
+            return x, params, th
     raise NumericError("could not place a gate instance away from its kinks")
-
-
-# Gate parameter name -> (convolution, array) inside GateParams.
-_GATE_FIELDS = {
-    "reduce_weight": ("reduce_conv", "weight"),
-    "reduce_bias": ("reduce_conv", "bias"),
-    "expand_weight": ("expand_conv", "weight"),
-    "expand_bias": ("expand_conv", "bias"),
-}
-
-
-def _gate_array(params: GateParams, name: str) -> np.ndarray:
-    conv, part = _GATE_FIELDS[name]
-    return getattr(getattr(params, conv), part)
-
-
-def _gate_with(params: GateParams, name: str, value: np.ndarray) -> GateParams:
-    """Copy of GateParams with one weight array replaced."""
-    conv, part = _GATE_FIELDS[name]
-    return replace(params, **{conv: replace(getattr(params, conv), **{part: value})})
 
 
 def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
@@ -223,11 +199,14 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     differencing of sum(t2*G)."""
     hh, ww, c = shape
     k = max(2, c // 2)
-    x, params = _gate_instance(rng, shape, k, r=2)
+    x, params, _ = _gate_instance(rng, shape, k, r=2)
     g_t2 = rng.uniform_range(-1.0, 1.0, (hh, ww, k))
 
     grad_z1, pg = gate_backward(gate_forward(x, params), x, params, g_t2)
-    grad_x = conv1x1_input_grad(params.reduce_conv, grad_z1)
+    reduce_conv = Conv1x1Params(
+        weight=params["reduce_weight"], bias=params["reduce_bias"]
+    )
+    grad_x = conv1x1_input_grad(reduce_conv, grad_z1)
 
     def value(xx, pp) -> float:
         return float((gate_forward(xx, pp).t2 * g_t2).sum())
@@ -235,13 +214,11 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     worst = relative_error(
         grad_x, finite_diff_gradient(lambda v: value(v, params), x, h)
     )
-    for name in _GATE_FIELDS:
+    for name, array in params.items():
         fd = finite_diff_gradient(
-            lambda v, nm=name: value(x, _gate_with(params, nm, v)),
-            _gate_array(params, name).copy(),
-            h,
+            lambda v, nm=name: value(x, {**params, nm: v}), array.copy(), h
         )
-        worst = max(worst, relative_error(getattr(pg, name), fd))
+        worst = max(worst, relative_error(pg[name], fd))
     return worst
 
 
@@ -293,14 +270,13 @@ def check_end_to_end(
     hh, ww, c = shape
     k = max(2, c // 2)
     eps = 1e-9
-    x, params = _gate_instance(rng, shape, k, r=2)
+    x, gate, th = _gate_instance(rng, shape, k, r=2)
     head_weight = rng.uniform_range(-1.0, 1.0, (k, c)) / np.sqrt(c)
-    head_bias = rng.uniform_range(-0.2, 0.2, k)
     scale = 1.0 + rng.uniform()
     shift = rng.uniform() - 0.5
 
     n = hh * ww * k
-    kept = gate_forward(x, params).t2.ravel() > params.threshold
+    kept = gate_forward(x, gate).t2.ravel() > th
     for _ in range(64):
         u = rng.uniform(n)
         category = np.full(n, BG, dtype=np.int8)
@@ -313,54 +289,36 @@ def check_end_to_end(
     labels = LabelArrays(
         category=category, hard=np.zeros(n, dtype=bool), iou=np.zeros(n)
     )
-    state = TrainState(
-        head_weight=head_weight,
-        head_bias=head_bias,
-        scale=scale,
-        shift=shift,
-        gate=params,
-        velocity={},
-    )
-    config = TrainConfig(
-        alpha=alpha, epsilon=eps, th=params.threshold, r=2, seed=rng.next_u64()
-    )
+    params = {"head_weight": head_weight, "scale": scale, "shift": shift, **gate}
+    state = TrainState(params=params, velocity={})
+    config = TrainConfig(alpha=alpha, epsilon=eps, th=th, r=2, seed=rng.next_u64())
     scene = LabeledScene(scene=Scene(objects=(), features=x, seed=0), labels=labels)
     _, grads, batch, _ = loss_and_grads(state, [scene], config)
     targets = (category[batch.indices] == FG).astype(np.float64)
 
-    def parts(hw, gp, sc, sh) -> tuple[float, float]:
+    zero_bias = np.zeros(k)
+
+    def parts(p) -> tuple[float, float]:
         """Classification loss and gate-weight variance, over the whole map."""
-        a = conv1x1_forward(x, Conv1x1Params(weight=hw, bias=head_bias))
-        t2 = gate_forward(x, gp).t2
-        z = sc * (a * t2).ravel()[batch.indices] + sh
+        a = conv1x1_forward(x, Conv1x1Params(weight=p["head_weight"], bias=zero_bias))
+        t2 = gate_forward(x, p).t2
+        z = p["scale"] * (a * t2).ravel()[batch.indices] + p["shift"]
         return binary_cross_entropy(z, targets), variance_constraint(t2, eps)[0]
 
-    cls0, v0 = parts(head_weight, params, scale, shift)
+    cls0, v0 = parts(params)
     log_beta0 = np.log(alpha * cls0) - 1.0 / v0
 
-    def total(hw=head_weight, gp=params, sc=scale, sh=shift) -> float:
-        cls, v = parts(hw, gp, sc, sh)
+    def total(p) -> float:
+        cls, v = parts(p)
         return cls + float(np.exp(log_beta0 + 1.0 / v))
 
-    worst = relative_error(
-        grads["head_weight"],
-        finite_diff_gradient(lambda v: total(hw=v), head_weight.copy(), h),
-    )
-    for name in _GATE_FIELDS:
+    worst = 0.0
+    for name, value in params.items():
+        # A copy to difference in place; a float becomes a 0-d array.
         fd = finite_diff_gradient(
-            lambda v, nm=name: total(gp=_gate_with(params, nm, v)),
-            _gate_array(params, name).copy(),
-            h,
+            lambda v, nm=name: total({**params, nm: v}), np.array(value), h
         )
         worst = max(worst, relative_error(grads[name], fd))
-    fd_scale = finite_diff_gradient(
-        lambda v: total(sc=float(v[0])), np.array([scale]), h
-    )
-    fd_shift = finite_diff_gradient(
-        lambda v: total(sh=float(v[0])), np.array([shift]), h
-    )
-    worst = max(worst, relative_error(np.array([grads["scale"]]), fd_scale))
-    worst = max(worst, relative_error(np.array([grads["shift"]]), fd_shift))
     return worst
 
 

@@ -197,16 +197,6 @@ def grid_for(config: SimConfig) -> AnchorGrid:
 
 
 @dataclass(frozen=True)
-class AnchorLabel:
-    """Per-anchor labeling record."""
-
-    position: tuple[int, int, int]
-    iou: float
-    category: str  # "fg" | "bg" | "ignore"
-    difficulty: str  # "easy" | "hard"
-
-
-@dataclass(frozen=True)
 class LabelArrays:
     """Column-oriented labels, aligned with AnchorGrid flat order."""
 
@@ -220,10 +210,6 @@ class LabelArrays:
 
     def __len__(self) -> int:
         return len(self.category)
-
-
-_CATEGORY_NAMES = {BG: "bg", FG: "fg", IGNORE: "ignore"}
-_CATEGORY_CODES = {v: k for k, v in _CATEGORY_NAMES.items()}
 
 
 def generate_scene(config: SimConfig, seed: int) -> Scene:
@@ -335,47 +321,6 @@ def label_arrays(
     return LabelArrays(category=category, hard=hard, iou=best)
 
 
-def label_anchors(
-    scene: Scene,
-    grid: AnchorGrid,
-    *,
-    fg_iou: float = 0.7,
-    bg_iou: float = 0.3,
-    hard_bg_lo: float = 0.1,
-    hard_fg_hi: float = 0.75,
-) -> list[AnchorLabel]:
-    """Record-oriented view of label_arrays, in flat anchor order."""
-    arrs = label_arrays(
-        scene,
-        grid,
-        fg_iou=fg_iou,
-        bg_iou=bg_iou,
-        hard_bg_lo=hard_bg_lo,
-        hard_fg_hi=hard_fg_hi,
-    )
-    return [
-        AnchorLabel(
-            position=grid.position(f),
-            iou=float(arrs.iou[f]),
-            category=_CATEGORY_NAMES[int(arrs.category[f])],
-            difficulty="hard" if arrs.hard[f] else "easy",
-        )
-        for f in range(len(arrs))
-    ]
-
-
-def as_label_arrays(labels) -> LabelArrays:
-    """Accept either LabelArrays or a list of AnchorLabel records."""
-    if isinstance(labels, LabelArrays):
-        return labels
-    category = np.array(
-        [_CATEGORY_CODES[lab.category] for lab in labels], dtype=np.int8
-    )
-    hard = np.array([lab.difficulty == "hard" for lab in labels], dtype=bool)
-    ious = np.array([lab.iou for lab in labels], dtype=np.float64)
-    return LabelArrays(category=category, hard=hard, iou=ious)
-
-
 @dataclass(frozen=True)
 class MiniBatch:
     """Sampled anchor indices into the label sequence, foreground first."""
@@ -395,7 +340,9 @@ class MiniBatch:
         return len(self.indices)
 
 
-def sample_minibatch(labels, keep_mask, rng: SplitMix64) -> MiniBatch:
+def sample_minibatch(
+    labels: LabelArrays, keep_mask, rng: SplitMix64
+) -> MiniBatch:
     """Draw up to 256 anchors at a 64:192 foreground:background target.
 
     Candidates are fg/bg anchors with keep_mask true (ignores are never
@@ -404,8 +351,7 @@ def sample_minibatch(labels, keep_mask, rng: SplitMix64) -> MiniBatch:
     ties broken by pool order.  RNG consumption depends only on the two
     pool sizes, so equal pools reproduce equal batches.
     """
-    arrs = as_label_arrays(labels)
-    n = len(arrs)
+    n = len(labels)
     if keep_mask is None:
         mask = np.ones(n, dtype=bool)
     else:
@@ -414,8 +360,8 @@ def sample_minibatch(labels, keep_mask, rng: SplitMix64) -> MiniBatch:
             raise DimensionError(
                 f"keep_mask covers {mask.size} anchors, labels cover {n}"
             )
-    fg_pool = np.flatnonzero((arrs.category == FG) & mask)
-    bg_pool = np.flatnonzero((arrs.category == BG) & mask)
+    fg_pool = np.flatnonzero((labels.category == FG) & mask)
+    bg_pool = np.flatnonzero((labels.category == BG) & mask)
     if bg_pool.size == 0:
         raise EmptyPoolError("no background anchors survive the mask")
     fg_take = min(FG_QUOTA, fg_pool.size)
@@ -446,12 +392,11 @@ def _draw_without_replacement(
     return pool[np.argsort(keys, kind="stable")[:take]]
 
 
-def hard_ratio(batch: MiniBatch, labels) -> float:
+def hard_ratio(batch: MiniBatch, labels: LabelArrays) -> float:
     """Fraction of the batch tagged hard."""
     if batch.size == 0:
         raise DomainError("hard_ratio of an empty batch")
-    arrs = as_label_arrays(labels)
-    return float(arrs.hard[batch.indices].sum()) / batch.size
+    return float(labels.hard[batch.indices].sum()) / batch.size
 
 
 def boxes_csv(scene: Scene) -> str:

@@ -30,7 +30,6 @@ from .errors import (
     require_finite_floats,
 )
 from .gate import (
-    GateParams,
     gate_backward,
     gate_forward,
     init_gate_params,
@@ -73,7 +72,6 @@ class TrainConfig:
     epsilon: float = 1e-3
     th: float = 0.5
     r: int = 16
-    variance_target: str = "gate"
     probanet_enabled: bool = True
     seed: int = 0
     lr_decay_every: int = 0
@@ -98,11 +96,6 @@ class TrainConfig:
             raise ConfigError(f"th must lie in [0, 1), got {self.th}")
         if self.r < 1:
             raise ConfigError(f"r must be >= 1, got {self.r}")
-        if self.variance_target not in ("gate", "input"):
-            raise ConfigError(
-                f"variance_target must be 'gate' or 'input', got "
-                f"{self.variance_target!r}"
-            )
         if self.lr_decay_every < 0:
             raise ConfigError("lr_decay_every must be >= 0 (0 disables decay)")
         if not 0 < self.lr_decay_factor <= 1:
@@ -223,18 +216,22 @@ def build_scene_pool(config: TrainConfig, sim_config: SimConfig) -> list[Labeled
 
 @dataclass
 class TrainState:
-    """All trainable parameters plus their momentum buffers."""
+    """The trainable parameters by name, their momentum buffers under
+    the same names, and the number of steps taken.
 
-    head_weight: np.ndarray  # (anchors_per_cell, channels)
-    head_bias: np.ndarray  # (anchors_per_cell,)
-    scale: float
-    shift: float
-    gate: GateParams | None
+    params holds head_weight (anchors_per_cell, channels) and the floats
+    scale and shift, plus, when the gate is enabled, its four arrays
+    (reduce_weight, reduce_bias, expand_weight, expand_bias).
+    """
+
+    params: dict
     velocity: dict
     step: int = 0
 
-    def head_conv(self) -> Conv1x1Params:
-        return Conv1x1Params(weight=self.head_weight, bias=self.head_bias)
+    @property
+    def gate(self) -> dict | None:
+        """The parameters gate_forward reads, or None without a gate."""
+        return self.params if "reduce_weight" in self.params else None
 
 
 def init_state(config: TrainConfig, sim_config: SimConfig) -> TrainState:
@@ -244,33 +241,19 @@ def init_state(config: TrainConfig, sim_config: SimConfig) -> TrainState:
     k = sim_config.anchors_per_cell
     head_rng = SplitMix64(derive_seed(config.seed, "init"))
     s = 1.0 / np.sqrt(c)
-    head_weight = head_rng.uniform_range(-s, s, (k, c))
-    head_bias = np.zeros(k)  # fixed at zero; shift carries any offset
-    gate = None
-    velocity = {
-        "head_weight": np.zeros_like(head_weight),
-        "scale": 0.0,
+    params = {
+        "head_weight": head_rng.uniform_range(-s, s, (k, c)),
+        "scale": 1.0,
         "shift": 0.0,
     }
     if config.probanet_enabled:
         if c % config.r != 0:
             raise ConfigError(f"channels {c} not divisible by reduction {config.r}")
         gate_rng = SplitMix64(derive_seed(config.seed, "init-gate"))
-        gate = init_gate_params(c, k, config.r, config.th, gate_rng)
-        velocity.update(
-            reduce_weight=np.zeros_like(gate.reduce_conv.weight),
-            reduce_bias=np.zeros_like(gate.reduce_conv.bias),
-            expand_weight=np.zeros_like(gate.expand_conv.weight),
-            expand_bias=np.zeros_like(gate.expand_conv.bias),
-        )
-    return TrainState(
-        head_weight=head_weight,
-        head_bias=head_bias,
-        scale=1.0,
-        shift=0.0,
-        gate=gate,
-        velocity=velocity,
-    )
+        params.update(init_gate_params(c, k, config.r, gate_rng))
+    velocity = {name: np.zeros_like(value) for name, value in params.items()}
+    velocity["scale"] = velocity["shift"] = 0.0
+    return TrainState(params=params, velocity=velocity)
 
 
 def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -317,7 +300,7 @@ def loss_and_grads(
     if not scenes:
         raise DomainError("train_step needs at least one scene")
     step = state.step
-    gate = state.gate
+    params, gate = state.params, state.gate
 
     labels = _concat_labels([ls.labels for ls in scenes])
     mask = None
@@ -326,7 +309,7 @@ def loss_and_grads(
         outs = [gate_forward(ls.scene.features, gate) for ls in scenes]
         t2_flat = np.concatenate([out.t2.ravel() for out in outs])
         # Truncation keeps the entries weighted strictly above the threshold.
-        mask = t2_flat > gate.threshold
+        mask = t2_flat > config.th
         kept_fraction = float(mask.mean())
     where = f"step {step}, seed {config.seed}, kept fraction {kept_fraction:.4g}"
     rng = SplitMix64(derive_seed(config.seed, "sampler", step))
@@ -337,9 +320,13 @@ def loss_and_grads(
 
     # The head at the sampled anchors only.  Every scene holds k anchors
     # per cell, so flat anchor index i sits at anchor slot i % k of cell
-    # i // k, counting the cells of the scenes in order.
-    head = state.head_conv()
-    n, k, c = batch.size, head.out_channels, head.in_channels
+    # i // k, counting the cells of the scenes in order.  The head has no
+    # bias: the scalar affine's shift already models a batch-wide offset,
+    # and a trainable per-map bias feeds every cell the same constant,
+    # drowning per-cell contrast.
+    n = batch.size
+    k, c = params["head_weight"].shape
+    head = Conv1x1Params(weight=params["head_weight"], bias=np.zeros(k))
     cell, anchor = np.divmod(batch.indices, k)
     rows = np.empty((n, 1, c))
     first = 0
@@ -354,7 +341,7 @@ def loss_and_grads(
         values = a_sel * t2_sel
     else:
         values = a_sel
-    logits = state.scale * values + state.shift
+    logits = params["scale"] * values + params["shift"]
     targets = (labels.category[batch.indices] == FG).astype(np.float64)
     cls_loss = binary_cross_entropy(logits, targets)
 
@@ -363,16 +350,11 @@ def loss_and_grads(
     grad_v_coeff = 0.0
     fg_gate_mean, bg_gate_mean = 1.0, 1.0
     if gate is not None:
-        if config.variance_target == "input":
-            v_src = np.concatenate([ls.scene.features.ravel() for ls in scenes])
-        else:
-            v_src = t2_flat
-        variance, grad_v = variance_constraint(v_src, config.epsilon)
+        variance, grad_v = variance_constraint(t2_flat, config.epsilon)
         if config.alpha > 0.0:
             terms = probanet_loss(variance, cls_loss, config.alpha)
             aux_loss, beta = terms.probanet_loss, terms.beta
-            if config.variance_target == "gate":
-                grad_v_coeff = probanet_loss_grad_v(variance, cls_loss, config.alpha)
+            grad_v_coeff = probanet_loss_grad_v(variance, cls_loss, config.alpha)
         fg_sel = labels.category == FG
         bg_sel = labels.category == BG
         fg_gate_mean = float(t2_flat[fg_sel].mean()) if fg_sel.any() else 0.0
@@ -393,15 +375,12 @@ def loss_and_grads(
 
     # Backward.
     dlogits = binary_cross_entropy_grad(logits, targets)
-    grad_values = state.scale * dlogits
+    grad_values = params["scale"] * dlogits
     grads = {"scale": float(np.dot(dlogits, values)), "shift": float(dlogits.sum())}
     grad_a = np.zeros((n, 1, k))
     grad_a[np.arange(n), 0, anchor] = (
         grad_values * t2_sel if gate is not None else grad_values
     )
-    # The proposal-map bias stays at zero: the scalar affine's shift
-    # already models a batch-wide offset, and a trainable per-map bias
-    # feeds every cell the same constant, drowning per-cell contrast.
     grads["head_weight"], _ = conv1x1_param_grads(rows, head, grad_a)
     if gate is not None:
         if grad_v_coeff != 0.0:
@@ -415,7 +394,7 @@ def loss_and_grads(
         for s, (ls, out) in enumerate(zip(scenes, outs)):
             grad_t2 = grad_t2_flat[start : start + out.t2.size].reshape(out.t2.shape)
             _, ggrads = gate_backward(out, ls.scene.features, gate, grad_t2)
-            for name, g in vars(ggrads).items():
+            for name, g in ggrads.items():
                 grads[name] = grads[name] + g if s else g
             start += out.t2.size
     return record, grads, batch, logits
@@ -432,50 +411,21 @@ def _concat_labels(parts: list[LabelArrays]) -> LabelArrays:
 
 
 def _sgd_update(state: TrainState, grads: dict, config: TrainConfig) -> None:
-    """v <- momentum*v - lr*(g + weight_decay*w); w <- w + v, every param."""
+    """v <- momentum*v - lr*(g + weight_decay*w); w <- w + v, for every
+    parameter by name.  Raises NumericError naming the first parameter
+    that the update leaves non-finite."""
     lr = config.learning_rate_at(state.step)
     mom, wd = config.momentum, config.weight_decay
-
-    def upd(value, g, vel):
-        new_vel = mom * vel - lr * (g + wd * value)
-        return value + new_vel, new_vel
-
-    state.head_weight, state.velocity["head_weight"] = upd(
-        state.head_weight, grads["head_weight"], state.velocity["head_weight"]
-    )
-    state.scale, state.velocity["scale"] = upd(
-        state.scale, grads["scale"], state.velocity["scale"]
-    )
-    state.shift, state.velocity["shift"] = upd(
-        state.shift, grads["shift"], state.velocity["shift"]
-    )
-    if state.gate is not None:
-        rw, state.velocity["reduce_weight"] = upd(
-            state.gate.reduce_conv.weight,
-            grads["reduce_weight"],
-            state.velocity["reduce_weight"],
-        )
-        rb, state.velocity["reduce_bias"] = upd(
-            state.gate.reduce_conv.bias,
-            grads["reduce_bias"],
-            state.velocity["reduce_bias"],
-        )
-        ew, state.velocity["expand_weight"] = upd(
-            state.gate.expand_conv.weight,
-            grads["expand_weight"],
-            state.velocity["expand_weight"],
-        )
-        eb, state.velocity["expand_bias"] = upd(
-            state.gate.expand_conv.bias,
-            grads["expand_bias"],
-            state.velocity["expand_bias"],
-        )
-        state.gate = GateParams(
-            reduce_conv=Conv1x1Params(weight=rw, bias=rb),
-            expand_conv=Conv1x1Params(weight=ew, bias=eb),
-            reduction=state.gate.reduction,
-            threshold=state.gate.threshold,
-        )
+    params, velocity = state.params, state.velocity
+    for name in params:
+        v = mom * velocity[name] - lr * (grads[name] + wd * params[name])
+        velocity[name] = v
+        params[name] = params[name] + v
+        if not np.isfinite(params[name]).all():
+            raise NumericError(
+                f"non-finite parameter {name} after the update of step "
+                f"{state.step}, seed {config.seed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -532,7 +482,8 @@ def _finalize_run(
     pool: list[LabeledScene],
     log: MetricsLog,
 ) -> RunResult:
-    head = state.head_conv()
+    head_weight = state.params["head_weight"]
+    head = Conv1x1Params(weight=head_weight, bias=np.zeros(head_weight.shape[0]))
     fg_t2, bg_t2, fg_z, bg_z = [], [], [], []
     for ls in pool:
         # Evaluation truncates nothing: every anchor gets a logit.
@@ -543,7 +494,7 @@ def _finalize_run(
         else:
             t2_flat = np.ones(a.size)
             b_flat = a
-        z = state.scale * b_flat + state.shift
+        z = state.params["scale"] * b_flat + state.params["shift"]
         fg_sel = ls.labels.category == FG
         bg_sel = ls.labels.category == BG
         fg_t2.append(t2_flat[fg_sel])

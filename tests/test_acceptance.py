@@ -3,7 +3,8 @@
 Each test prints a single "criterion N (...): PASS" line (visible with
 pytest -s; under plain pytest the verdict is the test's own PASSED or
 FAILED line).  Criteria 4 and 5 share one paired 10-seed experiment at
-the default configuration; criterion 7 reuses its baseline runs.
+the default configuration; criterion 6 reuses its first trained gated
+state and criterion 7 its baseline runs.
 """
 
 import os
@@ -23,16 +24,21 @@ from probanet import (
     TrainConfig,
     build_scene_pool,
     derive_seed,
+    gate_backward,
+    gate_forward,
     generate_scene,
     grid_for,
     label_arrays,
+    probanet_loss_grad_v,
     run_experiment,
     run_training,
     sample_minibatch,
+    variance_constraint,
 )
 from probanet.artifacts import write_run_dir
 from probanet.cli import main
 from probanet.gradcheck import DEFAULT_SHAPES, REL_TOL, run_suite
+from probanet.training import loss_and_grads
 
 N_SEEDS = 10
 
@@ -174,8 +180,49 @@ def test_criterion_6_aux_loss_below_cls_loss(
                     violations += 1
     assert checked > 0
     assert violations == 0, f"{violations} steps had aux loss >= cls loss"
+
+    # The logged aux loss is alpha * cls_loss by construction, so the
+    # bound above cannot fail.  What the auxiliary loss does is its
+    # gradient: on one trained gated state and batch, the gate gradients
+    # at alpha minus those at alpha = 0 must equal the gate backward pass
+    # of -alpha * cls / v^2 * dv/dt2 alone, and at a variance floor above
+    # the weights' variance the two must be equal.
+    pair = report.pairs[0]
+    state = pair.variant.final_state
+    pool = build_scene_pool(pair.variant.config, SIM)
+    scenes = [pool[0], pool[1]]
+    record, grads, _, _ = loss_and_grads(state, scenes, GATED)
+    _, grads0, _, _ = loss_and_grads(state, scenes, replace(GATED, alpha=0.0))
+    assert record.variance > GATED.epsilon, "the variance floor is active"
+    outs = [gate_forward(ls.scene.features, state.gate) for ls in scenes]
+    t2_flat = np.concatenate([out.t2.ravel() for out in outs])
+    _, dv = variance_constraint(t2_flat, GATED.epsilon)
+    grad_t2 = probanet_loss_grad_v(record.variance, record.cls_loss, GATED.alpha) * dv
+    expected = {}
+    offset = 0
+    for ls, out in zip(scenes, outs):
+        part = grad_t2[offset : offset + out.t2.size].reshape(out.t2.shape)
+        _, aux = gate_backward(out, ls.scene.features, state.gate, part)
+        for name, g in aux.items():
+            expected[name] = expected.get(name, 0.0) + g
+        offset += out.t2.size
+    worst = 0.0
+    for name, value in expected.items():
+        scale = np.abs(value).max()
+        assert scale > 0.0, name
+        worst = max(worst, np.abs(grads[name] - grads0[name] - value).max() / scale)
+    assert worst <= 1e-12, f"aux gradient off by {worst:.2e} of its largest entry"
+    floor = replace(GATED, epsilon=2.0 * record.variance)
+    _, grads_floor, _, _ = loss_and_grads(state, scenes, floor)
+    _, grads_floor0, _, _ = loss_and_grads(state, scenes, replace(floor, alpha=0.0))
+    for name, value in grads_floor.items():
+        assert np.array_equal(value, grads_floor0[name]), name
     with capsys.disabled():
-        report_pass(6, "aux loss bound", f"0 violations in {checked} steps")
+        report_pass(
+            6,
+            "aux loss bound and gradient",
+            f"0 violations in {checked} steps, aux gradient within {worst:.1e}",
+        )
 
 
 def test_criterion_7_inert_gate_changes_nothing(
@@ -183,13 +230,18 @@ def test_criterion_7_inert_gate_changes_nothing(
 ):
     # With th=0 every anchor survives truncation and with alpha=0 the
     # auxiliary gradient never fires, so the control's sampled batches
-    # coincide with the baseline's draw for draw and the per-seed
-    # difference is exactly zero.  The 2-sigma band then degenerates to
-    # a point, so the bound is applied inclusively.
+    # coincide with the baseline's draw for draw: every step's hard ratio
+    # is the baseline's and the per-seed difference is exactly zero.  The
+    # 2-sigma band then degenerates to a point, so the bound is applied
+    # inclusively.
     report, _ = paired_experiment
     diffs = []
     for pair, control in zip(report.pairs, control_runs):
         assert control.config.seed == pair.seed
+        assert [r.hard_ratio for r in control.metrics] == [
+            r.hard_ratio for r in pair.baseline.metrics
+        ], f"seed {pair.seed}: control batches differ from the baseline's"
+        assert all(r.kept_fraction == 1.0 for r in control.metrics)
         diffs.append(control.tail_hard_ratio - pair.baseline.tail_hard_ratio)
     diffs = np.array(diffs)
     mean = abs(diffs.mean())

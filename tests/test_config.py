@@ -31,7 +31,6 @@ def test_roundtrip_preserves_every_field():
         epsilon=5e-4,
         th=0.45,
         r=4,
-        variance_target="input",
         probanet_enabled=False,
         seed=11,
         lr_decay_every=2,

@@ -7,7 +7,6 @@ from probanet import (
     Conv1x1Params,
     DimensionError,
     DomainError,
-    GateParams,
     SplitMix64,
     allocated_param_count,
     conv1x1_forward,
@@ -27,56 +26,43 @@ from probanet import (
 )
 
 
-def small_gate(seed=0, threshold=0.5, c=4, c_prime=2, r=2):
+def small_gate(seed=0, c=4, c_prime=2, r=2):
     rng = SplitMix64(seed)
-    return init_gate_params(c, c_prime, r, threshold, rng)
+    return init_gate_params(c, c_prime, r, rng)
 
 
 def random_map(seed, shape):
     return SplitMix64(seed).uniform_range(-1.5, 1.5, shape=shape)
 
 
-def test_gate_params_validation():
-    reduce_conv = Conv1x1Params(weight=np.zeros((2, 4)), bias=np.zeros(2))
-    expand_conv = Conv1x1Params(weight=np.zeros((3, 2)), bias=np.zeros(3))
-    with pytest.raises(DomainError):
-        GateParams(reduce_conv, expand_conv, reduction=0, threshold=0.5)
-    with pytest.raises(DomainError):
-        GateParams(reduce_conv, expand_conv, reduction=3, threshold=0.5)
-    mismatched = Conv1x1Params(weight=np.zeros((3, 5)), bias=np.zeros(3))
-    with pytest.raises(DimensionError):
-        GateParams(reduce_conv, mismatched, reduction=2, threshold=0.5)
-    wrong_mid = Conv1x1Params(weight=np.zeros((3, 4)), bias=np.zeros(3))
-    with pytest.raises(DimensionError):
-        GateParams(reduce_conv, wrong_mid, reduction=2, threshold=0.5)
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(DomainError):
-            GateParams(reduce_conv, expand_conv, reduction=2, threshold=bad)
-
-
 def test_init_bounds_zero_biases_and_determinism():
     c, c_prime, r = 8, 3, 4
-    params = init_gate_params(c, c_prime, r, 0.5, SplitMix64(11))
+    params = init_gate_params(c, c_prime, r, SplitMix64(11))
     mid = c // r
-    assert params.reduce_conv.weight.shape == (mid, c)
-    assert params.expand_conv.weight.shape == (c_prime, mid)
-    assert np.all(np.abs(params.reduce_conv.weight) <= 1.0 / np.sqrt(c))
-    assert np.all(np.abs(params.expand_conv.weight) <= 1.0 / np.sqrt(mid))
-    assert np.all(params.reduce_conv.bias == 0.0)
-    assert np.all(params.expand_conv.bias == 0.0)
+    assert set(params) == {
+        "reduce_weight", "reduce_bias", "expand_weight", "expand_bias"
+    }
+    assert params["reduce_weight"].shape == (mid, c)
+    assert params["expand_weight"].shape == (c_prime, mid)
+    assert np.all(np.abs(params["reduce_weight"]) <= 1.0 / np.sqrt(c))
+    assert np.all(np.abs(params["expand_weight"]) <= 1.0 / np.sqrt(mid))
+    assert np.array_equal(params["reduce_bias"], np.zeros(mid))
+    assert np.array_equal(params["expand_bias"], np.zeros(c_prime))
 
-    again = init_gate_params(c, c_prime, r, 0.5, SplitMix64(11))
-    assert np.array_equal(params.reduce_conv.weight, again.reduce_conv.weight)
-    assert np.array_equal(params.expand_conv.weight, again.expand_conv.weight)
-    other = init_gate_params(c, c_prime, r, 0.5, SplitMix64(12))
-    assert not np.array_equal(params.reduce_conv.weight, other.reduce_conv.weight)
+    again = init_gate_params(c, c_prime, r, SplitMix64(11))
+    assert np.array_equal(params["reduce_weight"], again["reduce_weight"])
+    assert np.array_equal(params["expand_weight"], again["expand_weight"])
+    other = init_gate_params(c, c_prime, r, SplitMix64(12))
+    assert not np.array_equal(params["reduce_weight"], other["reduce_weight"])
 
 
 def test_init_geometry_errors():
     with pytest.raises(DomainError):
-        init_gate_params(5, 2, 2, 0.5, SplitMix64(0))
+        init_gate_params(5, 2, 2, SplitMix64(0))
     with pytest.raises(DomainError):
-        init_gate_params(0, 2, 1, 0.5, SplitMix64(0))
+        init_gate_params(0, 2, 1, SplitMix64(0))
+    with pytest.raises(DomainError):
+        init_gate_params(4, 2, 0, SplitMix64(0))
 
 
 def test_gate_forward_matches_manual_composition():
@@ -84,8 +70,10 @@ def test_gate_forward_matches_manual_composition():
     x = random_map(4, (2, 3, 4))
     out = gate_forward(x, params)
 
-    t1 = relu(conv1x1_forward(x, params.reduce_conv))
-    t2 = sigmoid(conv1x1_forward(t1, params.expand_conv))
+    reduce_conv = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
+    expand_conv = Conv1x1Params(params["expand_weight"], params["expand_bias"])
+    t1 = relu(conv1x1_forward(x, reduce_conv))
+    t2 = sigmoid(conv1x1_forward(t1, expand_conv))
     assert np.array_equal(out.t1, t1)
     assert np.array_equal(out.t2, t2)
     assert out.t2.shape == (2, 3, 2)
@@ -99,6 +87,10 @@ def test_gate_forward_shape_errors():
         gate_forward(random_map(0, (2, 2, 3)), params)
     with pytest.raises(DimensionError):
         gate_forward(random_map(0, (2, 2, 5)), params)
+    # The expand conv must read as many channels as the reduce conv emits.
+    wrong_mid = {**params, "expand_weight": np.zeros((2, 3))}
+    with pytest.raises(DimensionError):
+        gate_forward(random_map(0, (2, 2, 4)), wrong_mid)
 
 
 def test_truncate_train_strict_and_test_keeps_all():
@@ -123,68 +115,64 @@ def test_truncate_validation():
 
 
 def test_gate_test_mode_keeps_everything():
-    params = small_gate(threshold=0.9)
+    params, th = small_gate(), 0.9
     x = random_map(6, (3, 3, 4))
     a = random_map(7, (3, 3, 2))
     t2 = gate_forward(x, params).t2
-    assert not (t2 > params.threshold).any()
-    b, keep = truncate(a * t2, t2, params.threshold, "test")
+    assert not (t2 > th).any()
+    b, keep = truncate(a * t2, t2, th, "test")
     assert np.all(keep)
     assert np.array_equal(b, a * t2)
 
 
-def _truncated_map_grad_t2(params, x, a, g):
+def _truncated_map_grad_t2(params, th, x, a, g):
     """Gradient at t2 of sum(truncated(a * t2) * g): g * a where t2 clears
-    the threshold, zero where truncation dropped the entry."""
+    the threshold th, zero where truncation dropped the entry."""
     t2 = gate_forward(x, params).t2
-    return np.where(t2 > params.threshold, g * a, 0.0)
+    return np.where(t2 > th, g * a, 0.0)
 
 
 def test_gate_backward_blocks_dropped_positions():
     # High threshold so a healthy share of positions is dropped.
-    params = small_gate(seed=8, threshold=0.52)
+    params, th = small_gate(seed=8), 0.52
     x = random_map(9, (3, 4, 4))
     a = random_map(10, (3, 4, 2))
     g = random_map(11, (3, 4, 2))
     out = gate_forward(x, params)
-    keep = out.t2 > params.threshold
+    keep = out.t2 > th
     assert keep.any() and not keep.all()
     # No weight sits within differencing reach of the threshold.
-    assert np.abs(out.t2 - params.threshold).min() > 1e-4
+    assert np.abs(out.t2 - th).min() > 1e-4
 
-    _, grads = gate_backward(out, x, params, _truncated_map_grad_t2(params, x, a, g))
+    _, grads = gate_backward(
+        out, x, params, _truncated_map_grad_t2(params, th, x, a, g)
+    )
 
     def f(bias):
-        p = GateParams(
-            reduce_conv=params.reduce_conv,
-            expand_conv=Conv1x1Params(weight=params.expand_conv.weight, bias=bias),
-            reduction=params.reduction,
-            threshold=params.threshold,
-        )
-        t2 = gate_forward(x, p).t2
-        return float((truncate(a * t2, t2, p.threshold, "train")[0] * g).sum())
+        t2 = gate_forward(x, {**params, "expand_bias": bias}).t2
+        return float((truncate(a * t2, t2, th, "train")[0] * g).sum())
 
-    fd = finite_diff_gradient(f, params.expand_conv.bias.copy(), h=1e-6)
-    assert np.allclose(grads.expand_bias, fd, rtol=1e-6, atol=1e-9)
+    fd = finite_diff_gradient(f, params["expand_bias"].copy(), h=1e-6)
+    assert np.allclose(grads["expand_bias"], fd, rtol=1e-6, atol=1e-9)
     # Only the kept entries feed the expand bias gradient.
     kept_only = (out.t2 * (1 - out.t2) * np.where(keep, g * a, 0.0)).sum(axis=(0, 1))
-    assert np.allclose(grads.expand_bias, kept_only, rtol=0, atol=1e-15)
+    assert np.allclose(grads["expand_bias"], kept_only, rtol=0, atol=1e-15)
 
 
 def test_gate_backward_t2_hook_reaches_dropped_cells():
     # The variance gradient enters through grad_t2 and must flow into the
     # gate convolutions even where truncation zeroed the cls path.
-    params = small_gate(seed=13, threshold=0.9)
+    params = small_gate(seed=13)
     x = random_map(14, (2, 2, 4))
     a = random_map(15, (2, 2, 2))
     out = gate_forward(x, params)
-    cls_path = _truncated_map_grad_t2(params, x, a, np.ones_like(a))
+    cls_path = _truncated_map_grad_t2(params, 0.9, x, a, np.ones_like(a))
     assert not cls_path.any()
 
     _, grads_quiet = gate_backward(out, x, params, cls_path)
-    assert np.all(grads_quiet.expand_weight == 0.0)
+    assert np.all(grads_quiet["expand_weight"] == 0.0)
     _, grads_hook = gate_backward(out, x, params, cls_path + np.ones_like(out.t2))
-    assert np.any(grads_hook.expand_weight != 0.0)
+    assert np.any(grads_hook["expand_weight"] != 0.0)
 
 
 def test_gate_backward_shape_check():

@@ -25,11 +25,10 @@ from probanet import (
     grid_for,
     hard_ratio,
     iou,
-    label_anchors,
     label_arrays,
     sample_minibatch,
 )
-from probanet.sim import _draw_without_replacement, as_label_arrays, boxes_csv
+from probanet.sim import _draw_without_replacement, boxes_csv
 
 
 def brute_force_labels(scene, grid, fg_iou=0.7, bg_iou=0.3, lo=0.1, hi=0.75):
@@ -233,23 +232,6 @@ def test_every_object_owns_a_foreground_anchor():
     assert len(fg_anchors) >= 1
     # Promotion below the threshold is tagged easy.
     assert not labels.hard[fg_anchors].any()
-
-
-def test_label_anchors_record_view_roundtrip():
-    config = SimConfig(height=8, width=8, channels=4)
-    scene = generate_scene(config, 5)
-    grid = grid_for(config)
-    arrs = label_arrays(scene, grid)
-    records = label_anchors(scene, grid)
-    assert len(records) == grid.n_anchors
-    back = as_label_arrays(records)
-    assert np.array_equal(back.category, arrs.category)
-    assert np.array_equal(back.hard, arrs.hard)
-    assert np.array_equal(back.iou, arrs.iou)
-    first = records[0]
-    assert first.position == (0, 0, 0)
-    assert first.category in ("fg", "bg", "ignore")
-    assert first.difficulty in ("easy", "hard")
 
 
 def test_corpus_is_heavily_background_dominated():

@@ -36,7 +36,6 @@ from probanet import (
     truncate,
     variance_constraint,
 )
-from probanet.gate import GateParams
 from probanet.training import (
     binary_cross_entropy,
     binary_cross_entropy_grad,
@@ -93,7 +92,6 @@ def test_train_config_validation():
         dict(th=1.0),
         dict(th=-0.5),
         dict(r=0),
-        dict(variance_target="features"),
         dict(lr_decay_every=-1),
         dict(lr_decay_factor=0.0),
         dict(lr_decay_factor=1.5),
@@ -150,23 +148,25 @@ def test_binary_cross_entropy_grad_matches_fd():
 
 def test_init_state_layout_and_shared_head():
     gated = init_state(tiny_config(), TINY_SIM)
-    assert gated.head_weight.shape == (1, 4)
-    assert np.all(np.abs(gated.head_weight) <= 0.5)
-    assert np.all(gated.head_bias == 0.0)
-    assert gated.scale == 1.0
-    assert gated.shift == 0.0
-    assert gated.gate is not None
+    assert gated.params["head_weight"].shape == (1, 4)
+    assert np.all(np.abs(gated.params["head_weight"]) <= 0.5)
+    assert gated.params["scale"] == 1.0
+    assert gated.params["shift"] == 0.0
+    assert gated.gate is gated.params
     assert gated.step == 0
-    assert set(gated.velocity) == {
+    assert set(gated.params) == set(gated.velocity) == {
         "head_weight", "scale", "shift",
         "reduce_weight", "reduce_bias", "expand_weight", "expand_bias",
     }
+    for name, value in gated.params.items():
+        assert np.shape(gated.velocity[name]) == np.shape(value)
+        assert np.all(gated.velocity[name] == 0.0)
 
     plain = init_state(tiny_config(probanet_enabled=False), TINY_SIM)
     assert plain.gate is None
-    assert set(plain.velocity) == {"head_weight", "scale", "shift"}
+    assert set(plain.params) == set(plain.velocity) == {"head_weight", "scale", "shift"}
     # Both variants start from the same proposal head.
-    assert np.array_equal(plain.head_weight, gated.head_weight)
+    assert np.array_equal(plain.params["head_weight"], gated.params["head_weight"])
 
     with pytest.raises(ConfigError):
         init_state(tiny_config(r=3), TINY_SIM)
@@ -177,16 +177,9 @@ def test_zero_learning_rate_freezes_parameters():
     fresh = init_state(config, TINY_SIM)
     state, _, log = run_partial(config, TINY_SIM, 5)
     assert len(log) == 5
-    assert np.array_equal(state.head_weight, fresh.head_weight)
-    assert state.scale == fresh.scale
-    assert state.shift == fresh.shift
-    assert np.array_equal(
-        state.gate.reduce_conv.weight, fresh.gate.reduce_conv.weight
-    )
-    assert np.array_equal(
-        state.gate.expand_conv.weight, fresh.gate.expand_conv.weight
-    )
-    assert np.all(state.velocity["head_weight"] == 0.0)
+    for name, value in fresh.params.items():
+        assert np.array_equal(state.params[name], value)
+        assert np.all(state.velocity[name] == 0.0)
 
 
 def test_zero_learning_rate_freezes_state_metrics():
@@ -225,90 +218,36 @@ def test_single_step_matches_finite_difference_oracle():
         labels, None, SplitMix64(derive_seed(config.seed, "sampler", 0))
     )
 
-    w0 = state.head_weight.copy()
-    rw0 = state.gate.reduce_conv.weight.copy()
-    rb0 = state.gate.reduce_conv.bias.copy()
-    ew0 = state.gate.expand_conv.weight.copy()
-    eb0 = state.gate.expand_conv.bias.copy()
-    s0, h0 = state.scale, state.shift
+    # A copy of the parameters to difference in place; the floats
+    # become 0-d arrays.
+    p0 = {name: np.array(value) for name, value in state.params.items()}
+    zero_bias = np.zeros(1)
 
-    def loss_with(head_w, reduce_w, reduce_b, expand_w, expand_b, scale, shift):
-        head = Conv1x1Params(weight=head_w, bias=np.zeros(1))
-        gate = GateParams(
-            reduce_conv=Conv1x1Params(weight=reduce_w, bias=reduce_b),
-            expand_conv=Conv1x1Params(weight=expand_w, bias=expand_b),
-            reduction=config.r,
-            threshold=config.th,
-        )
+    def loss_with(p):
+        head = Conv1x1Params(weight=p["head_weight"], bias=zero_bias)
         b_parts = []
         for ls in scenes:
             a = conv1x1_forward(ls.scene.features, head)
-            t2 = gate_forward(ls.scene.features, gate).t2
-            b_parts.append(truncate(a * t2, t2, gate.threshold, "train")[0].ravel())
+            t2 = gate_forward(ls.scene.features, p).t2
+            b_parts.append(truncate(a * t2, t2, config.th, "train")[0].ravel())
         values = np.concatenate(b_parts)[batch.indices]
-        logits = scale * values + shift
+        logits = p["scale"] * values + p["shift"]
         targets = (labels.category[batch.indices] == FG).astype(np.float64)
         return binary_cross_entropy(logits, targets)
 
-    fd = {
-        "head_weight": finite_diff_gradient(
-            lambda w: loss_with(w, rw0, rb0, ew0, eb0, s0, h0), w0
-        ),
-        "reduce_weight": finite_diff_gradient(
-            lambda w: loss_with(w0, w, rb0, ew0, eb0, s0, h0), rw0
-        ),
-        "reduce_bias": finite_diff_gradient(
-            lambda b: loss_with(w0, rw0, b, ew0, eb0, s0, h0), rb0
-        ),
-        "expand_weight": finite_diff_gradient(
-            lambda w: loss_with(w0, rw0, rb0, w, eb0, s0, h0), ew0
-        ),
-        "expand_bias": finite_diff_gradient(
-            lambda b: loss_with(w0, rw0, rb0, ew0, b, s0, h0), eb0
-        ),
-        "scale": finite_diff_gradient(
-            lambda s: loss_with(w0, rw0, rb0, ew0, eb0, float(s[0]), h0),
-            np.array([s0]),
-        )[0],
-        "shift": finite_diff_gradient(
-            lambda h: loss_with(w0, rw0, rb0, ew0, eb0, s0, float(h[0])),
-            np.array([h0]),
-        )[0],
-    }
-
     lr, wd = config.learning_rate, config.weight_decay
-
-    def expect(value, grad):
-        return value - lr * (grad + wd * value)
-
     new_state, record = train_step(state, scenes, config)
     assert record.step == 0
     assert new_state.step == 1
-    assert np.allclose(
-        new_state.head_weight, expect(w0, fd["head_weight"]), rtol=1e-4, atol=1e-10
-    )
-    assert np.allclose(
-        new_state.gate.reduce_conv.weight,
-        expect(rw0, fd["reduce_weight"]), rtol=1e-4, atol=1e-10,
-    )
-    assert np.allclose(
-        new_state.gate.reduce_conv.bias,
-        expect(rb0, fd["reduce_bias"]), rtol=1e-4, atol=1e-10,
-    )
-    assert np.allclose(
-        new_state.gate.expand_conv.weight,
-        expect(ew0, fd["expand_weight"]), rtol=1e-4, atol=1e-10,
-    )
-    assert np.allclose(
-        new_state.gate.expand_conv.bias,
-        expect(eb0, fd["expand_bias"]), rtol=1e-4, atol=1e-10,
-    )
-    assert abs(new_state.scale - expect(s0, fd["scale"])) < 1e-8
-    assert abs(new_state.shift - expect(h0, fd["shift"])) < 1e-8
-    # The proposal-map bias does not train.
-    assert np.all(new_state.head_bias == 0.0)
+    assert set(new_state.params) == set(p0) and len(p0) == 7
+    for name, value in p0.items():
+        fd = finite_diff_gradient(
+            lambda v, nm=name: loss_with({**p0, nm: v}), value.copy()
+        )
+        expect = value - lr * (fd + wd * value)
+        assert np.allclose(new_state.params[name], expect, rtol=0, atol=1e-10), name
     # The loss recomputed by the closure agrees with the recorded one.
-    assert abs(record.cls_loss - loss_with(w0, rw0, rb0, ew0, eb0, s0, h0)) < 1e-12
+    assert abs(record.cls_loss - loss_with(p0)) < 1e-12
 
 
 # Two anchor shapes and a grid larger than one batch, so the sampled
@@ -330,7 +269,8 @@ def _dense_step(state, scenes, config):
     reference for loss_and_grads: the head conv and the gate over every
     anchor, truncation as a mask over the whole map, and full
     conv1x1_backward VJPs, input gradients included."""
-    head, gate = state.head_conv(), state.gate
+    head_weight, gate = state.params["head_weight"], state.gate
+    head = Conv1x1Params(head_weight, np.zeros(head_weight.shape[0]))
     a_maps = [conv1x1_forward(ls.scene.features, head) for ls in scenes]
     if gate is None:
         outs = [None] * len(scenes)
@@ -339,11 +279,11 @@ def _dense_step(state, scenes, config):
     else:
         outs = [gate_forward(ls.scene.features, gate) for ls in scenes]
         b_flat = np.concatenate([
-            truncate(a * out.t2, out.t2, gate.threshold, "train")[0].ravel()
+            truncate(a * out.t2, out.t2, config.th, "train")[0].ravel()
             for a, out in zip(a_maps, outs)
         ])
         t2_flat = np.concatenate([out.t2.ravel() for out in outs])
-        mask = t2_flat > gate.threshold
+        mask = t2_flat > config.th
     labels = LabelArrays(
         category=np.concatenate([ls.labels.category for ls in scenes]),
         hard=np.concatenate([ls.labels.hard for ls in scenes]),
@@ -352,12 +292,12 @@ def _dense_step(state, scenes, config):
     rng = SplitMix64(derive_seed(config.seed, "sampler", state.step))
     batch = sample_minibatch(labels, mask, rng)
     values = b_flat[batch.indices]
-    logits = state.scale * values + state.shift
+    logits = state.params["scale"] * values + state.params["shift"]
     targets = (labels.category[batch.indices] == FG).astype(np.float64)
     dlogits = binary_cross_entropy_grad(logits, targets)
     grads = {"scale": float(np.dot(dlogits, values)), "shift": float(dlogits.sum())}
     grad_b_flat = np.zeros_like(b_flat)
-    grad_b_flat[batch.indices] = state.scale * dlogits
+    grad_b_flat[batch.indices] = state.params["scale"] * dlogits
     if gate is not None:
         variance, grad_v = variance_constraint(t2_flat, config.epsilon)
         coeff = probanet_loss_grad_v(
@@ -371,13 +311,15 @@ def _dense_step(state, scenes, config):
         if gate is None:
             grad_a = grad_b
         else:
-            grad_a_prime = np.where(out.t2 > gate.threshold, grad_b, 0.0)
+            grad_a_prime = np.where(out.t2 > config.th, grad_b, 0.0)
             grad_a = grad_a_prime * out.t2
             grad_t2 = grad_a_prime * a + grad_v[offset : offset + a.size].reshape(a.shape)
             grad_z2 = sigmoid_backward(out.t2, grad_t2)
-            grad_t1, grad_ew, grad_eb = conv1x1_backward(out.t1, gate.expand_conv, grad_z2)
+            expand_conv = Conv1x1Params(gate["expand_weight"], gate["expand_bias"])
+            reduce_conv = Conv1x1Params(gate["reduce_weight"], gate["reduce_bias"])
+            grad_t1, grad_ew, grad_eb = conv1x1_backward(out.t1, expand_conv, grad_z2)
             grad_z1 = relu_backward(out.t1, grad_t1)
-            _, grad_rw, grad_rb = conv1x1_backward(x, gate.reduce_conv, grad_z1)
+            _, grad_rw, grad_rb = conv1x1_backward(x, reduce_conv, grad_z1)
             for name, value in (
                 ("reduce_weight", grad_rw),
                 ("reduce_bias", grad_rb),
@@ -442,7 +384,8 @@ def test_empty_pool_error_names_step_seed_and_kept_fraction():
 
 @pytest.mark.parametrize("gated", [True, False], ids=["gated", "baseline"])
 def test_divergence_error_names_step_seed_and_kept_fraction(gated):
-    # A huge learning rate overflows the parameters at step 0's update.
+    # A huge learning rate leaves the parameters finite after step 0's
+    # update but so large that step 1's logits overflow.
     config = tiny_config(probanet_enabled=gated, learning_rate=1e308)
     with np.errstate(all="ignore"), pytest.raises(
         NumericError, match="non-finite metrics at step 1, seed 3, kept fraction 1:"
@@ -450,19 +393,42 @@ def test_divergence_error_names_step_seed_and_kept_fraction(gated):
         run_training(config, TINY_SIM)
 
 
+def test_non_finite_parameter_error_names_parameter_step_and_seed():
+    # Step 1's update overflows the gate arrays while every metric up to
+    # step 1 stays finite.  Unchecked, the nan gate weights fail every
+    # `t2 > th` test and step 2 ends in EmptyPoolError.
+    config = tiny_config(learning_rate=1e150)
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericError,
+        match="^non-finite parameter reduce_weight after the update of step 1, "
+        "seed 3$",
+    ):
+        run_training(config, TINY_SIM)
+
+
 def test_momentum_accumulates_across_steps():
-    # Second step with momentum: v1 = mom*v0 - lr*(g + wd*w).
-    config = tiny_config(epochs=1, steps_per_epoch=2)
-    pool = build_scene_pool(config, TINY_SIM)
-    state = init_state(config, TINY_SIM)
-    state, _ = train_step(state, [pool[0], pool[1]], config)
-    v_after_first = state.velocity["scale"]
-    scale_before = state.scale
-    state, _ = train_step(state, [pool[0], pool[1]], config)
-    # The applied update equals the stored velocity.
-    assert abs((state.scale - scale_before) - state.velocity["scale"]) < 1e-15
-    # And the momentum term carried the old velocity forward.
-    assert state.velocity["scale"] != pytest.approx(v_after_first)
+    # Two steps of v <- mom*v - lr*(g + wd*w); w <- w + v, replayed name
+    # by name from each step's gradients, for both variants.
+    for gated in (True, False):
+        config = tiny_config(probanet_enabled=gated, epochs=1, steps_per_epoch=2)
+        pool = build_scene_pool(config, TINY_SIM)
+        state = init_state(config, TINY_SIM)
+        scenes = [pool[0], pool[1]]
+        mom, wd = config.momentum, config.weight_decay
+        params = dict(state.params)
+        velocity = dict(state.velocity)
+        for step in range(2):
+            lr = config.learning_rate_at(step)
+            _, grads, _, _ = loss_and_grads(state, scenes, config)
+            assert set(grads) == set(state.params) == set(state.velocity)
+            assert len(grads) == (7 if gated else 3)
+            for name, g in grads.items():
+                velocity[name] = mom * velocity[name] - lr * (g + wd * params[name])
+                params[name] = params[name] + velocity[name]
+            state, _ = train_step(state, scenes, config)
+            for name in grads:
+                assert np.array_equal(state.params[name], params[name]), name
+                assert np.array_equal(state.velocity[name], velocity[name]), name
 
 
 def test_train_step_rejects_empty_scene_list():
@@ -534,7 +500,8 @@ def test_run_training_is_deterministic():
     a = run_training(config, TINY_SIM)
     b = run_training(config, TINY_SIM)
     assert a.metrics.to_csv() == b.metrics.to_csv()
-    assert np.array_equal(a.final_state.head_weight, b.final_state.head_weight)
+    for name, value in a.final_state.params.items():
+        assert np.array_equal(b.final_state.params[name], value)
     assert a.gate_gap == b.gate_gap
     assert a.logit_gap == b.logit_gap
     assert len(a.metrics) == config.total_steps
