@@ -130,7 +130,7 @@ def _outline(img: np.ndarray, grid: AnchorGrid, flat: int, color: np.ndarray):
 def gate_weights_for(
     state: TrainState, labeled: LabeledScene, sim_config: SimConfig
 ) -> np.ndarray:
-    """Final (test-mode) gate weights for one scene; all ones without a gate."""
+    """Final gate weights for one scene, untruncated; all ones without a gate."""
     k = sim_config.anchors_per_cell
     shape = (sim_config.height, sim_config.width, k)
     if state.gate is None:
@@ -173,26 +173,15 @@ def run_dir_name(config: TrainConfig) -> str:
     return f"{variant_name(config)}_seed{config.seed}"
 
 
-def write_run_dir(
-    out_dir: str,
-    result: RunResult,
-    sim_config: SimConfig,
-    pool: list[LabeledScene],
-) -> str:
-    """Write one run's artifacts under out_dir/<variant>_seed<seed>/.
-
-    pool is the scene pool the run trained on; scene 0 is exported.
-    """
-    return write_seed_dirs(out_dir, [result], sim_config, pool)[0]
-
-
 def write_seed_dirs(
     out_dir: str,
     results: list[RunResult],
     sim_config: SimConfig,
     pool: list[LabeledScene],
 ) -> list[str]:
-    """Write the run directories of results trained on one seed's pool.
+    """Write the run directories of results trained on one seed's pool,
+    one out_dir/<variant>_seed<seed>/ per result; scene 0 of the pool is
+    exported.
 
     Scene 0's feature dump is the same text for every such run, so it is
     formatted once and written into each directory.

@@ -19,10 +19,9 @@ from .artifacts import (
     heatmap_files,
     summary_csv,
     variant_name,
-    write_run_dir,
     write_seed_dirs,
 )
-from .config import format_config, parse_config
+from .config import parse_config
 from .errors import ConfigError, DomainError, ProbanetError
 from .gate import mac_count, param_count, param_megabytes
 from .gradcheck import CHECKS, DEFAULT_SHAPES, REL_TOL, run_suite
@@ -166,7 +165,7 @@ def cmd_train(args) -> int:
             cfg_s = replace(cfg, seed=cfg.seed + s)
             pool = build_scene_pool(cfg_s, sim_cfg)
             result = run_training(cfg_s, sim_cfg, pool)
-            run_dir = write_run_dir(args.out, result, sim_cfg, pool)
+            [run_dir] = write_seed_dirs(args.out, [result], sim_cfg, pool)
             print(
                 f"{variant_name(cfg_s)} seed {cfg_s.seed}: "
                 f"tail hard ratio {result.tail_hard_ratio:.4f} -> {run_dir}"

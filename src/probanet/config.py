@@ -14,47 +14,42 @@ from .errors import ConfigError
 from .sim import SimConfig
 from .training import TrainConfig
 
-_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
-_SIM_FIELDS = {f.name: f.type for f in fields(SimConfig)}
-
-_BOOL_KEYS = {"probanet_enabled"}
-_SHAPE_KEYS = {"anchor_shapes"}
-_INT_KEYS = {
-    "epochs", "steps_per_epoch", "r", "seed", "lr_decay_every",
-    "scenes_per_batch", "height", "width", "channels", "n_objects_min",
-    "n_objects_max", "object_min_size", "object_max_size", "scene_pool_size",
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
+_SIM_FIELDS = {f.name for f in fields(SimConfig)}
+# Each key parses as the type of its field's default: bool, tuple (the
+# anchor shapes), int or float.
+_KINDS = {
+    f.name: type(f.default) for cfg in (TrainConfig, SimConfig) for f in fields(cfg)
 }
-_FLOAT_KEYS = (
-    set(_TRAIN_FIELDS) | set(_SIM_FIELDS)
-) - _BOOL_KEYS - _SHAPE_KEYS - _INT_KEYS
 
 
 def parse_value(key: str, text: str, lineno: int):
+    kind = _KINDS[key]
     try:
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = text.lower()
             if low not in ("true", "false"):
                 raise ValueError(f"expected true/false, got {text!r}")
             return low == "true"
-        if key in _SHAPE_KEYS:
+        if kind is tuple:
             shapes = []
             for tok in text.split(","):
                 h, _, w = tok.strip().partition("x")
                 shapes.append((int(h), int(w)))
             return tuple(shapes)
-        if key in _INT_KEYS:
-            return int(text)
-        return float(text)
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
 
 
 def format_value(key: str, value) -> str:
-    if key in _BOOL_KEYS:
+    kind = _KINDS[key]
+    if kind is bool:
         return "true" if value else "false"
-    if key in _SHAPE_KEYS:
+    if kind is tuple:
         return ",".join(f"{h}x{w}" for h, w in value)
-    return repr(value) if isinstance(value, float) else str(value)
+    # str of a float is its shortest round-trip form.
+    return str(value)
 
 
 def parse_config(text: str) -> tuple[TrainConfig, SimConfig]:

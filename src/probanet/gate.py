@@ -1,7 +1,6 @@
 """Proposal-weighting gate: two 1x1 convolutions with a sigmoid output,
-threshold truncation of the weighted proposal map, a variance floor on the
-gate weights, and the variance-driven auxiliary loss with its
-auto-adjusted coefficient.
+a variance floor on the gate weights, and the variance-driven auxiliary
+loss with its auto-adjusted coefficient.
 
 The gate network reads only the backbone features.  Weighting the
 proposal map by t2 and truncating it are elementwise, so a caller that
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .rng import SplitMix64
 from .tensor import (
     Conv1x1Params,
@@ -51,29 +50,8 @@ class GateOutput:
 
 @dataclass(frozen=True)
 class LossTerms:
-    variance: float
     beta: float
     probanet_loss: float
-    cls_loss: float
-
-
-def truncate(
-    a_prime: FeatureMap, t2: FeatureMap, threshold: float, mode: str
-) -> tuple[FeatureMap, np.ndarray]:
-    """Zero entries whose gate weight is at or below the threshold.
-
-    In test mode every entry is kept regardless of the threshold (the
-    cutoff is treated as 0, and weights are strictly positive).
-    """
-    if mode not in ("train", "test"):
-        raise DomainError(f"mode must be 'train' or 'test', got {mode!r}")
-    if a_prime.shape != t2.shape:
-        raise DimensionError(f"shape mismatch: {a_prime.shape} vs {t2.shape}")
-    if mode == "test":
-        keep = np.ones(t2.shape, dtype=bool)
-    else:
-        keep = t2 > threshold
-    return np.where(keep, a_prime, 0.0), keep
 
 
 def _convs(params: Mapping[str, np.ndarray]) -> tuple[Conv1x1Params, Conv1x1Params]:
@@ -93,8 +71,8 @@ def gate_forward(x: FeatureMap, params: Mapping[str, np.ndarray]) -> GateOutput:
     proposal channel (C').  Other keys are ignored.
 
     t1 = relu(reduce(x)); t2 = sigmoid(expand(t1)).  The weighted map is
-    a * t2, and truncation keeps the entries with t2 above the threshold
-    (see truncate).
+    a * t2, and truncation keeps the entries with t2 strictly above the
+    threshold.
     """
     reduce_conv, expand_conv = _convs(params)
     t1 = relu(conv1x1_forward(x, reduce_conv))
@@ -168,7 +146,7 @@ def probanet_loss(v: float, cls_loss: float, alpha: float = 0.5) -> LossTerms:
         raise DomainError(f"variance must be positive, got {v}")
     beta = alpha * cls_loss * np.exp(-1.0 / v)
     loss = alpha * cls_loss
-    return LossTerms(variance=v, beta=float(beta), probanet_loss=loss, cls_loss=cls_loss)
+    return LossTerms(beta=float(beta), probanet_loss=loss)
 
 
 def probanet_loss_grad_v(v: float, cls_loss: float, alpha: float) -> float:
@@ -188,18 +166,6 @@ def param_count(c: int, c_prime: int, r: int) -> int:
     _check_geometry(c, c_prime, r)
     mid = c // r
     return c * (mid + 1) + mid * (c_prime + 1)
-
-
-def allocated_param_count(c: int, c_prime: int, r: int) -> int:
-    """Number of scalars init_gate_params allocates for this geometry.
-
-    Differs from param_count by exactly c - c_prime: the closed-form
-    count books one bias row per input channel on the reduce stage,
-    the allocation one per output channel.
-    """
-    _check_geometry(c, c_prime, r)
-    mid = c // r
-    return mid * c + mid + c_prime * mid + c_prime
 
 
 def mac_count(h: int, w: int, c: int, c_prime: int, r: int) -> int:

@@ -157,22 +157,24 @@ def _safe_threshold(t2: np.ndarray) -> tuple[float, float]:
     return th, margin
 
 
-def _gate_instance(rng: SplitMix64, shape, k: int, r: int):
+def _gate_instance(rng: SplitMix64, shape, k: int, r: int, n: int = 1):
     """Random gate instance with every kink a safe margin away: the
-    features, the gate arrays by name and a truncation threshold.
+    features of n scenes stacked along the rows as one (n*H, W, C) map,
+    the gate arrays by name and one truncation threshold.
 
     Weights are drawn wide so the gate outputs spread; the truncation
-    threshold lands at the widest spacing of the resulting weights, and
-    the draw repeats until the hidden pre-activations also clear the
-    ReLU kink.  The draw also repeats while the weights' variance is
-    below _MIN_VARIANCE: the auxiliary term exp(1/v) curves so sharply
-    there that central differences lose the digits the check needs.
+    threshold lands at the widest spacing of the resulting weights over
+    all n scenes, and the draw repeats until the hidden pre-activations
+    also clear the ReLU kink.  The draw also repeats while the weights'
+    variance is below _MIN_VARIANCE: the auxiliary term exp(1/v) curves
+    so sharply there that central differences lose the digits the check
+    needs.
     """
     hh, ww, c = shape
     mid = c // r
     s1, s2 = 3.0 / np.sqrt(c), 3.0 / np.sqrt(mid)
     for _ in range(64):
-        x = rng.uniform_range(-1.0, 1.0, shape)
+        x = rng.uniform_range(-1.0, 1.0, (n * hh, ww, c))
         params = {
             "reduce_weight": rng.uniform_range(-s1, s1, (mid, c)),
             "reduce_bias": rng.uniform_range(-0.5, 0.5, mid),
@@ -255,27 +257,30 @@ def check_head(rng: SplitMix64, shape, h: float = 1e-5) -> float:
 def check_end_to_end(
     rng: SplitMix64, shape, h: float = 1e-5, alpha: float = 0.5
 ) -> float:
-    """The gradients of one training step (training.loss_and_grads)
-    against differencing of a dense forward pass, parameter by parameter,
-    with the step's mini-batch and auxiliary coefficient frozen at the
-    base point.
+    """The gradients of one two-scene training step
+    (training.loss_and_grads) against differencing of a dense forward
+    pass over both scenes, parameter by parameter, with the step's
+    mini-batch and auxiliary coefficient frozen at the base point.
 
-    The functional is cls(p) + exp(ln(alpha*cls0) - 1/v0 + 1/v(p)); at
-    the base point its gradient equals the training gradient, in which
-    the coefficient is a detached constant.  The exponential is kept in
-    log form so no intermediate overflows for small variances.  The
-    labels are redrawn until a background anchor survives truncation,
-    since the sampler needs one.
+    Two scenes make the step gather head rows across scenes and sum the
+    gate gradients of each scene, as training does.  The functional is
+    cls(p) + exp(ln(alpha*cls0) - 1/v0 + 1/v(p)); at the base point its
+    gradient equals the training gradient, in which the coefficient is a
+    detached constant.  The exponential is kept in log form so no
+    intermediate overflows for small variances.  The labels are redrawn
+    until a background anchor survives truncation, since the sampler
+    needs one.
     """
     hh, ww, c = shape
     k = max(2, c // 2)
     eps = 1e-9
-    x, gate, th = _gate_instance(rng, shape, k, r=2)
+    x, gate, th = _gate_instance(rng, shape, k, r=2, n=2)
     head_weight = rng.uniform_range(-1.0, 1.0, (k, c)) / np.sqrt(c)
     scale = 1.0 + rng.uniform()
     shift = rng.uniform() - 0.5
 
-    n = hh * ww * k
+    # The stacked map's raveled anchors are the step's, scene by scene.
+    n = 2 * hh * ww * k
     kept = gate_forward(x, gate).t2.ravel() > th
     for _ in range(64):
         u = rng.uniform(n)
@@ -286,20 +291,26 @@ def check_end_to_end(
             break
     else:
         raise NumericError("could not label a kept background anchor")
-    labels = LabelArrays(
-        category=category, hard=np.zeros(n, dtype=bool), iou=np.zeros(n)
-    )
     params = {"head_weight": head_weight, "scale": scale, "shift": shift, **gate}
     state = TrainState(params=params, velocity={})
     config = TrainConfig(alpha=alpha, epsilon=eps, th=th, r=2, seed=rng.next_u64())
-    scene = LabeledScene(scene=Scene(objects=(), features=x, seed=0), labels=labels)
-    _, grads, batch, _ = loss_and_grads(state, [scene], config)
+    scenes = [
+        LabeledScene(
+            scene=Scene(objects=(), features=features, seed=s),
+            labels=LabelArrays(
+                category=part, hard=np.zeros(part.size, dtype=bool),
+                iou=np.zeros(part.size),
+            ),
+        )
+        for s, (features, part) in enumerate(zip(np.split(x, 2), np.split(category, 2)))
+    ]
+    _, grads, batch, _ = loss_and_grads(state, scenes, config)
     targets = (category[batch.indices] == FG).astype(np.float64)
 
     zero_bias = np.zeros(k)
 
     def parts(p) -> tuple[float, float]:
-        """Classification loss and gate-weight variance, over the whole map."""
+        """Classification loss and gate-weight variance, over both maps."""
         a = conv1x1_forward(x, Conv1x1Params(weight=p["head_weight"], bias=zero_bias))
         t2 = gate_forward(x, p).t2
         z = p["scale"] * (a * t2).ravel()[batch.indices] + p["shift"]

@@ -58,55 +58,3 @@ def write_ppm(pixels: np.ndarray, raw: bool = True, comments=()) -> bytes:
         " ".join(str(v) for v in row.reshape(-1)) for row in arr
     )
     return header + (body + "\n").encode("ascii")
-
-
-def read_pgm(data: bytes) -> np.ndarray:
-    """Parse P2/P5 back to (height, width) uint8; for round-trip tests."""
-    magic, fields, rest = _parse_header(data, n_fields=3)
-    w, h, maxval = fields
-    if maxval != 255:
-        raise DomainError(f"only maxval 255 supported, got {maxval}")
-    if magic == b"P5":
-        arr = np.frombuffer(rest[: w * h], dtype=np.uint8)
-    else:
-        arr = np.array(rest.split()[: w * h], dtype=np.uint8)
-    if arr.size != w * h:
-        raise DimensionError("pixel payload shorter than header promises")
-    return arr.reshape(h, w)
-
-
-def read_ppm(data: bytes) -> np.ndarray:
-    """Parse P3/P6 back to (height, width, 3) uint8."""
-    magic, fields, rest = _parse_header(data, n_fields=3)
-    w, h, maxval = fields
-    if maxval != 255:
-        raise DomainError(f"only maxval 255 supported, got {maxval}")
-    n = w * h * 3
-    if magic == b"P6":
-        arr = np.frombuffer(rest[:n], dtype=np.uint8)
-    else:
-        arr = np.array(rest.split()[:n], dtype=np.uint8)
-    if arr.size != n:
-        raise DimensionError("pixel payload shorter than header promises")
-    return arr.reshape(h, w, 3)
-
-
-def _parse_header(data: bytes, n_fields: int):
-    magic = data[:2]
-    if magic not in (b"P2", b"P3", b"P5", b"P6"):
-        raise DomainError(f"not a supported NetPBM payload: {magic!r}")
-    pos = 2
-    fields = []
-    while len(fields) < n_fields:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace byte after maxval
-    return magic, fields, data[pos:]

@@ -68,17 +68,8 @@ class SplitMix64:
         self._counter = 0
 
     @property
-    def seed(self) -> int:
-        return int(self._seed)
-
-    @property
     def counter(self) -> int:
         return self._counter
-
-    def clone(self) -> "SplitMix64":
-        dup = SplitMix64(int(self._seed))
-        dup._counter = self._counter
-        return dup
 
     def u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 outputs."""
@@ -111,6 +102,3 @@ class SplitMix64:
         span = high - low + 1
         return low + int(self.u64(1)[0] % _U64(span))
 
-    def permutation_keys(self, n: int) -> np.ndarray:
-        """One uint64 key per item; sorting by key is a uniform shuffle."""
-        return self.u64(n)

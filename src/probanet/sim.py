@@ -44,20 +44,6 @@ class Box:
                 f"{self.x_max}, {self.y_max})"
             )
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection area over union area, in [0, 1]."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -163,9 +149,6 @@ class AnchorGrid:
         bh, bw = self.shapes[k]
         cy, cx = i + 0.5, j + 0.5
         return Box(cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2)
-
-    def flat_index(self, i: int, j: int, k: int) -> int:
-        return (i * self.width + j) * len(self.shapes) + k
 
     def position(self, flat: int) -> tuple[int, int, int]:
         k = flat % len(self.shapes)

@@ -26,24 +26,6 @@ _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
 
-def as_feature_map(values, shape: tuple[int, int, int] | None = None) -> FeatureMap:
-    """Coerce to a float64 (H, W, C) array and validate it.
-
-    Raises DimensionError for a wrong rank or inconsistent shape and
-    NumericError if any value is non-finite.
-    """
-    x = np.ascontiguousarray(values, dtype=np.float64)
-    if shape is not None:
-        x = x.reshape(shape)
-    if x.ndim != 3:
-        raise DimensionError(f"feature map must be rank 3, got shape {x.shape}")
-    if not all(n > 0 for n in x.shape):
-        raise DimensionError(f"feature map dimensions must be positive, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("feature map contains non-finite values")
-    return x
-
-
 @dataclass(frozen=True)
 class Conv1x1Params:
     """Weights of a pointwise (1x1) convolution: per-pixel affine map."""
@@ -215,27 +197,6 @@ def dump_feature_map(x: FeatureMap) -> str:
     lines = [f"{h} {w} {c}"]
     lines.extend(row_format % tuple(row.tolist()) for row in x.reshape(h * w, c))
     return "\n".join(lines) + "\n"
-
-
-def load_feature_map(text: str) -> FeatureMap:
-    """Parse the text dump format produced by dump_feature_map."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DimensionError("empty feature map dump")
-    try:
-        h, w, c = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise DimensionError(f"bad header line {lines[0]!r}") from exc
-    if len(lines) - 1 != h * w:
-        raise DimensionError(
-            f"expected {h * w} data lines for a {h}x{w}x{c} map, got {len(lines) - 1}"
-        )
-    data = np.array(
-        [[float(tok) for tok in ln.split()] for ln in lines[1:]], dtype=np.float64
-    )
-    if data.shape != (h * w, c):
-        raise DimensionError("data lines do not all carry the declared channel count")
-    return as_feature_map(data.reshape(h, w, c))
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:

@@ -551,11 +551,6 @@ class ExperimentReport:
     def uplift_wins(self) -> int:
         return sum(1 for u in self.uplifts() if u > 0)
 
-    def gap_wins(self) -> int:
-        return sum(
-            1 for p in self.pairs if p.variant.gate_gap >= p.baseline.gate_gap
-        )
-
     def summary_rows(self) -> list[dict]:
         rows = []
         for p in self.pairs:

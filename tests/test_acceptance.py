@@ -35,7 +35,7 @@ from probanet import (
     sample_minibatch,
     variance_constraint,
 )
-from probanet.artifacts import write_run_dir
+from probanet.artifacts import write_seed_dirs
 from probanet.cli import main
 from probanet.gradcheck import DEFAULT_SHAPES, REL_TOL, run_suite
 from probanet.training import loss_and_grads
@@ -261,7 +261,7 @@ def test_criterion_8_byte_for_byte_determinism(tmp_path, capsys):
     for name in ("first", "second"):
         pool = build_scene_pool(config, SIM)
         result = run_training(config, SIM, pool)
-        dirs.append(write_run_dir(str(tmp_path / name), result, SIM, pool))
+        dirs += write_seed_dirs(str(tmp_path / name), [result], SIM, pool)
     names_a = sorted(os.listdir(dirs[0]))
     names_b = sorted(os.listdir(dirs[1]))
     assert names_a == names_b

@@ -5,9 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from reference import read_pgm, read_ppm
 
 from probanet.cli import main
-from probanet.netpbm import read_pgm, read_ppm
 
 TINY_CONFIG = """\
 learning_rate = 0.001

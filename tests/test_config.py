@@ -2,6 +2,7 @@
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from probanet import ConfigError, SimConfig, TrainConfig
@@ -61,6 +62,11 @@ def test_roundtrip_preserves_every_field():
     back_train, back_sim = parse_config(text)
     assert back_train == train
     assert back_sim == sim
+    # Each key parses to its default's exact type, not just an equal value
+    # (1.0 == 1 and True == 1 would pass the comparisons above).
+    for back, default in ((back_train, TrainConfig()), (back_sim, SimConfig())):
+        for f in fields(default):
+            assert type(getattr(back, f.name)) is type(getattr(default, f.name)), f.name
 
 
 def test_format_layout():
@@ -72,6 +78,9 @@ def test_format_layout():
     assert "probanet_enabled = true" in lines
     assert "anchor_shapes = 3x3" in lines
     assert text.endswith("\n")
+    # A numpy float formats as its value, which parses back.
+    numpy_th = format_config(TrainConfig(th=np.float64(0.25)), SimConfig())
+    assert "th = 0.25" in numpy_th.splitlines()
 
 
 def test_anchor_shapes_parsing():

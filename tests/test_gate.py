@@ -1,19 +1,28 @@
 """Tests for the gating sub-network, truncation, loss terms and cost model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from reference import truncate
 
 from probanet import (
     Conv1x1Params,
     DimensionError,
     DomainError,
+    EmptyPoolError,
+    Scene,
+    SimConfig,
     SplitMix64,
-    allocated_param_count,
+    TrainConfig,
+    TrainState,
+    build_scene_pool,
     conv1x1_forward,
     finite_diff_gradient,
     gate_backward,
     gate_forward,
     init_gate_params,
+    init_state,
     mac_count,
     param_count,
     param_megabytes,
@@ -21,9 +30,10 @@ from probanet import (
     probanet_loss_grad_v,
     relu,
     sigmoid,
-    truncate,
     variance_constraint,
 )
+from probanet.artifacts import gate_weights_for
+from probanet.training import LabeledScene, loss_and_grads
 
 
 def small_gate(seed=0, c=4, c_prime=2, r=2):
@@ -94,35 +104,36 @@ def test_gate_forward_shape_errors():
 
 
 def test_truncate_train_strict_and_test_keeps_all():
-    a_prime = np.ones((1, 1, 4))
-    t2 = np.array([[[0.2, 0.5, 0.7, 0.9]]])
-    b, keep = truncate(a_prime, t2, 0.5, "train")
-    # Strictly greater: a weight exactly at the threshold is dropped.
-    assert keep.tolist() == [[[False, False, True, True]]]
-    assert b.tolist() == [[[0.0, 0.0, 1.0, 1.0]]]
-    b_test, keep_test = truncate(a_prime, t2, 0.5, "test")
-    assert np.all(keep_test)
-    assert np.array_equal(b_test, a_prime)
-
-
-def test_truncate_validation():
-    a_prime = np.ones((1, 1, 2))
-    t2 = np.full((1, 1, 2), 0.6)
-    with pytest.raises(DomainError):
-        truncate(a_prime, t2, 0.5, "eval")
-    with pytest.raises(DimensionError):
-        truncate(a_prime, np.full((1, 2, 2), 0.6), 0.5, "train")
+    # A gate of zero arrays weights every anchor sigmoid(0) = 0.5 exactly.
+    sim = SimConfig(
+        height=4, width=4, channels=4, object_max_size=2, scene_pool_size=2
+    )
+    config = TrainConfig(th=0.5, r=2)
+    state = init_state(config, sim)
+    for name in ("reduce_weight", "reduce_bias", "expand_weight", "expand_bias"):
+        state.params[name] = np.zeros_like(state.params[name])
+    pool = build_scene_pool(config, sim)
+    # Training keeps a weight only strictly above the threshold.
+    with pytest.raises(EmptyPoolError, match="kept fraction 0$"):
+        loss_and_grads(state, pool, config)
+    below = replace(config, th=float(np.nextafter(0.5, 0.0)))
+    assert loss_and_grads(state, pool, below)[0].kept_fraction == 1.0
+    # Evaluation truncates nothing.
+    assert np.all(gate_weights_for(state, pool[0], sim) == 0.5)
 
 
 def test_gate_test_mode_keeps_everything():
     params, th = small_gate(), 0.9
     x = random_map(6, (3, 3, 4))
-    a = random_map(7, (3, 3, 2))
     t2 = gate_forward(x, params).t2
     assert not (t2 > th).any()
-    b, keep = truncate(a * t2, t2, th, "test")
-    assert np.all(keep)
-    assert np.array_equal(b, a * t2)
+    sim = SimConfig(
+        height=3, width=3, channels=4, anchor_shapes=((3, 3), (2, 2)),
+        object_max_size=3,
+    )
+    state = TrainState(params={"head_weight": np.zeros((2, 4)), **params}, velocity={})
+    labeled = LabeledScene(scene=Scene(objects=(), features=x, seed=0), labels=None)
+    assert np.array_equal(gate_weights_for(state, labeled, sim), t2)
 
 
 def _truncated_map_grad_t2(params, th, x, a, g):
@@ -150,7 +161,7 @@ def test_gate_backward_blocks_dropped_positions():
 
     def f(bias):
         t2 = gate_forward(x, {**params, "expand_bias": bias}).t2
-        return float((truncate(a * t2, t2, th, "train")[0] * g).sum())
+        return float((truncate(a * t2, t2, th) * g).sum())
 
     fd = finite_diff_gradient(f, params["expand_bias"].copy(), h=1e-6)
     assert np.allclose(grads["expand_bias"], fd, rtol=1e-6, atol=1e-9)
@@ -205,8 +216,6 @@ def test_probanet_loss_value_and_beta():
     # Substituting beta back into beta * e^(1/v) gives alpha * cls exactly.
     assert terms.probanet_loss == 0.5 * 2.0
     assert abs(terms.beta - 0.5 * 2.0 * np.exp(-2.0)) < 1e-15
-    assert terms.variance == 0.5
-    assert terms.cls_loss == 2.0
     # Identity in log space for a moderate variance.
     assert abs(np.log(terms.beta) + 2.0 - np.log(terms.probanet_loss)) < 1e-12
 
@@ -214,7 +223,7 @@ def test_probanet_loss_value_and_beta():
 def test_probanet_loss_never_exceeds_cls():
     for alpha in (0.1, 0.5, 0.9):
         terms = probanet_loss(v=0.25, cls_loss=3.0, alpha=alpha)
-        assert terms.probanet_loss < terms.cls_loss
+        assert terms.probanet_loss < 3.0
 
 
 def test_probanet_loss_survives_variance_floor():
@@ -255,9 +264,10 @@ def test_loss_gradient_matches_frozen_beta_fd():
 def test_param_count_small_case_by_hand():
     # c=4, c'=3, r=2: mid=2; 4*(2+1) + 2*(3+1) = 20.
     assert param_count(4, 3, 2) == 20
-    # Stored scalars: reduce 2*4+2, expand 3*2+3 = 19 = 20 - (c - c').
-    assert allocated_param_count(4, 3, 2) == 19
-    assert param_count(4, 3, 2) - allocated_param_count(4, 3, 2) == 4 - 3
+    # Allocated scalars: reduce 2*4+2, expand 3*2+3 = 19 = 20 - (c - c'),
+    # since the closed form books one reduce bias per input channel.
+    params = init_gate_params(4, 3, 2, SplitMix64(0))
+    assert sum(a.size for a in params.values()) == 19
 
 
 def test_param_count_reference_geometry():

@@ -1,5 +1,8 @@
 """Tests for the finite-difference gradient audit."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -86,3 +89,13 @@ def test_end_to_end_passes_where_instances_were_ill_conditioned(seed):
     # (32 under the earlier draw; 3, 52 and 108 without the label redraw).
     result = run_suite(seed=seed, ops=["end_to_end"], n_seeds=1)[0]
     assert result.passed, f"worst {result.worst:.3e}"
+
+
+def test_benchmark_audit_ops_are_checks():
+    # The benchmark's audit workload runs `gradcheck --op` for each name
+    # in AUDIT_OPS; a check deleted here would only show there as failed
+    # commands.
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    audit_ops = runpy.run_path(str(path))["AUDIT_OPS"]
+    assert audit_ops
+    assert set(audit_ops) <= set(CHECKS)

@@ -1,10 +1,11 @@
-"""Tests for the hand-rolled PGM/PPM writers and their parsers."""
+"""Tests for the hand-rolled PGM/PPM writers."""
 
 import numpy as np
 import pytest
+from reference import read_pgm, read_ppm
 
 from probanet import DimensionError, DomainError, SplitMix64
-from probanet.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
+from probanet.netpbm import write_pgm, write_ppm
 
 
 def test_raw_pgm_golden_bytes():
@@ -80,15 +81,6 @@ def test_roundtrip_with_comments():
     img = np.arange(6, dtype=np.uint8).reshape(2, 3)
     data = write_pgm(img, comments=("alpha", "beta"))
     assert np.array_equal(read_pgm(data), img)
-
-
-def test_reader_validation():
-    with pytest.raises(DomainError):
-        read_pgm(b"P7\n1 1\n255\n\x00")
-    img = np.zeros((2, 2), dtype=np.uint8)
-    data = write_pgm(img)
-    with pytest.raises(DimensionError):
-        read_pgm(data[:-1])
 
 
 def test_write_is_deterministic():

