@@ -20,17 +20,15 @@ from .netpbm import write_pgm, write_ppm
 from .sim import AnchorGrid, Scene, SimConfig, boxes_csv, grid_for
 from .tensor import dump_feature_map
 from .training import (
+    SUMMARY_COLUMNS,
     ExperimentReport,
-    LabeledScene,
     RunResult,
+    ScenePool,
     TrainConfig,
     TrainState,
 )
 
-SUMMARY_HEADER = (
-    "seed,baseline_hard_ratio,probanet_hard_ratio,hard_ratio_uplift,"
-    "baseline_gate_gap,probanet_gate_gap,baseline_logit_gap,probanet_logit_gap"
-)
+SUMMARY_HEADER = ",".join(SUMMARY_COLUMNS)
 
 
 def normalize_gray(values: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -128,19 +126,19 @@ def _outline(img: np.ndarray, grid: AnchorGrid, flat: int, color: np.ndarray):
 
 
 def gate_weights_for(
-    state: TrainState, labeled: LabeledScene, sim_config: SimConfig
+    state: TrainState, scene: Scene, sim_config: SimConfig
 ) -> np.ndarray:
     """Final gate weights for one scene, untruncated; all ones without a gate."""
     k = sim_config.anchors_per_cell
     shape = (sim_config.height, sim_config.width, k)
     if state.gate is None:
         return np.ones(shape)
-    return gate_forward(labeled.scene.features, state.gate).t2
+    return gate_forward(scene.features, state.gate).t2
 
 
 def heatmap_files(
     state: TrainState,
-    labeled: LabeledScene,
+    scene: Scene,
     sim_config: SimConfig,
     channel: int,
     step: int,
@@ -151,14 +149,12 @@ def heatmap_files(
     k = sim_config.anchors_per_cell
     if not 0 <= channel < k:
         raise DomainError(f"channel must lie in [0, {k}), got {channel}")
-    weights = gate_weights_for(state, labeled, sim_config)
+    weights = gate_weights_for(state, scene, sim_config)
     grid = grid_for(sim_config)
     pgm = render_gate_pgm(
         weights[:, :, channel], channel, step, scale=scale, raw=raw
     )
-    ppm = render_overlay_ppm(
-        labeled.scene, grid, weights, step, scale=scale, raw=raw
-    )
+    ppm = render_overlay_ppm(scene, grid, weights, step, scale=scale, raw=raw)
     return {
         f"gate_step{step}_ch{channel}.pgm": pgm,
         f"overlay_step{step}_ch{channel}.ppm": ppm,
@@ -177,7 +173,7 @@ def write_seed_dirs(
     out_dir: str,
     results: list[RunResult],
     sim_config: SimConfig,
-    pool: list[LabeledScene],
+    pool: ScenePool,
 ) -> list[str]:
     """Write the run directories of results trained on one seed's pool,
     one out_dir/<variant>_seed<seed>/ per result; scene 0 of the pool is
@@ -186,9 +182,9 @@ def write_seed_dirs(
     Scene 0's feature dump is the same text for every such run, so it is
     formatted once and written into each directory.
     """
-    scene0 = pool[0]
-    features_text = dump_feature_map(scene0.scene.features)
-    boxes_text = boxes_csv(scene0.scene)
+    scene0 = pool.scenes[0]
+    features_text = dump_feature_map(scene0.features)
+    boxes_text = boxes_csv(scene0)
     run_dirs = []
     for result in results:
         run_dir = os.path.join(out_dir, run_dir_name(result.config))
@@ -218,12 +214,7 @@ def write_seed_dirs(
 def summary_csv(report: ExperimentReport) -> str:
     lines = [SUMMARY_HEADER]
     for row in report.summary_rows():
-        lines.append(
-            f"{row['seed']},{row['baseline_hard_ratio']!r},"
-            f"{row['probanet_hard_ratio']!r},{row['hard_ratio_uplift']!r},"
-            f"{row['baseline_gate_gap']!r},{row['probanet_gate_gap']!r},"
-            f"{row['baseline_logit_gap']!r},{row['probanet_logit_gap']!r}"
-        )
+        lines.append(",".join(repr(row[name]) for name in SUMMARY_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

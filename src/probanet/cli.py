@@ -11,6 +11,7 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -33,6 +34,32 @@ from .training import (
     run_partial,
     run_training,
 )
+
+
+def _positive(kind):
+    """An argparse type: a finite number of the given kind above zero."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+def _shapes(text: str) -> tuple[tuple[int, int, int], ...]:
+    """An argparse type: a comma-separated list of positive HxWxC sizes."""
+    shapes = []
+    for tok in text.split(","):
+        parts = tok.strip().split("x")
+        if len(parts) != 3 or not all(p.isdigit() and int(p) > 0 for p in parts):
+            raise argparse.ArgumentTypeError(
+                f"bad shape {tok!r}, expected HxWxC of positive sizes"
+            )
+        shapes.append(tuple(int(p) for p in parts))
+    return tuple(shapes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,18 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument(
-        "--eps", type=float, default=1e-5, help="central-difference step"
+        "--eps", type=_positive(float), default=1e-5, help="central-difference step"
     )
     p_grad.add_argument(
         "--shapes",
-        type=str,
-        default=None,
+        type=_shapes,
+        default=DEFAULT_SHAPES,
         help="comma-separated HxWxC list, e.g. 4x4x4,6x6x8",
     )
     p_grad.add_argument(
         "--op", choices=sorted(CHECKS), default=None, help="check one op only"
     )
-    p_grad.add_argument("--seeds", type=int, default=5)
+    p_grad.add_argument("--seeds", type=_positive(int), default=5)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_train = sub.add_parser(
@@ -82,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_train.add_mutually_exclusive_group()
     group.add_argument("--baseline", action="store_true")
     group.add_argument("--probanet", action="store_true")
-    p_train.add_argument("--seeds", type=int, default=10)
+    p_train.add_argument("--seeds", type=_positive(int), default=10)
     p_train.set_defaults(func=cmd_train)
 
     p_heat = sub.add_parser(
@@ -91,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--run", type=str, required=True)
     p_heat.add_argument("--channel", type=int, required=True)
     p_heat.add_argument("--step", type=int, required=True)
-    p_heat.add_argument("--scale", type=int, default=16)
+    p_heat.add_argument("--scale", type=_positive(int), default=16)
     p_heat.add_argument(
         "--plain", action="store_true", help="emit P2/P3 instead of P5/P6"
     )
@@ -120,18 +147,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    shapes = DEFAULT_SHAPES
-    if args.shapes:
-        parsed = []
-        for tok in args.shapes.split(","):
-            parts = tok.strip().split("x")
-            if len(parts) != 3:
-                raise ConfigError(f"bad shape {tok!r}, expected HxWxC")
-            parsed.append(tuple(int(p) for p in parts))
-        shapes = tuple(parsed)
     ops = [args.op] if args.op else None
     results = run_suite(
-        seed=args.seed, h=args.eps, shapes=shapes, ops=ops, n_seeds=args.seeds
+        seed=args.seed, h=args.eps, shapes=args.shapes, ops=ops, n_seeds=args.seeds
     )
     failed = []
     for res in results:
@@ -155,8 +173,6 @@ def _load_configs(path: str | None) -> tuple[TrainConfig, SimConfig]:
 
 def cmd_train(args) -> int:
     train_cfg, sim_cfg = _load_configs(args.config)
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     os.makedirs(args.out, exist_ok=True)
 
     if args.baseline or args.probanet:
@@ -208,10 +224,10 @@ def cmd_heatmap(args) -> int:
             f"got {args.channel}"
         )
     state, pool, _ = run_partial(train_cfg, sim_cfg, args.step)
-    scene_index = (train_cfg.scenes_per_batch * args.step) % len(pool)
+    scene_index = (train_cfg.scenes_per_batch * args.step) % len(pool.scenes)
     files = heatmap_files(
         state,
-        pool[scene_index],
+        pool.scenes[scene_index],
         sim_cfg,
         channel=args.channel,
         step=args.step,

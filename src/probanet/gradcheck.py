@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .gate import gate_backward, gate_forward, variance_constraint
 from .rng import SplitMix64, derive_seed
-from .sim import BG, FG, IGNORE, LabelArrays, Scene
+from .sim import BG, FG, IGNORE, LabelArrays
 from .tensor import (
     Conv1x1Params,
     conv1x1_backward,
@@ -38,7 +38,6 @@ from .tensor import (
     variance_backward,
 )
 from .training import (
-    LabeledScene,
     TrainConfig,
     TrainState,
     binary_cross_entropy,
@@ -262,8 +261,9 @@ def check_end_to_end(
     pass over both scenes, parameter by parameter, with the step's
     mini-batch and auxiliary coefficient frozen at the base point.
 
-    Two scenes make the step gather head rows across scenes and sum the
-    gate gradients of each scene, as training does.  The functional is
+    The two scenes are stacked into one map, as training stacks a
+    step's scenes, so the step gathers head rows from both and sums the
+    gate gradients over both.  The functional is
     cls(p) + exp(ln(alpha*cls0) - 1/v0 + 1/v(p)); at the base point its
     gradient equals the training gradient, in which the coefficient is a
     detached constant.  The exponential is kept in log form so no
@@ -294,17 +294,10 @@ def check_end_to_end(
     params = {"head_weight": head_weight, "scale": scale, "shift": shift, **gate}
     state = TrainState(params=params, velocity={})
     config = TrainConfig(alpha=alpha, epsilon=eps, th=th, r=2, seed=rng.next_u64())
-    scenes = [
-        LabeledScene(
-            scene=Scene(objects=(), features=features, seed=s),
-            labels=LabelArrays(
-                category=part, hard=np.zeros(part.size, dtype=bool),
-                iou=np.zeros(part.size),
-            ),
-        )
-        for s, (features, part) in enumerate(zip(np.split(x, 2), np.split(category, 2)))
-    ]
-    _, grads, batch, _ = loss_and_grads(state, scenes, config)
+    labels = LabelArrays(
+        category=category, hard=np.zeros(n, dtype=bool), iou=np.zeros(n)
+    )
+    _, grads, batch, _ = loss_and_grads(state, x, labels, config)
     targets = (category[batch.indices] == FG).astype(np.float64)
 
     zero_bias = np.zeros(k)

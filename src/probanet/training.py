@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DomainError,
+    DimensionError,
     EmptyPoolError,
     NumericError,
     require_finite_floats,
@@ -51,11 +51,12 @@ from .sim import (
     label_arrays,
     sample_minibatch,
 )
-from .tensor import Conv1x1Params, _logistic, conv1x1_forward, conv1x1_param_grads
-
-METRICS_HEADER = (
-    "step,cls_loss,probanet_loss,variance,beta,hard_ratio,"
-    "fg_gate_mean,bg_gate_mean,kept_fraction"
+from .tensor import (
+    Conv1x1Params,
+    FeatureMap,
+    _logistic,
+    conv1x1_forward,
+    conv1x1_param_grads,
 )
 
 
@@ -131,18 +132,13 @@ class MetricsRecord:
     kept_fraction: float
 
     def is_finite(self) -> bool:
-        """Whether every metric column after step is finite."""
-        values = (
-            self.cls_loss,
-            self.probanet_loss,
-            self.variance,
-            self.beta,
-            self.hard_ratio,
-            self.fg_gate_mean,
-            self.bg_gate_mean,
-            self.kept_fraction,
-        )
-        return all(math.isfinite(v) for v in values)
+        """Whether every metric column is finite."""
+        return all(math.isfinite(getattr(self, name)) for name in _METRIC_COLUMNS)
+
+
+# metrics.csv's columns, in order: the fields of MetricsRecord.
+_METRIC_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+METRICS_HEADER = ",".join(_METRIC_COLUMNS)
 
 
 @dataclass
@@ -165,11 +161,7 @@ class MetricsLog:
     def to_csv(self) -> str:
         lines = [METRICS_HEADER]
         for r in self.records:
-            lines.append(
-                f"{r.step},{r.cls_loss!r},{r.probanet_loss!r},{r.variance!r},"
-                f"{r.beta!r},{r.hard_ratio!r},{r.fg_gate_mean!r},"
-                f"{r.bg_gate_mean!r},{r.kept_fraction!r}"
-            )
+            lines.append(",".join(repr(getattr(r, name)) for name in _METRIC_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def tail_mean_hard_ratio(self, fraction: float = 0.25) -> float:
@@ -182,36 +174,67 @@ class MetricsLog:
 
 
 @dataclass(frozen=True)
-class LabeledScene:
-    """A scene with its anchor labels precomputed (labels depend only on
-    geometry, so they are fixed for the scene's lifetime)."""
+class ScenePool:
+    """The cycled scenes of one run seed, each held once.
 
-    scene: Scene
+    features holds every scene's map as one (P, H, W, C) array, and
+    scenes[i].features is a view of features[i].  labels covers the
+    P*H*W*K anchors scene by scene; labels depend only on geometry, so
+    they are fixed for the pool's lifetime.
+    """
+
+    features: np.ndarray
     labels: LabelArrays
+    scenes: tuple[Scene, ...]
+
+    def step_inputs(self, step: int, count: int) -> tuple[FeatureMap, LabelArrays]:
+        """The stacked (count*H, W, C) map of scenes (count*step + j) % P
+        for j < count, and their labels.  Both are views of the pool
+        unless the range wraps past its last scene."""
+        p, h, w, c = self.features.shape
+        first = count * step % p
+        if first + count <= p:
+            sel = slice(first, first + count)
+        else:
+            sel = (first + np.arange(count)) % p
+        x = self.features[sel].reshape(count * h, w, c)
+        labels = self.labels
+        return x, LabelArrays(*(
+            col.reshape(p, -1)[sel].ravel()
+            for col in (labels.category, labels.hard, labels.iou)
+        ))
 
 
-def prepare_scene(scene: Scene, sim_config: SimConfig) -> LabeledScene:
-    grid = grid_for(sim_config)
-    labels = label_arrays(
-        scene,
-        grid,
-        fg_iou=sim_config.fg_iou,
-        bg_iou=sim_config.bg_iou,
-        hard_bg_lo=sim_config.hard_bg_lo,
-        hard_fg_hi=sim_config.hard_fg_hi,
-    )
-    return LabeledScene(scene=scene, labels=labels)
-
-
-def build_scene_pool(config: TrainConfig, sim_config: SimConfig) -> list[LabeledScene]:
-    """Pre-generate the cycled pool of labeled scenes for one run seed."""
-    return [
-        prepare_scene(
-            generate_scene(sim_config, derive_seed(config.seed, "scene", i)),
-            sim_config,
+def build_scene_pool(config: TrainConfig, sim_config: SimConfig) -> ScenePool:
+    """Pre-generate the cycled pool of labeled scenes for one run seed,
+    filling one array scene by scene."""
+    sc = sim_config
+    features = np.empty((sc.scene_pool_size, sc.height, sc.width, sc.channels))
+    grid = grid_for(sc)
+    scenes, labels = [], []
+    for i in range(sc.scene_pool_size):
+        scene = generate_scene(sc, derive_seed(config.seed, "scene", i))
+        features[i] = scene.features
+        scenes.append(replace(scene, features=features[i]))
+        labels.append(
+            label_arrays(
+                scene,
+                grid,
+                fg_iou=sc.fg_iou,
+                bg_iou=sc.bg_iou,
+                hard_bg_lo=sc.hard_bg_lo,
+                hard_fg_hi=sc.hard_fg_hi,
+            )
         )
-        for i in range(sim_config.scene_pool_size)
-    ]
+    return ScenePool(
+        features=features,
+        labels=LabelArrays(
+            category=np.concatenate([la.category for la in labels]),
+            hard=np.concatenate([la.hard for la in labels]),
+            iou=np.concatenate([la.iou for la in labels]),
+        ),
+        scenes=tuple(scenes),
+    )
 
 
 @dataclass
@@ -269,45 +292,49 @@ def binary_cross_entropy_grad(logits: np.ndarray, targets: np.ndarray) -> np.nda
 
 
 def train_step(
-    state: TrainState, scenes, config: TrainConfig
+    state: TrainState, x: FeatureMap, labels: LabelArrays, config: TrainConfig
 ) -> tuple[TrainState, MetricsRecord]:
-    """One SGD step over one or more scenes sharing a single mini-batch:
-    loss_and_grads, then the momentum update of every parameter."""
-    record, grads, _, _ = loss_and_grads(state, scenes, config)
+    """One SGD step over a stacked map of one or more scenes sharing a
+    single mini-batch: loss_and_grads, then the momentum update of every
+    parameter."""
+    record, grads, _, _ = loss_and_grads(state, x, labels, config)
     _sgd_update(state, grads, config)
     state.step += 1
     return state, record
 
 
 def loss_and_grads(
-    state: TrainState, scenes, config: TrainConfig
+    state: TrainState, x: FeatureMap, labels: LabelArrays, config: TrainConfig
 ) -> tuple[MetricsRecord, dict, MiniBatch, np.ndarray]:
     """Forward and backward pass of one step, without the update.
 
-    Forward: the gate network per scene (when enabled), truncation,
-    fixed-ratio sampling over the union of the scenes' surviving anchors,
-    the head at the sampled anchors, scalar-affine logits, mean BCE.  The
-    auxiliary variance loss feeds its gradient into the gate weights; its
+    x is the step's scenes stacked along the rows, (S*H, W, C), and
+    labels covers its anchors in raveled order, K per cell.  Forward:
+    the gate network over the map (when enabled), truncation,
+    fixed-ratio sampling over the surviving anchors, the head at the
+    sampled anchors, scalar-affine logits, mean BCE.  The auxiliary
+    variance loss feeds its gradient into the gate weights; its
     coefficient is recomputed from the current classification loss and
     treated as a constant.
 
     Returns the step's metrics, the gradient of every trainable
-    parameter by name, the mini-batch (indices into the scenes' anchors
-    in order) and its logits.
+    parameter by name, the mini-batch (indices into labels) and its
+    logits.
     """
-    if isinstance(scenes, LabeledScene):
-        scenes = [scenes]
-    if not scenes:
-        raise DomainError("train_step needs at least one scene")
     step = state.step
     params, gate = state.params, state.gate
+    k, c = params["head_weight"].shape
+    if x.ndim != 3 or x.shape[2] != c or len(labels) != x.shape[0] * x.shape[1] * k:
+        raise DimensionError(
+            f"a map of shape {x.shape} with {k} anchors per cell does not "
+            f"match {len(labels)} labels and {c} channels"
+        )
 
-    labels = _concat_labels([ls.labels for ls in scenes])
     mask = None
     kept_fraction = 1.0
     if gate is not None:
-        outs = [gate_forward(ls.scene.features, gate) for ls in scenes]
-        t2_flat = np.concatenate([out.t2.ravel() for out in outs])
+        out = gate_forward(x, gate)
+        t2_flat = out.t2.ravel()
         # Truncation keeps the entries weighted strictly above the threshold.
         mask = t2_flat > config.th
         kept_fraction = float(mask.mean())
@@ -318,23 +345,15 @@ def loss_and_grads(
     except EmptyPoolError as exc:
         raise EmptyPoolError(f"{exc} at {where}") from exc
 
-    # The head at the sampled anchors only.  Every scene holds k anchors
-    # per cell, so flat anchor index i sits at anchor slot i % k of cell
-    # i // k, counting the cells of the scenes in order.  The head has no
+    # The head at the sampled anchors only: flat anchor index i sits at
+    # anchor slot i % k of cell i // k of the map.  The head has no
     # bias: the scalar affine's shift already models a batch-wide offset,
     # and a trainable per-map bias feeds every cell the same constant,
     # drowning per-cell contrast.
     n = batch.size
-    k, c = params["head_weight"].shape
     head = Conv1x1Params(weight=params["head_weight"], bias=np.zeros(k))
     cell, anchor = np.divmod(batch.indices, k)
-    rows = np.empty((n, 1, c))
-    first = 0
-    for ls in scenes:
-        x = ls.scene.features.reshape(-1, c)
-        pos = np.flatnonzero((cell >= first) & (cell < first + len(x)))
-        rows[pos, 0] = x[cell[pos] - first]
-        first += len(x)
+    rows = x.reshape(-1, 1, c)[cell]
     a_sel = conv1x1_forward(rows, head).reshape(n, k)[np.arange(n), anchor]
     if gate is not None:
         t2_sel = t2_flat[batch.indices]
@@ -390,24 +409,9 @@ def loss_and_grads(
         # Every sampled anchor was kept, so its weighted value a * t2
         # passes grad_values * a to t2; dropped entries pass nothing.
         grad_t2_flat[batch.indices] += grad_values * a_sel
-        start = 0
-        for s, (ls, out) in enumerate(zip(scenes, outs)):
-            grad_t2 = grad_t2_flat[start : start + out.t2.size].reshape(out.t2.shape)
-            _, ggrads = gate_backward(out, ls.scene.features, gate, grad_t2)
-            for name, g in ggrads.items():
-                grads[name] = grads[name] + g if s else g
-            start += out.t2.size
+        _, gate_grads = gate_backward(out, x, gate, grad_t2_flat.reshape(out.t2.shape))
+        grads.update(gate_grads)
     return record, grads, batch, logits
-
-
-def _concat_labels(parts: list[LabelArrays]) -> LabelArrays:
-    if len(parts) == 1:
-        return parts[0]
-    return LabelArrays(
-        category=np.concatenate([p.category for p in parts]),
-        hard=np.concatenate([p.hard for p in parts]),
-        iou=np.concatenate([p.iou for p in parts]),
-    )
 
 
 def _sgd_update(state: TrainState, grads: dict, config: TrainConfig) -> None:
@@ -446,8 +450,8 @@ def run_partial(
     config: TrainConfig,
     sim_config: SimConfig,
     steps: int,
-    pool: list[LabeledScene] | None = None,
-) -> tuple[TrainState, list[LabeledScene], MetricsLog]:
+    pool: ScenePool | None = None,
+) -> tuple[TrainState, ScenePool, MetricsLog]:
     """Train from scratch for a given number of steps (replay helper)."""
     if steps < 0 or steps > config.total_steps:
         raise ConfigError(
@@ -457,11 +461,9 @@ def run_partial(
         pool = build_scene_pool(config, sim_config)
     state = init_state(config, sim_config)
     log = MetricsLog()
-    p = len(pool)
-    spb = config.scenes_per_batch
     for step in range(steps):
-        scenes = [pool[(spb * step + j) % p] for j in range(spb)]
-        state, record = train_step(state, scenes, config)
+        x, labels = pool.step_inputs(step, config.scenes_per_batch)
+        state, record = train_step(state, x, labels, config)
         log.append(record)
     return state, pool, log
 
@@ -469,7 +471,7 @@ def run_partial(
 def run_training(
     config: TrainConfig,
     sim_config: SimConfig,
-    pool: list[LabeledScene] | None = None,
+    pool: ScenePool | None = None,
 ) -> RunResult:
     """Train one variant from scratch and evaluate its final state."""
     state, pool, log = run_partial(config, sim_config, config.total_steps, pool)
@@ -479,32 +481,26 @@ def run_training(
 def _finalize_run(
     config: TrainConfig,
     state: TrainState,
-    pool: list[LabeledScene],
+    pool: ScenePool,
     log: MetricsLog,
 ) -> RunResult:
+    # Evaluation truncates nothing: every anchor of the pool gets a logit.
+    p, h, w, c = pool.features.shape
+    x = pool.features.reshape(p * h, w, c)
     head_weight = state.params["head_weight"]
     head = Conv1x1Params(weight=head_weight, bias=np.zeros(head_weight.shape[0]))
-    fg_t2, bg_t2, fg_z, bg_z = [], [], [], []
-    for ls in pool:
-        # Evaluation truncates nothing: every anchor gets a logit.
-        a = conv1x1_forward(ls.scene.features, head).ravel()
-        if state.gate is not None:
-            t2_flat = gate_forward(ls.scene.features, state.gate).t2.ravel()
-            b_flat = a * t2_flat
-        else:
-            t2_flat = np.ones(a.size)
-            b_flat = a
-        z = state.params["scale"] * b_flat + state.params["shift"]
-        fg_sel = ls.labels.category == FG
-        bg_sel = ls.labels.category == BG
-        fg_t2.append(t2_flat[fg_sel])
-        bg_t2.append(t2_flat[bg_sel])
-        fg_z.append(z[fg_sel])
-        bg_z.append(z[bg_sel])
-    fg_t2 = np.concatenate(fg_t2)
-    bg_t2 = np.concatenate(bg_t2)
-    fg_z = np.concatenate(fg_z)
-    bg_z = np.concatenate(bg_z)
+    a = conv1x1_forward(x, head).ravel()
+    if state.gate is not None:
+        t2_flat = gate_forward(x, state.gate).t2.ravel()
+        b_flat = a * t2_flat
+    else:
+        t2_flat = np.ones(a.size)
+        b_flat = a
+    z = state.params["scale"] * b_flat + state.params["shift"]
+    fg_sel = pool.labels.category == FG
+    bg_sel = pool.labels.category == BG
+    fg_t2, bg_t2 = t2_flat[fg_sel], t2_flat[bg_sel]
+    fg_z, bg_z = z[fg_sel], z[bg_sel]
     fg_gate_mean = float(fg_t2.mean()) if fg_t2.size else 0.0
     bg_gate_mean = float(bg_t2.mean()) if bg_t2.size else 0.0
     logit_gap = (
@@ -527,6 +523,13 @@ class SeedPair:
     seed: int
     baseline: RunResult
     variant: RunResult
+
+
+# summary.csv's columns, in order.
+SUMMARY_COLUMNS = tuple(
+    "seed baseline_hard_ratio probanet_hard_ratio hard_ratio_uplift "
+    "baseline_gate_gap probanet_gate_gap baseline_logit_gap probanet_logit_gap".split()
+)
 
 
 @dataclass(frozen=True)
@@ -552,23 +555,15 @@ class ExperimentReport:
         return sum(1 for u in self.uplifts() if u > 0)
 
     def summary_rows(self) -> list[dict]:
-        rows = []
-        for p in self.pairs:
-            rows.append(
-                {
-                    "seed": p.seed,
-                    "baseline_hard_ratio": p.baseline.tail_hard_ratio,
-                    "probanet_hard_ratio": p.variant.tail_hard_ratio,
-                    "hard_ratio_uplift": (
-                        p.variant.tail_hard_ratio - p.baseline.tail_hard_ratio
-                    ),
-                    "baseline_gate_gap": p.baseline.gate_gap,
-                    "probanet_gate_gap": p.variant.gate_gap,
-                    "baseline_logit_gap": p.baseline.logit_gap,
-                    "probanet_logit_gap": p.variant.logit_gap,
-                }
-            )
-        return rows
+        """One row per seed, keyed by SUMMARY_COLUMNS in order."""
+        return [
+            dict(zip(SUMMARY_COLUMNS, (
+                p.seed, p.baseline.tail_hard_ratio, p.variant.tail_hard_ratio,
+                uplift, p.baseline.gate_gap, p.variant.gate_gap,
+                p.baseline.logit_gap, p.variant.logit_gap,
+            )))
+            for p, uplift in zip(self.pairs, self.uplifts())
+        ]
 
 
 # Fields allowed to differ between the two sides of a paired experiment:
@@ -581,7 +576,7 @@ def run_experiment(
     config_variant: TrainConfig,
     n_seeds: int,
     sim_config: SimConfig | None = None,
-    on_pair: Callable[[SeedPair, list[LabeledScene]], None] | None = None,
+    on_pair: Callable[[SeedPair, ScenePool], None] | None = None,
 ) -> ExperimentReport:
     """Train both variants on identical scene pools over n_seeds seeds.
 

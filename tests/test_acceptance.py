@@ -190,22 +190,14 @@ def test_criterion_6_aux_loss_below_cls_loss(
     pair = report.pairs[0]
     state = pair.variant.final_state
     pool = build_scene_pool(pair.variant.config, SIM)
-    scenes = [pool[0], pool[1]]
-    record, grads, _, _ = loss_and_grads(state, scenes, GATED)
-    _, grads0, _, _ = loss_and_grads(state, scenes, replace(GATED, alpha=0.0))
+    x, labels = pool.step_inputs(0, 2)
+    record, grads, _, _ = loss_and_grads(state, x, labels, GATED)
+    _, grads0, _, _ = loss_and_grads(state, x, labels, replace(GATED, alpha=0.0))
     assert record.variance > GATED.epsilon, "the variance floor is active"
-    outs = [gate_forward(ls.scene.features, state.gate) for ls in scenes]
-    t2_flat = np.concatenate([out.t2.ravel() for out in outs])
-    _, dv = variance_constraint(t2_flat, GATED.epsilon)
+    out = gate_forward(x, state.gate)
+    _, dv = variance_constraint(out.t2.ravel(), GATED.epsilon)
     grad_t2 = probanet_loss_grad_v(record.variance, record.cls_loss, GATED.alpha) * dv
-    expected = {}
-    offset = 0
-    for ls, out in zip(scenes, outs):
-        part = grad_t2[offset : offset + out.t2.size].reshape(out.t2.shape)
-        _, aux = gate_backward(out, ls.scene.features, state.gate, part)
-        for name, g in aux.items():
-            expected[name] = expected.get(name, 0.0) + g
-        offset += out.t2.size
+    _, expected = gate_backward(out, x, state.gate, grad_t2.reshape(out.t2.shape))
     worst = 0.0
     for name, value in expected.items():
         scale = np.abs(value).max()
@@ -213,8 +205,8 @@ def test_criterion_6_aux_loss_below_cls_loss(
         worst = max(worst, np.abs(grads[name] - grads0[name] - value).max() / scale)
     assert worst <= 1e-12, f"aux gradient off by {worst:.2e} of its largest entry"
     floor = replace(GATED, epsilon=2.0 * record.variance)
-    _, grads_floor, _, _ = loss_and_grads(state, scenes, floor)
-    _, grads_floor0, _, _ = loss_and_grads(state, scenes, replace(floor, alpha=0.0))
+    _, grads_floor, _, _ = loss_and_grads(state, x, labels, floor)
+    _, grads_floor0, _, _ = loss_and_grads(state, x, labels, replace(floor, alpha=0.0))
     for name, value in grads_floor.items():
         assert np.array_equal(value, grads_floor0[name]), name
     with capsys.disabled():

@@ -117,7 +117,7 @@ def test_gate_weights_for_baseline_is_all_ones():
     config = replace(CONFIG, probanet_enabled=False)
     state = init_state(config, SIM)
     pool = build_scene_pool(config, SIM)
-    weights = gate_weights_for(state, pool[0], SIM)
+    weights = gate_weights_for(state, pool.scenes[0], SIM)
     assert weights.shape == (4, 4, 1)
     assert np.all(weights == 1.0)
 
@@ -125,12 +125,12 @@ def test_gate_weights_for_baseline_is_all_ones():
 def test_heatmap_files_names_and_channel_validation():
     state = init_state(CONFIG, SIM)
     pool = build_scene_pool(CONFIG, SIM)
-    files = heatmap_files(state, pool[0], SIM, channel=0, step=12)
+    files = heatmap_files(state, pool.scenes[0], SIM, channel=0, step=12)
     assert set(files) == {"gate_step12_ch0.pgm", "overlay_step12_ch0.ppm"}
     with pytest.raises(DomainError):
-        heatmap_files(state, pool[0], SIM, channel=1, step=0)
+        heatmap_files(state, pool.scenes[0], SIM, channel=1, step=0)
     with pytest.raises(DomainError):
-        heatmap_files(state, pool[0], SIM, channel=-1, step=0)
+        heatmap_files(state, pool.scenes[0], SIM, channel=-1, step=0)
 
 
 def test_variant_and_run_dir_names():
@@ -187,7 +187,10 @@ def test_summary_csv_header_and_rows():
     report = run_experiment(base, CONFIG, 2, SIM)
     text = summary_csv(report)
     lines = text.strip().split("\n")
-    assert lines[0] == SUMMARY_HEADER
+    assert lines[0] == SUMMARY_HEADER == (
+        "seed,baseline_hard_ratio,probanet_hard_ratio,hard_ratio_uplift,"
+        "baseline_gate_gap,probanet_gate_gap,baseline_logit_gap,probanet_logit_gap"
+    )
     assert len(lines) == 3
     first = lines[1].split(",")
     assert int(first[0]) == CONFIG.seed

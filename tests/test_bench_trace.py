@@ -1,0 +1,66 @@
+"""The benchmark's traced run, in miniature.
+
+bench/spans.py wraps every public function of the package and reads
+some of their arguments (the TrainState of train_step, the convolution
+of conv1x1_forward), so a signature change it does not follow fails
+here rather than only in a traced benchmark run.  The module is read
+from its path and executed; nothing under bench/ is written.
+"""
+
+import types
+from pathlib import Path
+
+from probanet import cli
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+CONFIG = """\
+epochs = 1
+steps_per_epoch = 2
+r = 2
+th = 0.3
+seed = 3
+scenes_per_batch = 2
+height = 4
+width = 4
+channels = 4
+n_objects_min = 1
+n_objects_max = 1
+object_min_size = 2
+object_max_size = 2
+scene_pool_size = 2
+"""
+
+
+def load_spans() -> types.ModuleType:
+    module = types.ModuleType("bench_spans")
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), vars(module))
+    return module
+
+
+def test_traced_train_and_gradcheck(tmp_path, capsys):
+    spans = load_spans()
+    config = tmp_path / "tiny.cfg"
+    config.write_text(CONFIG, encoding="ascii")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            cli.main([
+                "train", "--config", str(config), "--out", str(tmp_path / "runs"),
+                "--seeds", "1",
+            ]),
+            cli.main([
+                "gradcheck", "--op", "conv1x1", "--seeds", "1", "--shapes", "2x2x2",
+            ]),
+        ]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    agg = spans.aggregate(tracer)
+    assert agg["training.train_step.baseline"]["calls"] == 2
+    assert agg["training.train_step.gated"]["calls"] == 2
+    assert agg["tensor.conv1x1_forward"]["work"] > 0
+    # Uninstalled: the package runs its own functions again.
+    assert cli.main.__module__ == "probanet.cli"

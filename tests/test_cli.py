@@ -92,10 +92,23 @@ def test_gradcheck_coarse_step_fails(capsys):
     assert "gradcheck FAIL" in out
 
 
-def test_gradcheck_rejects_malformed_shapes(capsys):
-    code = main(["gradcheck", "--shapes", "3x3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--shapes", "3x3"],
+        ["gradcheck", "--shapes", "4x4xq"],
+        ["gradcheck", "--shapes", "0x4x4"],
+        ["gradcheck", "--seeds", "0"],
+        ["gradcheck", "--eps", "0"],
+        ["heatmap", "--run", "r", "--channel", "0", "--step", "0", "--scale", "0"],
+    ],
+    ids=["shape-rank", "shape-letter", "shape-zero", "seeds", "eps", "scale"],
+)
+def test_malformed_arguments_are_usage_errors(capsys, argv):
+    code = main(argv)
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def test_no_command_prints_help(capsys):

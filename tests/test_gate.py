@@ -33,7 +33,7 @@ from probanet import (
     variance_constraint,
 )
 from probanet.artifacts import gate_weights_for
-from probanet.training import LabeledScene, loss_and_grads
+from probanet.training import loss_and_grads
 
 
 def small_gate(seed=0, c=4, c_prime=2, r=2):
@@ -113,13 +113,14 @@ def test_truncate_train_strict_and_test_keeps_all():
     for name in ("reduce_weight", "reduce_bias", "expand_weight", "expand_bias"):
         state.params[name] = np.zeros_like(state.params[name])
     pool = build_scene_pool(config, sim)
+    x, labels = pool.step_inputs(0, 2)
     # Training keeps a weight only strictly above the threshold.
     with pytest.raises(EmptyPoolError, match="kept fraction 0$"):
-        loss_and_grads(state, pool, config)
+        loss_and_grads(state, x, labels, config)
     below = replace(config, th=float(np.nextafter(0.5, 0.0)))
-    assert loss_and_grads(state, pool, below)[0].kept_fraction == 1.0
+    assert loss_and_grads(state, x, labels, below)[0].kept_fraction == 1.0
     # Evaluation truncates nothing.
-    assert np.all(gate_weights_for(state, pool[0], sim) == 0.5)
+    assert np.all(gate_weights_for(state, pool.scenes[0], sim) == 0.5)
 
 
 def test_gate_test_mode_keeps_everything():
@@ -132,8 +133,8 @@ def test_gate_test_mode_keeps_everything():
         object_max_size=3,
     )
     state = TrainState(params={"head_weight": np.zeros((2, 4)), **params}, velocity={})
-    labeled = LabeledScene(scene=Scene(objects=(), features=x, seed=0), labels=None)
-    assert np.array_equal(gate_weights_for(state, labeled, sim), t2)
+    scene = Scene(objects=(), features=x, seed=0)
+    assert np.array_equal(gate_weights_for(state, scene, sim), t2)
 
 
 def _truncated_map_grad_t2(params, th, x, a, g):

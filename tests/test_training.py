@@ -10,7 +10,7 @@ from probanet import (
     METRICS_HEADER,
     ConfigError,
     Conv1x1Params,
-    DomainError,
+    DimensionError,
     EmptyPoolError,
     ExperimentReport,
     MetricsLog,
@@ -207,13 +207,7 @@ def test_single_step_matches_finite_difference_oracle():
     config = tiny_config()
     pool = build_scene_pool(config, TINY_SIM)
     state = init_state(config, TINY_SIM)
-    scenes = [pool[0], pool[1]]
-
-    labels = LabelArrays(
-        category=np.concatenate([s.labels.category for s in scenes]),
-        hard=np.concatenate([s.labels.hard for s in scenes]),
-        iou=np.concatenate([s.labels.iou for s in scenes]),
-    )
+    x, labels = pool.step_inputs(0, 2)
     batch = sample_minibatch(
         labels, None, SplitMix64(derive_seed(config.seed, "sampler", 0))
     )
@@ -225,18 +219,15 @@ def test_single_step_matches_finite_difference_oracle():
 
     def loss_with(p):
         head = Conv1x1Params(weight=p["head_weight"], bias=zero_bias)
-        b_parts = []
-        for ls in scenes:
-            a = conv1x1_forward(ls.scene.features, head)
-            t2 = gate_forward(ls.scene.features, p).t2
-            b_parts.append(truncate(a * t2, t2, config.th).ravel())
-        values = np.concatenate(b_parts)[batch.indices]
+        a = conv1x1_forward(x, head)
+        t2 = gate_forward(x, p).t2
+        values = truncate(a * t2, t2, config.th).ravel()[batch.indices]
         logits = p["scale"] * values + p["shift"]
         targets = (labels.category[batch.indices] == FG).astype(np.float64)
         return binary_cross_entropy(logits, targets)
 
     lr, wd = config.learning_rate, config.weight_decay
-    new_state, record = train_step(state, scenes, config)
+    new_state, record = train_step(state, x, labels, config)
     assert record.step == 0
     assert new_state.step == 1
     assert set(new_state.params) == set(p0) and len(p0) == 7
@@ -264,31 +255,22 @@ WIDE_SIM = replace(
 )
 
 
-def _dense_step(state, scenes, config):
+def _dense_step(state, x, labels, config):
     """One step's logits and loss gradients by the dense path, the
     reference for loss_and_grads: the head conv and the gate over every
     anchor, truncation as a mask over the whole map, and full
     conv1x1_backward VJPs, input gradients included."""
     head_weight, gate = state.params["head_weight"], state.gate
     head = Conv1x1Params(head_weight, np.zeros(head_weight.shape[0]))
-    a_maps = [conv1x1_forward(ls.scene.features, head) for ls in scenes]
+    a = conv1x1_forward(x, head)
     if gate is None:
-        outs = [None] * len(scenes)
-        b_flat = np.concatenate([a.ravel() for a in a_maps])
+        b_flat = a.ravel()
         mask = np.ones(b_flat.size, dtype=bool)
     else:
-        outs = [gate_forward(ls.scene.features, gate) for ls in scenes]
-        b_flat = np.concatenate([
-            truncate(a * out.t2, out.t2, config.th).ravel()
-            for a, out in zip(a_maps, outs)
-        ])
-        t2_flat = np.concatenate([out.t2.ravel() for out in outs])
+        out = gate_forward(x, gate)
+        b_flat = truncate(a * out.t2, out.t2, config.th).ravel()
+        t2_flat = out.t2.ravel()
         mask = t2_flat > config.th
-    labels = LabelArrays(
-        category=np.concatenate([ls.labels.category for ls in scenes]),
-        hard=np.concatenate([ls.labels.hard for ls in scenes]),
-        iou=np.concatenate([ls.labels.iou for ls in scenes]),
-    )
     rng = SplitMix64(derive_seed(config.seed, "sampler", state.step))
     batch = sample_minibatch(labels, mask, rng)
     values = b_flat[batch.indices]
@@ -298,38 +280,28 @@ def _dense_step(state, scenes, config):
     grads = {"scale": float(np.dot(dlogits, values)), "shift": float(dlogits.sum())}
     grad_b_flat = np.zeros_like(b_flat)
     grad_b_flat[batch.indices] = state.params["scale"] * dlogits
-    if gate is not None:
+    grad_b = grad_b_flat.reshape(a.shape)
+    if gate is None:
+        grad_a = grad_b
+    else:
         variance, grad_v = variance_constraint(t2_flat, config.epsilon)
         coeff = probanet_loss_grad_v(
             variance, binary_cross_entropy(logits, targets), config.alpha
         )
-        grad_v = coeff * grad_v
-    offset = 0
-    for ls, a, out in zip(scenes, a_maps, outs):
-        x = ls.scene.features
-        grad_b = grad_b_flat[offset : offset + a.size].reshape(a.shape)
-        if gate is None:
-            grad_a = grad_b
-        else:
-            grad_a_prime = np.where(out.t2 > config.th, grad_b, 0.0)
-            grad_a = grad_a_prime * out.t2
-            grad_t2 = grad_a_prime * a + grad_v[offset : offset + a.size].reshape(a.shape)
-            grad_z2 = sigmoid_backward(out.t2, grad_t2)
-            expand_conv = Conv1x1Params(gate["expand_weight"], gate["expand_bias"])
-            reduce_conv = Conv1x1Params(gate["reduce_weight"], gate["reduce_bias"])
-            grad_t1, grad_ew, grad_eb = conv1x1_backward(out.t1, expand_conv, grad_z2)
-            grad_z1 = relu_backward(out.t1, grad_t1)
-            _, grad_rw, grad_rb = conv1x1_backward(x, reduce_conv, grad_z1)
-            for name, value in (
-                ("reduce_weight", grad_rw),
-                ("reduce_bias", grad_rb),
-                ("expand_weight", grad_ew),
-                ("expand_bias", grad_eb),
-            ):
-                grads[name] = grads.get(name, 0.0) + value
-        _, grad_hw, _ = conv1x1_backward(x, head, grad_a)
-        grads["head_weight"] = grads.get("head_weight", 0.0) + grad_hw
-        offset += a.size
+        grad_a_prime = np.where(out.t2 > config.th, grad_b, 0.0)
+        grad_a = grad_a_prime * out.t2
+        grad_t2 = grad_a_prime * a + coeff * grad_v.reshape(a.shape)
+        grad_z2 = sigmoid_backward(out.t2, grad_t2)
+        expand_conv = Conv1x1Params(gate["expand_weight"], gate["expand_bias"])
+        reduce_conv = Conv1x1Params(gate["reduce_weight"], gate["reduce_bias"])
+        grad_t1, grads["expand_weight"], grads["expand_bias"] = conv1x1_backward(
+            out.t1, expand_conv, grad_z2
+        )
+        grad_z1 = relu_backward(out.t1, grad_t1)
+        _, grads["reduce_weight"], grads["reduce_bias"] = conv1x1_backward(
+            x, reduce_conv, grad_z1
+        )
+    _, grads["head_weight"], _ = conv1x1_backward(x, head, grad_a)
     return batch, logits, grads
 
 
@@ -348,12 +320,12 @@ def test_train_step_param_grads_equal_full_backward(gated):
     config = tiny_config(probanet_enabled=gated, alpha=0.5, th=0.5, epsilon=1e-9)
     pool = build_scene_pool(config, WIDE_SIM)
     state = init_state(config, WIDE_SIM)
-    scenes = [pool[0], pool[1]]
-    record, grads, batch, logits = loss_and_grads(state, scenes, config)
-    ref_batch, ref_logits, ref = _dense_step(state, scenes, config)
+    x, labels = pool.step_inputs(0, 2)
+    record, grads, batch, logits = loss_and_grads(state, x, labels, config)
+    ref_batch, ref_logits, ref = _dense_step(state, x, labels, config)
 
     assert np.array_equal(batch.indices, ref_batch.indices)
-    per_scene = scenes[0].labels.category.size
+    per_scene = len(labels) // 2
     assert (batch.indices < per_scene).any() and (batch.indices >= per_scene).any()
     anchors = batch.indices % len(WIDE_SIM.anchor_shapes)
     assert (anchors == 0).any() and (anchors == 1).any()
@@ -413,39 +385,100 @@ def test_momentum_accumulates_across_steps():
         config = tiny_config(probanet_enabled=gated, epochs=1, steps_per_epoch=2)
         pool = build_scene_pool(config, TINY_SIM)
         state = init_state(config, TINY_SIM)
-        scenes = [pool[0], pool[1]]
+        x, labels = pool.step_inputs(0, 2)
         mom, wd = config.momentum, config.weight_decay
         params = dict(state.params)
         velocity = dict(state.velocity)
         for step in range(2):
             lr = config.learning_rate_at(step)
-            _, grads, _, _ = loss_and_grads(state, scenes, config)
+            _, grads, _, _ = loss_and_grads(state, x, labels, config)
             assert set(grads) == set(state.params) == set(state.velocity)
             assert len(grads) == (7 if gated else 3)
             for name, g in grads.items():
                 velocity[name] = mom * velocity[name] - lr * (g + wd * params[name])
                 params[name] = params[name] + velocity[name]
-            state, _ = train_step(state, scenes, config)
+            state, _ = train_step(state, x, labels, config)
             for name in grads:
                 assert np.array_equal(state.params[name], params[name]), name
                 assert np.array_equal(state.velocity[name], velocity[name]), name
 
 
-def test_train_step_rejects_empty_scene_list():
+def test_loss_and_grads_rejects_labels_that_miss_the_map():
     config = tiny_config()
     state = init_state(config, TINY_SIM)
-    with pytest.raises(DomainError):
-        train_step(state, [], config)
+    x, labels = build_scene_pool(config, TINY_SIM).step_inputs(0, 2)
+    one_scene = LabelArrays(
+        category=labels.category[:16], hard=labels.hard[:16], iou=labels.iou[:16]
+    )
+    with pytest.raises(DimensionError, match="does not match 16 labels"):
+        loss_and_grads(state, x, one_scene, config)
+    with pytest.raises(DimensionError):
+        train_step(state, x[:, :, :2], labels, config)
+    with pytest.raises(DimensionError):
+        train_step(state, x.reshape(-1, 4), labels, config)
+    assert state.step == 0
 
 
-def test_train_step_accepts_single_scene_or_list():
-    config = tiny_config(scenes_per_batch=1)
-    pool = build_scene_pool(config, TINY_SIM)
-    state_a = init_state(config, TINY_SIM)
-    state_b = init_state(config, TINY_SIM)
-    _, rec_a = train_step(state_a, pool[0], config)
-    _, rec_b = train_step(state_b, [pool[0]], config)
-    assert rec_a == rec_b
+def test_step_inputs_are_views_unless_the_range_wraps():
+    config = tiny_config()
+    pool = build_scene_pool(config, replace(TINY_SIM, scene_pool_size=3))
+    x, labels = pool.step_inputs(0, 2)
+    assert np.shares_memory(x, pool.features)
+    assert np.shares_memory(labels.category, pool.labels.category)
+    assert np.shares_memory(labels.iou, pool.labels.iou)
+    assert np.array_equal(x[:4], pool.scenes[0].features)
+    assert np.array_equal(x[4:], pool.scenes[1].features)
+    # Step 1 takes scenes 2 and 0: a copy, in that order.
+    x, labels = pool.step_inputs(1, 2)
+    assert not np.shares_memory(x, pool.features)
+    assert np.array_equal(x[:4], pool.scenes[2].features)
+    assert np.array_equal(x[4:], pool.scenes[0].features)
+    assert np.array_equal(labels.category[16:], pool.labels.category[:16])
+    for i, scene in enumerate(pool.scenes):
+        assert np.shares_memory(scene.features, pool.features[i])
+
+
+@pytest.mark.parametrize("pool_size", [3, 1])
+def test_run_partial_matches_explicitly_concatenated_steps(pool_size):
+    # Pools of 3 and 1 scenes with two scenes a step: most steps wrap.
+    sim = replace(TINY_SIM, scene_pool_size=pool_size)
+    config = tiny_config(alpha=0.5, th=0.3, steps_per_epoch=5)
+    state, pool, log = run_partial(config, sim, 5)
+    ref_state = init_state(config, sim)
+    ref_records = []
+    for step in range(5):
+        picks = [(2 * step + j) % pool_size for j in range(2)]
+        x = np.concatenate([pool.scenes[i].features for i in picks])
+        n = len(pool.labels) // pool_size
+        labels = LabelArrays(*(
+            np.concatenate([col[i * n : (i + 1) * n] for i in picks])
+            for col in (pool.labels.category, pool.labels.hard, pool.labels.iou)
+        ))
+        ref_state, record = train_step(ref_state, x, labels, config)
+        ref_records.append(record)
+    assert list(log) == ref_records
+    for name, value in state.params.items():
+        assert np.array_equal(ref_state.params[name], value), name
+
+
+def test_gated_step_runs_the_gate_once_each_way(monkeypatch):
+    import probanet.training
+
+    calls = {"gate_forward": 0, "gate_backward": 0}
+
+    def spy(original):
+        def wrapper(*args, **kwargs):
+            calls[original.__name__] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(probanet.training, original.__name__, wrapper)
+
+    spy(probanet.training.gate_forward)
+    spy(probanet.training.gate_backward)
+    config = tiny_config(alpha=0.5, th=0.3, scenes_per_batch=2)
+    x, labels = build_scene_pool(config, TINY_SIM).step_inputs(0, 2)
+    train_step(init_state(config, TINY_SIM), x, labels, config)
+    assert calls == {"gate_forward": 1, "gate_backward": 1}
 
 
 def test_metrics_log_csv_and_tail():
@@ -460,7 +493,10 @@ def test_metrics_log_csv_and_tail():
         )
     text = log.to_csv()
     lines = text.strip().split("\n")
-    assert lines[0] == METRICS_HEADER
+    assert lines[0] == METRICS_HEADER == (
+        "step,cls_loss,probanet_loss,variance,beta,hard_ratio,"
+        "fg_gate_mean,bg_gate_mean,kept_fraction"
+    )
     assert len(lines) == 5
     assert lines[1].startswith("0,0.5,0.25,0.01,")
     # repr round-trips every float exactly.
@@ -491,7 +527,7 @@ def test_run_partial_validates_step_budget():
         run_partial(config, TINY_SIM, -1)
     state, pool, log = run_partial(config, TINY_SIM, 0)
     assert state.step == 0
-    assert len(pool) == TINY_SIM.scene_pool_size
+    assert len(pool.scenes) == TINY_SIM.scene_pool_size
     assert len(log) == 0
 
 
