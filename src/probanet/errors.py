@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields
+from numbers import Integral, Real
 
 
 class ProbanetError(Exception):
@@ -32,13 +33,38 @@ class ConfigError(ProbanetError, ValueError):
         self.field = field
 
 
-def require_finite_floats(config) -> None:
-    """Reject a config dataclass whose float fields hold nan or inf."""
+def _is(kind, value) -> bool:
+    """Whether value is an instance of kind (a numbers ABC) but not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _integer_pairs(value) -> bool:
+    return isinstance(value, tuple) and all(
+        isinstance(p, tuple) and len(p) == 2 and all(_is(Integral, n) for n in p)
+        for p in value
+    )
+
+
+# What a field admits, by the type of its default, and how an error names it.
+_KINDS = {
+    bool: ("a bool", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: _is(Integral, v)),
+    float: ("a finite number", lambda v: _is(Real, v) and math.isfinite(v)),
+    tuple: ("a tuple of integer pairs", _integer_pairs),
+}
+
+
+def require_field_kinds(config) -> None:
+    """Reject a config dataclass field whose value is not of its default's
+    kind: a bool; an integer that is not a bool (numpy integers
+    included); a finite real number; a tuple of integer pairs (the anchor
+    shapes)."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        expected, admits = _KINDS[type(f.default)]
+        if not admits(value):
             raise ConfigError(
-                f"{f.name}: expected a finite number, got {value!r}", field=f.name
+                f"{f.name}: expected {expected}, got {value!r}", field=f.name
             )
 
 

@@ -48,12 +48,6 @@ class GateOutput:
     t2: FeatureMap
 
 
-@dataclass(frozen=True)
-class LossTerms:
-    beta: float
-    probanet_loss: float
-
-
 def _convs(params: Mapping[str, np.ndarray]) -> tuple[Conv1x1Params, Conv1x1Params]:
     """The reduce and expand convolutions over the named gate arrays."""
     return (
@@ -129,14 +123,19 @@ def variance_constraint(
     return raw, variance_backward(t2)
 
 
-def probanet_loss(v: float, cls_loss: float, alpha: float = 0.5) -> LossTerms:
+def probanet_loss(
+    v: float, cls_loss: float, alpha: float = 0.5
+) -> tuple[float, float, float]:
     """Auxiliary loss L = beta * e^(1/v) with beta = alpha * cls_loss * e^(-1/v).
 
-    beta is recomputed from the current cls_loss at every call and treated
-    as a constant by the backward pass.  Substituting beta makes the loss
+    Returns (L, beta, dL/dv).  beta is recomputed from the current
+    cls_loss at every call and treated as a constant by the backward
+    pass, so dL/dv = -alpha * cls_loss / v^2: never positive, so the loss
+    can only push the variance upward.  Substituting beta makes the loss
     value alpha * cls_loss exactly, which is how it is computed here:
     e^(1/v) alone overflows for v near the variance floor, while the
-    product is always finite.
+    product is always finite.  Clamping at the variance floor is handled
+    by variance_constraint, whose gradient is zero there.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -145,20 +144,7 @@ def probanet_loss(v: float, cls_loss: float, alpha: float = 0.5) -> LossTerms:
     if v <= 0.0:
         raise DomainError(f"variance must be positive, got {v}")
     beta = alpha * cls_loss * np.exp(-1.0 / v)
-    loss = alpha * cls_loss
-    return LossTerms(beta=float(beta), probanet_loss=loss)
-
-
-def probanet_loss_grad_v(v: float, cls_loss: float, alpha: float) -> float:
-    """dL/dv with beta held constant: -alpha * cls_loss / v^2.
-
-    Always non-positive, so the loss can only push the variance upward.
-    Clamping at the variance floor is handled by variance_constraint,
-    whose gradient is zero there.
-    """
-    if v <= 0.0:
-        raise DomainError(f"variance must be positive, got {v}")
-    return -alpha * cls_loss / (v * v)
+    return alpha * cls_loss, float(beta), -alpha * cls_loss / (v * v)
 
 
 def param_count(c: int, c_prime: int, r: int) -> int:

@@ -1,8 +1,11 @@
 """Finite-difference verification of every backward pass, one op at a
 time and end to end through the full training loss.
 
-Relative error is measured per element as |analytic - numeric| divided
-by max(1, |numeric|), and the worst element must stay below 1e-4.
+Every check runs one differencing loop: a scalar functional is
+differenced in each named input, the others held fixed, and compared
+with the analytic gradient under the same name.  Relative error is
+measured per element as |analytic - numeric| divided by
+max(1, |numeric|), and the worst element must stay below 1e-4.
 
 Two ops are only piecewise smooth.  The ReLU check compares away from
 the kink (elements within 10h of zero are skipped, matching the
@@ -41,7 +44,7 @@ from .training import (
     TrainConfig,
     TrainState,
     binary_cross_entropy,
-    binary_cross_entropy_grad,
+    head_backward,
     loss_and_grads,
 )
 
@@ -68,78 +71,67 @@ def relative_error(
     n = np.asarray(numeric, dtype=np.float64)
     err = np.abs(a - n) / np.maximum(1.0, np.abs(n))
     if include is not None:
-        if not include.any():
-            return 0.0
         err = err[include]
-    return float(err.max())
+    return float(err.max(initial=0.0))
+
+
+def _worst_error(f, inputs: dict, grads: dict, h: float, include=None) -> float:
+    """Worst relative error of the analytic gradients over every named
+    input.  Each array of inputs is differenced in place, the others
+    held fixed, for the scalar f() that reads them, and compared with
+    grads under the same name, over include[name] only where given."""
+    worst = 0.0
+    for name, array in inputs.items():
+        fd = finite_diff_gradient(lambda _: f(), array, h)
+        worst = max(worst, relative_error(grads[name], fd, (include or {}).get(name)))
+    return worst
 
 
 def check_conv1x1(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     hh, ww, c = shape
-    out = c + 1
     x = rng.uniform_range(-1.0, 1.0, shape)
     p = Conv1x1Params(
-        weight=rng.uniform_range(-1.0, 1.0, (out, c)),
-        bias=rng.uniform_range(-1.0, 1.0, out),
+        weight=rng.uniform_range(-1.0, 1.0, (c + 1, c)),
+        bias=rng.uniform_range(-1.0, 1.0, c + 1),
     )
-    g = rng.uniform_range(-1.0, 1.0, (hh, ww, out))
-    grad_x, grad_w, grad_b = conv1x1_backward(x, p, g)
-    fd_x = finite_diff_gradient(
-        lambda v: float((conv1x1_forward(v, p) * g).sum()), x, h
-    )
-    fd_w = finite_diff_gradient(
-        lambda v: float(
-            (conv1x1_forward(x, Conv1x1Params(weight=v, bias=p.bias)) * g).sum()
-        ),
-        p.weight.copy(),
-        h,
-    )
-    fd_b = finite_diff_gradient(
-        lambda v: float(
-            (conv1x1_forward(x, Conv1x1Params(weight=p.weight, bias=v)) * g).sum()
-        ),
-        p.bias.copy(),
-        h,
-    )
-    return max(
-        relative_error(grad_x, fd_x),
-        relative_error(grad_w, fd_w),
-        relative_error(grad_b, fd_b),
+    g = rng.uniform_range(-1.0, 1.0, (hh, ww, c + 1))
+    grads = dict(zip(("x", "weight", "bias"), conv1x1_backward(x, p, g)))
+    # p holds the drawn arrays themselves, so differencing them moves p.
+    inputs = {"x": x, "weight": p.weight, "bias": p.bias}
+    return _worst_error(
+        lambda: float((conv1x1_forward(x, p) * g).sum()), inputs, grads, h
     )
 
 
 def check_relu(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     x = rng.uniform_range(-1.0, 1.0, shape)
     g = rng.uniform_range(-1.0, 1.0, shape)
-    analytic = relu_backward(x, g)
-    fd = finite_diff_gradient(lambda v: float((relu(v) * g).sum()), x, h)
-    include = np.abs(x) > 10 * h
-    return relative_error(analytic, fd, include)
+    grads, include = {"x": relu_backward(x, g)}, {"x": np.abs(x) > 10 * h}
+    return _worst_error(lambda: float((relu(x) * g).sum()), {"x": x}, grads, h, include)
 
 
 def check_sigmoid(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     x = rng.uniform_range(-4.0, 4.0, shape)
     g = rng.uniform_range(-1.0, 1.0, shape)
-    analytic = sigmoid_backward(sigmoid(x), g)
-    fd = finite_diff_gradient(lambda v: float((sigmoid(v) * g).sum()), x, h)
-    return relative_error(analytic, fd)
+    grads = {"x": sigmoid_backward(sigmoid(x), g)}
+    return _worst_error(lambda: float((sigmoid(x) * g).sum()), {"x": x}, grads, h)
 
 
 def check_hadamard(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     a = rng.uniform_range(-1.0, 1.0, shape)
     b = rng.uniform_range(-1.0, 1.0, shape)
     g = rng.uniform_range(-1.0, 1.0, shape)
-    grad_a, grad_b = hadamard_backward(a, b, g)
-    fd_a = finite_diff_gradient(lambda v: float((hadamard(v, b) * g).sum()), a, h)
-    fd_b = finite_diff_gradient(lambda v: float((hadamard(a, v) * g).sum()), b, h)
-    return max(relative_error(grad_a, fd_a), relative_error(grad_b, fd_b))
+    grads = dict(zip("ab", hadamard_backward(a, b, g)))
+    return _worst_error(
+        lambda: float((hadamard(a, b) * g).sum()), {"a": a, "b": b}, grads, h
+    )
 
 
 def check_variance(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     x = rng.uniform_range(-1.0, 1.0, shape)
-    analytic = variance_backward(x)
-    fd = finite_diff_gradient(lambda v: mean_and_variance(v)[1], x, h)
-    return relative_error(analytic, fd)
+    return _worst_error(
+        lambda: mean_and_variance(x)[1], {"x": x}, {"x": variance_backward(x)}, h
+    )
 
 
 def _safe_threshold(t2: np.ndarray) -> tuple[float, float]:
@@ -180,9 +172,7 @@ def _gate_instance(rng: SplitMix64, shape, k: int, r: int, n: int = 1):
             "expand_weight": rng.uniform_range(-s2, s2, (k, mid)),
             "expand_bias": rng.uniform_range(-0.5, 0.5, k),
         }
-        reduce_conv = Conv1x1Params(
-            weight=params["reduce_weight"], bias=params["reduce_bias"]
-        )
+        reduce_conv = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
         z1 = conv1x1_forward(x, reduce_conv)
         t2 = gate_forward(x, params).t2
         th, margin = _safe_threshold(t2)
@@ -203,53 +193,32 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     x, params, _ = _gate_instance(rng, shape, k, r=2)
     g_t2 = rng.uniform_range(-1.0, 1.0, (hh, ww, k))
 
-    grad_z1, pg = gate_backward(gate_forward(x, params), x, params, g_t2)
-    reduce_conv = Conv1x1Params(
-        weight=params["reduce_weight"], bias=params["reduce_bias"]
+    grad_z1, grads = gate_backward(gate_forward(x, params), x, params, g_t2)
+    reduce_conv = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
+    grads["x"] = conv1x1_input_grad(reduce_conv, grad_z1)
+    return _worst_error(
+        lambda: float((gate_forward(x, params).t2 * g_t2).sum()),
+        {"x": x, **params},
+        grads,
+        h,
     )
-    grad_x = conv1x1_input_grad(reduce_conv, grad_z1)
-
-    def value(xx, pp) -> float:
-        return float((gate_forward(xx, pp).t2 * g_t2).sum())
-
-    worst = relative_error(
-        grad_x, finite_diff_gradient(lambda v: value(v, params), x, h)
-    )
-    for name, array in params.items():
-        fd = finite_diff_gradient(
-            lambda v, nm=name: value(x, {**params, nm: v}), array.copy(), h
-        )
-        worst = max(worst, relative_error(pg[name], fd))
-    return worst
 
 
 def check_head(rng: SplitMix64, shape, h: float = 1e-5) -> float:
-    """Scalar-affine logits plus mean binary cross-entropy."""
+    """Scalar-affine logits plus mean binary cross-entropy, through the
+    head backward pass that training runs (training.head_backward)."""
     n = max(4, shape[0] * shape[1])
     values = rng.uniform_range(-2.0, 2.0, n)
     targets = (rng.uniform(n) < 0.5).astype(np.float64)
-    scale = 1.0 + rng.uniform()
-    shift = rng.uniform() - 0.5
-
-    def loss(v, s, sh) -> float:
-        return binary_cross_entropy(s * v + sh, targets)
-
-    dz = binary_cross_entropy_grad(scale * values + shift, targets)
-    grad_v = scale * dz
-    grad_scale = float(np.dot(dz, values))
-    grad_shift = float(dz.sum())
-
-    fd_v = finite_diff_gradient(lambda v: loss(v, scale, shift), values, h)
-    fd_scale = finite_diff_gradient(
-        lambda v: loss(values, float(v[0]), shift), np.array([scale]), h
-    )
-    fd_shift = finite_diff_gradient(
-        lambda v: loss(values, scale, float(v[0])), np.array([shift]), h
-    )
-    return max(
-        relative_error(grad_v, fd_v),
-        relative_error(np.array([grad_scale]), fd_scale),
-        relative_error(np.array([grad_shift]), fd_shift),
+    # 0-d arrays, so the loop can difference them in place.
+    scale = np.array(1.0 + rng.uniform())
+    shift = np.array(rng.uniform() - 0.5)
+    grad_values, grads = head_backward(values, scale * values + shift, targets, scale)
+    return _worst_error(
+        lambda: binary_cross_entropy(scale * values + shift, targets),
+        {"values": values, "scale": scale, "shift": shift},
+        {"values": grad_values, **grads},
+        h,
     )
 
 
@@ -300,30 +269,26 @@ def check_end_to_end(
     _, grads, batch, _ = loss_and_grads(state, x, labels, config)
     targets = (category[batch.indices] == FG).astype(np.float64)
 
-    zero_bias = np.zeros(k)
+    # A copy of every parameter to difference in place; a float becomes
+    # a 0-d array.  head holds point's head_weight itself.
+    point = {name: np.array(value) for name, value in params.items()}
+    head = Conv1x1Params(weight=point["head_weight"], bias=np.zeros(k))
 
-    def parts(p) -> tuple[float, float]:
+    def parts() -> tuple[float, float]:
         """Classification loss and gate-weight variance, over both maps."""
-        a = conv1x1_forward(x, Conv1x1Params(weight=p["head_weight"], bias=zero_bias))
-        t2 = gate_forward(x, p).t2
-        z = p["scale"] * (a * t2).ravel()[batch.indices] + p["shift"]
+        a = conv1x1_forward(x, head)
+        t2 = gate_forward(x, point).t2
+        z = point["scale"] * (a * t2).ravel()[batch.indices] + point["shift"]
         return binary_cross_entropy(z, targets), variance_constraint(t2, eps)[0]
 
-    cls0, v0 = parts(params)
+    cls0, v0 = parts()
     log_beta0 = np.log(alpha * cls0) - 1.0 / v0
 
-    def total(p) -> float:
-        cls, v = parts(p)
+    def total() -> float:
+        cls, v = parts()
         return cls + float(np.exp(log_beta0 + 1.0 / v))
 
-    worst = 0.0
-    for name, value in params.items():
-        # A copy to difference in place; a float becomes a 0-d array.
-        fd = finite_diff_gradient(
-            lambda v, nm=name: total({**params, nm: v}), np.array(value), h
-        )
-        worst = max(worst, relative_error(grads[name], fd))
-    return worst
+    return _worst_error(total, point, grads, h)
 
 
 CHECKS = {
@@ -353,13 +318,10 @@ def run_suite(
     for shape in shapes:
         if len(shape) != 3 or any(d < 1 for d in shape):
             raise DomainError(f"bad shape {shape}")
-    if ops is None:
-        names = list(CHECKS)
-    else:
-        names = list(ops)
-        for name in names:
-            if name not in CHECKS:
-                raise DomainError(f"unknown op {name!r}")
+    names = list(CHECKS if ops is None else ops)
+    for name in names:
+        if name not in CHECKS:
+            raise DomainError(f"unknown op {name!r}")
     results = []
     for name in names:
         worst = 0.0

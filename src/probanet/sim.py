@@ -17,7 +17,7 @@ from .errors import (
     DimensionError,
     DomainError,
     EmptyPoolError,
-    require_finite_floats,
+    require_field_kinds,
 )
 from .rng import SplitMix64
 from .tensor import FeatureMap
@@ -74,7 +74,7 @@ class SimConfig:
     scene_pool_size: int = 64
 
     def __post_init__(self):
-        require_finite_floats(self)
+        require_field_kinds(self)
         if self.height < 1 or self.width < 1 or self.channels < 1:
             raise ConfigError(
                 f"grid must be positive, got {self.height}x{self.width}"

@@ -27,14 +27,13 @@ from .errors import (
     DimensionError,
     EmptyPoolError,
     NumericError,
-    require_finite_floats,
+    require_field_kinds,
 )
 from .gate import (
     gate_backward,
     gate_forward,
     init_gate_params,
     probanet_loss,
-    probanet_loss_grad_v,
     variance_constraint,
 )
 from .rng import SplitMix64, derive_seed
@@ -80,7 +79,7 @@ class TrainConfig:
     scenes_per_batch: int = 2
 
     def __post_init__(self):
-        require_finite_floats(self)
+        require_field_kinds(self)
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
@@ -291,6 +290,14 @@ def binary_cross_entropy_grad(logits: np.ndarray, targets: np.ndarray) -> np.nda
     return (_logistic(logits) - targets) / logits.size
 
 
+def head_backward(values, logits, targets, scale) -> tuple[np.ndarray, dict]:
+    """Backward of the affine-BCE head, the mean BCE of logits = scale *
+    values + shift: the gradient at values, and those of scale and shift
+    by name."""
+    dz = binary_cross_entropy_grad(logits, targets)
+    return scale * dz, {"scale": float(np.dot(dz, values)), "shift": float(dz.sum())}
+
+
 def train_step(
     state: TrainState, x: FeatureMap, labels: LabelArrays, config: TrainConfig
 ) -> tuple[TrainState, MetricsRecord]:
@@ -365,15 +372,14 @@ def loss_and_grads(
     cls_loss = binary_cross_entropy(logits, targets)
 
     # Auxiliary loss bookkeeping (the gradient enters through grad_t2).
-    aux_loss, beta, variance = 0.0, 0.0, 0.0
-    grad_v_coeff = 0.0
+    aux_loss, beta, variance, grad_v_coeff = 0.0, 0.0, 0.0, 0.0
     fg_gate_mean, bg_gate_mean = 1.0, 1.0
     if gate is not None:
         variance, grad_v = variance_constraint(t2_flat, config.epsilon)
         if config.alpha > 0.0:
-            terms = probanet_loss(variance, cls_loss, config.alpha)
-            aux_loss, beta = terms.probanet_loss, terms.beta
-            grad_v_coeff = probanet_loss_grad_v(variance, cls_loss, config.alpha)
+            aux_loss, beta, grad_v_coeff = probanet_loss(
+                variance, cls_loss, config.alpha
+            )
         fg_sel = labels.category == FG
         bg_sel = labels.category == BG
         fg_gate_mean = float(t2_flat[fg_sel].mean()) if fg_sel.any() else 0.0
@@ -393,9 +399,7 @@ def loss_and_grads(
         raise NumericError(f"non-finite metrics at {where}: {record}")
 
     # Backward.
-    dlogits = binary_cross_entropy_grad(logits, targets)
-    grad_values = params["scale"] * dlogits
-    grads = {"scale": float(np.dot(dlogits, values)), "shift": float(dlogits.sum())}
+    grad_values, grads = head_backward(values, logits, targets, params["scale"])
     grad_a = np.zeros((n, 1, k))
     grad_a[np.arange(n), 0, anchor] = (
         grad_values * t2_sel if gate is not None else grad_values

@@ -29,7 +29,7 @@ from probanet import (
     generate_scene,
     grid_for,
     label_arrays,
-    probanet_loss_grad_v,
+    probanet_loss,
     run_experiment,
     run_training,
     sample_minibatch,
@@ -196,7 +196,8 @@ def test_criterion_6_aux_loss_below_cls_loss(
     assert record.variance > GATED.epsilon, "the variance floor is active"
     out = gate_forward(x, state.gate)
     _, dv = variance_constraint(out.t2.ravel(), GATED.epsilon)
-    grad_t2 = probanet_loss_grad_v(record.variance, record.cls_loss, GATED.alpha) * dv
+    _, _, grad_v = probanet_loss(record.variance, record.cls_loss, GATED.alpha)
+    grad_t2 = grad_v * dv
     _, expected = gate_backward(out, x, state.gate, grad_t2.reshape(out.t2.shape))
     worst = 0.0
     for name, value in expected.items():

@@ -151,6 +151,37 @@ def test_configs_reject_non_finite_floats_when_built_directly(value):
     assert checked == 16
 
 
+def test_configs_reject_values_of_another_kind_for_every_field():
+    # Each field admits only its default's kind, so a value that would
+    # pass the range checks and fail mid-run (or, for a bool, silently
+    # train the other variant) is rejected at construction.
+    wrong = {
+        bool: ["false", 0, 1.0, None],
+        int: [1.0, True, "2", None],
+        float: ["0.5", True, None],
+        tuple: ["3x3", [(3, 3)], ((3, 3.0),), ((3,),), ((3, True),), None],
+    }
+    checked = 0
+    for cls in (TrainConfig, SimConfig):
+        for f in fields(cls):
+            for value in wrong[type(f.default)]:
+                with pytest.raises(ConfigError, match=f"^{f.name}: expected") as exc:
+                    cls(**{f.name: value})
+                assert exc.value.field == f.name
+            checked += 1
+    assert checked == len(fields(TrainConfig)) + len(fields(SimConfig)) == 32
+
+
+def test_configs_accept_numpy_numbers_and_ints_for_floats():
+    for cls in (TrainConfig, SimConfig):
+        for f in fields(cls):
+            if type(f.default) is int:
+                assert getattr(cls(**{f.name: np.int64(f.default)}), f.name) == f.default
+            elif type(f.default) is float:
+                assert getattr(cls(**{f.name: np.float64(f.default)}), f.name) == f.default
+    assert TrainConfig(learning_rate=1).learning_rate == 1
+
+
 def test_semantic_validation_still_applies():
     with pytest.raises(ConfigError):
         parse_config("momentum = 2.0\n")

@@ -27,7 +27,6 @@ from probanet import (
     param_count,
     param_megabytes,
     probanet_loss,
-    probanet_loss_grad_v,
     relu,
     sigmoid,
     variance_constraint,
@@ -213,25 +212,28 @@ def test_variance_above_floor_matches_numpy_and_fd():
 
 
 def test_probanet_loss_value_and_beta():
-    terms = probanet_loss(v=0.5, cls_loss=2.0, alpha=0.5)
+    loss, beta, grad_v = probanet_loss(v=0.5, cls_loss=2.0, alpha=0.5)
     # Substituting beta back into beta * e^(1/v) gives alpha * cls exactly.
-    assert terms.probanet_loss == 0.5 * 2.0
-    assert abs(terms.beta - 0.5 * 2.0 * np.exp(-2.0)) < 1e-15
+    assert loss == 0.5 * 2.0
+    assert abs(beta - 0.5 * 2.0 * np.exp(-2.0)) < 1e-15
     # Identity in log space for a moderate variance.
-    assert abs(np.log(terms.beta) + 2.0 - np.log(terms.probanet_loss)) < 1e-12
+    assert abs(np.log(beta) + 2.0 - np.log(loss)) < 1e-12
+    assert grad_v == -0.5 * 2.0 / (0.5 * 0.5)
 
 
 def test_probanet_loss_never_exceeds_cls():
     for alpha in (0.1, 0.5, 0.9):
-        terms = probanet_loss(v=0.25, cls_loss=3.0, alpha=alpha)
-        assert terms.probanet_loss < 3.0
+        loss, _, grad_v = probanet_loss(v=0.25, cls_loss=3.0, alpha=alpha)
+        assert loss < 3.0
+        assert grad_v == -alpha * 3.0 / (0.25 * 0.25)
 
 
 def test_probanet_loss_survives_variance_floor():
     # e^(1/v) overflows at v = 1e-3 but the composed loss stays finite.
-    terms = probanet_loss(v=1e-3, cls_loss=1.0, alpha=0.5)
-    assert terms.probanet_loss == 0.5
-    assert terms.beta == 0.0
+    loss, beta, grad_v = probanet_loss(v=1e-3, cls_loss=1.0, alpha=0.5)
+    assert loss == 0.5
+    assert beta == 0.0
+    assert grad_v == -0.5 * 1.0 / (1e-3 * 1e-3)
 
 
 def test_probanet_loss_validation():
@@ -246,10 +248,8 @@ def test_probanet_loss_validation():
 
 def test_loss_gradient_matches_frozen_beta_fd():
     v0, cls, alpha = 0.5, 2.0, 0.5
-    got = probanet_loss_grad_v(v0, cls, alpha)
+    _, beta0, got = probanet_loss(v0, cls, alpha)
     assert got == -alpha * cls / (v0 * v0)
-
-    beta0 = alpha * cls * np.exp(-1.0 / v0)
 
     def frozen(v):
         return beta0 * np.exp(1.0 / v)
@@ -257,9 +257,7 @@ def test_loss_gradient_matches_frozen_beta_fd():
     h = 1e-6
     numeric = (frozen(v0 + h) - frozen(v0 - h)) / (2.0 * h)
     assert abs(got - numeric) < 1e-4 * max(1.0, abs(numeric))
-    assert probanet_loss_grad_v(0.7, 1.0, 0.3) <= 0.0
-    with pytest.raises(DomainError):
-        probanet_loss_grad_v(0.0, 1.0, 0.5)
+    assert probanet_loss(0.7, 1.0, 0.3)[2] <= 0.0
 
 
 def test_param_count_small_case_by_hand():

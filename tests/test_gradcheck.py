@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probanet import DomainError
+from probanet import DomainError, gradcheck
+from probanet.cli import main
 from probanet.gradcheck import CHECKS, DEFAULT_SHAPES, REL_TOL, relative_error, run_suite
 
 
@@ -69,8 +70,6 @@ def test_single_op_selection():
 def test_gate_check_covers_the_feature_gradient(monkeypatch):
     # gate_backward stops at the reduce conv's output gradient; the check
     # maps it to d/dx itself, and a wrong map must fail the audit.
-    from probanet import gradcheck
-
     kwargs = dict(ops=["gate"], n_seeds=1, shapes=((3, 3, 4),))
     assert run_suite(**kwargs)[0].passed
     input_grad = gradcheck.conv1x1_input_grad
@@ -91,11 +90,60 @@ def test_end_to_end_passes_where_instances_were_ill_conditioned(seed):
     assert result.passed, f"worst {result.worst:.3e}"
 
 
-def test_benchmark_audit_ops_are_checks():
+# The inputs each check differences, by name.
+_GATE = {"reduce_weight", "reduce_bias", "expand_weight", "expand_bias"}
+NAMED_INPUTS = {
+    "conv1x1": {"x", "weight", "bias"},
+    "relu": {"x"},
+    "sigmoid": {"x"},
+    "hadamard": {"a", "b"},
+    "variance": {"x"},
+    "gate": {"x"} | _GATE,
+    "head": {"values", "scale", "shift"},
+    "end_to_end": {"head_weight", "scale", "shift"} | _GATE,
+}
+
+
+@pytest.mark.parametrize("op", sorted(NAMED_INPUTS))
+def test_every_check_fails_on_a_wrong_gradient_of_any_input(op, monkeypatch):
+    # Each check differences exactly its named inputs, and an analytic
+    # gradient off by a relative 1e-3 (in the check's own measure,
+    # 1e-3 * max(1, |g|) per element) in any one of them fails it.
+    assert set(NAMED_INPUTS) == set(CHECKS)
+    loop = gradcheck._worst_error
+    kwargs = dict(ops=[op], n_seeds=1, shapes=((3, 3, 4),))
+    seen = []
+
+    def record(f, inputs, grads, h, include=None):
+        seen.extend(inputs)
+        return loop(f, inputs, grads, h, include)
+
+    monkeypatch.setattr(gradcheck, "_worst_error", record)
+    assert run_suite(**kwargs)[0].passed
+    assert sorted(seen) == sorted(NAMED_INPUTS[op])
+    for name in NAMED_INPUTS[op]:
+
+        def off(f, inputs, grads, h, include=None, name=name):
+            g = np.asarray(grads[name])
+            wrong = g + 1e-3 * np.maximum(1.0, np.abs(g))
+            return loop(f, inputs, {**grads, name: wrong}, h, include)
+
+        monkeypatch.setattr(gradcheck, "_worst_error", off)
+        assert not run_suite(**kwargs)[0].passed, name
+
+
+def test_benchmark_audit_ops_are_checks(capsys):
     # The benchmark's audit workload runs `gradcheck --op` for each name
-    # in AUDIT_OPS; a check deleted here would only show there as failed
-    # commands.
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    audit_ops = runpy.run_path(str(path))["AUDIT_OPS"]
+    # in AUDIT_OPS and reads one result line per op; a check deleted or
+    # reworded here would only show there as failed commands.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    audit_ops = runpy.run_path(str(bench / "workloads.py"))["AUDIT_OPS"]
+    grad_line = runpy.run_path(str(bench / "checks.py"))["_GRAD_LINE"]
     assert audit_ops
     assert set(audit_ops) <= set(CHECKS)
+    for op in audit_ops:
+        code = main(["gradcheck", "--op", op, "--seeds", "1", "--shapes", "2x3x4"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        matches = [grad_line.match(line) for line in out.splitlines()]
+        assert [m.group(1, 3) for m in matches if m] == [(op, "PASS")], out

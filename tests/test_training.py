@@ -28,7 +28,7 @@ from probanet import (
     finite_diff_gradient,
     gate_forward,
     init_state,
-    probanet_loss_grad_v,
+    probanet_loss,
     run_experiment,
     run_partial,
     run_training,
@@ -285,7 +285,7 @@ def _dense_step(state, x, labels, config):
         grad_a = grad_b
     else:
         variance, grad_v = variance_constraint(t2_flat, config.epsilon)
-        coeff = probanet_loss_grad_v(
+        _, _, coeff = probanet_loss(
             variance, binary_cross_entropy(logits, targets), config.alpha
         )
         grad_a_prime = np.where(out.t2 > config.th, grad_b, 0.0)
