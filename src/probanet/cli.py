@@ -27,13 +27,7 @@ from .errors import ConfigError, DomainError, ProbanetError
 from .gate import mac_count, param_count, param_megabytes
 from .gradcheck import CHECKS, DEFAULT_SHAPES, REL_TOL, run_suite
 from .sim import SimConfig
-from .training import (
-    TrainConfig,
-    build_scene_pool,
-    run_experiment,
-    run_partial,
-    run_training,
-)
+from .training import TrainConfig, run_experiment, run_partial
 
 
 def _positive(kind):
@@ -174,37 +168,32 @@ def _load_configs(path: str | None) -> tuple[TrainConfig, SimConfig]:
 def cmd_train(args) -> int:
     train_cfg, sim_cfg = _load_configs(args.config)
     os.makedirs(args.out, exist_ok=True)
+    gated = (args.probanet,) if args.baseline or args.probanet else (False, True)
+    configs = tuple(replace(train_cfg, probanet_enabled=g) for g in gated)
 
-    if args.baseline or args.probanet:
-        cfg = replace(train_cfg, probanet_enabled=bool(args.probanet))
-        for s in range(args.seeds):
-            cfg_s = replace(cfg, seed=cfg.seed + s)
-            pool = build_scene_pool(cfg_s, sim_cfg)
-            result = run_training(cfg_s, sim_cfg, pool)
-            [run_dir] = write_seed_dirs(args.out, [result], sim_cfg, pool)
+    def write_seed(results, pool):
+        run_dirs = write_seed_dirs(args.out, results, sim_cfg, pool)
+        base, seed = results[0], results[0].config.seed
+        if len(results) == 1:
             print(
-                f"{variant_name(cfg_s)} seed {cfg_s.seed}: "
-                f"tail hard ratio {result.tail_hard_ratio:.4f} -> {run_dir}"
+                f"{variant_name(base.config)} seed {seed}: "
+                f"tail hard ratio {base.tail_hard_ratio:.4f} -> {run_dirs[0]}"
             )
+        else:
+            uplift = results[1].tail_hard_ratio - base.tail_hard_ratio
+            print(
+                f"seed {seed}: baseline {base.tail_hard_ratio:.4f}, "
+                f"probanet {results[1].tail_hard_ratio:.4f}, uplift {uplift:+.4f}"
+            )
+
+    report = run_experiment(configs, args.seeds, sim_cfg, write_seed)
+    if len(configs) == 1:
         return 0
-
-    cfg_base = replace(train_cfg, probanet_enabled=False)
-    cfg_gate = replace(train_cfg, probanet_enabled=True)
-
-    def write_pair(pair, pool):
-        write_seed_dirs(args.out, [pair.baseline, pair.variant], sim_cfg, pool)
-        print(
-            f"seed {pair.seed}: baseline {pair.baseline.tail_hard_ratio:.4f}, "
-            f"probanet {pair.variant.tail_hard_ratio:.4f}, "
-            f"uplift {pair.variant.tail_hard_ratio - pair.baseline.tail_hard_ratio:+.4f}"
-        )
-
-    report = run_experiment(cfg_base, cfg_gate, args.seeds, sim_cfg, write_pair)
     summary_path = os.path.join(args.out, "summary.csv")
     with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(summary_csv(report))
     print(
-        f"mean uplift {report.mean_uplift():+.4f} over {len(report.pairs)} seeds "
+        f"mean uplift {report.mean_uplift():+.4f} over {len(report.runs)} seeds "
         f"({report.uplift_wins()} wins) -> {summary_path}"
     )
     return 0

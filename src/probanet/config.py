@@ -1,9 +1,10 @@
 """Flat key = value experiment configuration.
 
-One file covers every training and simulation parameter.  Unknown keys
-are rejected with their line number, missing keys take the dataclass
-defaults, and formatting then re-parsing a resolved config reproduces it
-exactly (every value serializes via a round-trip-safe form).
+One file covers every training and simulation parameter; `#` starts a
+comment that runs to the end of its line.  Unknown keys are rejected
+with their line number, missing keys take the dataclass defaults, and
+formatting then re-parsing a resolved config reproduces it exactly
+(every value serializes via a round-trip-safe form).
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def parse_config(text: str) -> tuple[TrainConfig, SimConfig]:
     train_kv, sim_kv = {}, {}
     linenos = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         key, sep, value = stripped.partition("=")
         if not sep:

@@ -1,6 +1,6 @@
 """Toy end-to-end training: a one-layer objectness head over gated,
-truncated proposal maps, SGD with momentum, and a paired experiment
-runner comparing a gated variant against a plain baseline.
+truncated proposal maps, SGD with momentum, and a multi-seed experiment
+runner training one or more variants on each seed's shared scene pool.
 
 The trainable parameters are the proposal head (a 1x1 convolution from
 features to one logit source per anchor shape), the gate convolutions
@@ -58,6 +58,10 @@ from .tensor import (
     conv1x1_param_grads,
 )
 
+# derive_seed reads a root seed mod 2**64, so a seed outside [0, 2**64)
+# would train the same run as one inside it.
+_SEED_END = 2**64
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -104,6 +108,10 @@ class TrainConfig:
             )
         if self.scenes_per_batch < 1:
             raise ConfigError("scenes_per_batch must be >= 1")
+        if not 0 <= self.seed < _SEED_END:
+            raise ConfigError(
+                f"seed: must lie in [0, 2**64), got {self.seed}", field="seed"
+            )
 
     @property
     def total_steps(self) -> int:
@@ -380,10 +388,7 @@ def loss_and_grads(
             aux_loss, beta, grad_v_coeff = probanet_loss(
                 variance, cls_loss, config.alpha
             )
-        fg_sel = labels.category == FG
-        bg_sel = labels.category == BG
-        fg_gate_mean = float(t2_flat[fg_sel].mean()) if fg_sel.any() else 0.0
-        bg_gate_mean = float(t2_flat[bg_sel].mean()) if bg_sel.any() else 0.0
+        fg_gate_mean, bg_gate_mean = _class_means(t2_flat, labels.category)
     record = MetricsRecord(
         step=step,
         cls_loss=cls_loss,
@@ -416,6 +421,15 @@ def loss_and_grads(
         _, gate_grads = gate_backward(out, x, gate, grad_t2_flat.reshape(out.t2.shape))
         grads.update(gate_grads)
     return record, grads, batch, logits
+
+
+def _class_means(values: np.ndarray, category: np.ndarray) -> tuple[float, float]:
+    """Mean of values over the foreground anchors and over the background
+    anchors, 0.0 for a class with none."""
+    return tuple(
+        float(values[sel].mean()) if sel.any() else 0.0
+        for sel in (category == FG, category == BG)
+    )
 
 
 def _sgd_update(state: TrainState, grads: dict, config: TrainConfig) -> None:
@@ -501,12 +515,9 @@ def _finalize_run(
         t2_flat = np.ones(a.size)
         b_flat = a
     z = state.params["scale"] * b_flat + state.params["shift"]
-    fg_sel = pool.labels.category == FG
-    bg_sel = pool.labels.category == BG
-    fg_t2, bg_t2 = t2_flat[fg_sel], t2_flat[bg_sel]
-    fg_z, bg_z = z[fg_sel], z[bg_sel]
-    fg_gate_mean = float(fg_t2.mean()) if fg_t2.size else 0.0
-    bg_gate_mean = float(bg_t2.mean()) if bg_t2.size else 0.0
+    category = pool.labels.category
+    fg_gate_mean, bg_gate_mean = _class_means(t2_flat, category)
+    fg_z, bg_z = z[category == FG], z[category == BG]
     logit_gap = (
         float(fg_z.mean() - bg_z.mean()) if fg_z.size and bg_z.size else 0.0
     )
@@ -522,13 +533,6 @@ def _finalize_run(
     )
 
 
-@dataclass(frozen=True)
-class SeedPair:
-    seed: int
-    baseline: RunResult
-    variant: RunResult
-
-
 # summary.csv's columns, in order.
 SUMMARY_COLUMNS = tuple(
     "seed baseline_hard_ratio probanet_hard_ratio hard_ratio_uplift "
@@ -538,18 +542,19 @@ SUMMARY_COLUMNS = tuple(
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Paired multi-seed comparison between two variants."""
+    """Multi-seed runs of one or more variants on shared scene pools.
 
-    baseline_config: TrainConfig
-    variant_config: TrainConfig
+    runs[s] holds the results of configs, in order, at seed
+    configs[0].seed + s.  The uplift statistics compare variant 1 with
+    variant 0, so they need two or more variants.
+    """
+
+    configs: tuple[TrainConfig, ...]
     sim_config: SimConfig
-    pairs: list[SeedPair]
+    runs: tuple[tuple[RunResult, ...], ...]
 
     def uplifts(self) -> list[float]:
-        return [
-            p.variant.tail_hard_ratio - p.baseline.tail_hard_ratio
-            for p in self.pairs
-        ]
+        return [r[1].tail_hard_ratio - r[0].tail_hard_ratio for r in self.runs]
 
     def mean_uplift(self) -> float:
         ups = self.uplifts()
@@ -562,61 +567,62 @@ class ExperimentReport:
         """One row per seed, keyed by SUMMARY_COLUMNS in order."""
         return [
             dict(zip(SUMMARY_COLUMNS, (
-                p.seed, p.baseline.tail_hard_ratio, p.variant.tail_hard_ratio,
-                uplift, p.baseline.gate_gap, p.variant.gate_gap,
-                p.baseline.logit_gap, p.variant.logit_gap,
+                base.config.seed, base.tail_hard_ratio, variant.tail_hard_ratio,
+                uplift, base.gate_gap, variant.gate_gap,
+                base.logit_gap, variant.logit_gap,
             )))
-            for p, uplift in zip(self.pairs, self.uplifts())
+            for (base, variant, *_), uplift in zip(self.runs, self.uplifts())
         ]
 
 
-# Fields allowed to differ between the two sides of a paired experiment:
-# the mechanism knobs, nothing else.
+# Fields allowed to differ between the variants of an experiment: the
+# mechanism knobs, nothing else.
 _PAIR_KNOBS = {"probanet_enabled", "th", "alpha"}
 
 
 def run_experiment(
-    config_baseline: TrainConfig,
-    config_variant: TrainConfig,
+    configs: tuple[TrainConfig, ...],
     n_seeds: int,
     sim_config: SimConfig | None = None,
-    on_pair: Callable[[SeedPair, ScenePool], None] | None = None,
+    on_seed: Callable[[tuple[RunResult, ...], ScenePool], None] | None = None,
 ) -> ExperimentReport:
-    """Train both variants on identical scene pools over n_seeds seeds.
+    """Train every config on identical scene pools over n_seeds seeds.
 
-    Seed s of the experiment runs both configs with seed field
-    config.seed + s; the scene pool and the sampler streams depend only
-    on that seed, so the comparison is paired draw for draw.  Each seed's
-    pool is built once; on_pair, when given, receives the seed's pair and
-    pool before the next seed starts, and no pool outlives its seed.
+    Seed s of the experiment runs each config, in order, with seed field
+    configs[0].seed + s; the scene pool and the sampler streams depend
+    only on that seed, so the variants are compared draw for draw.  Each
+    seed's pool is built once; on_seed, when given, receives the seed's
+    results and pool before the next seed starts, and no pool outlives
+    its seed.
     """
+    if not configs:
+        raise ConfigError("run_experiment needs at least one config")
     if n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
     if sim_config is None:
         sim_config = SimConfig()
-    for f in fields(TrainConfig):
-        if f.name in _PAIR_KNOBS:
-            continue
-        if getattr(config_baseline, f.name) != getattr(config_variant, f.name):
-            raise ConfigError(
-                f"paired configs may differ only in {sorted(_PAIR_KNOBS)}; "
-                f"field {f.name} differs"
-            )
-    pairs = []
-    for s in range(n_seeds):
-        seed = config_baseline.seed + s
-        cfg_b = replace(config_baseline, seed=seed)
-        cfg_v = replace(config_variant, seed=seed)
-        pool = build_scene_pool(cfg_b, sim_config)
-        base = run_training(cfg_b, sim_config, pool)
-        variant = run_training(cfg_v, sim_config, pool)
-        pair = SeedPair(seed=seed, baseline=base, variant=variant)
-        if on_pair is not None:
-            on_pair(pair, pool)
-        pairs.append(pair)
+    for config in configs[1:]:
+        for f in fields(TrainConfig):
+            if f.name in _PAIR_KNOBS:
+                continue
+            if getattr(configs[0], f.name) != getattr(config, f.name):
+                raise ConfigError(
+                    f"configs may differ only in {sorted(_PAIR_KNOBS)}; "
+                    f"field {f.name} differs"
+                )
+    first = int(configs[0].seed)
+    if first + n_seeds > _SEED_END:
+        raise ConfigError(
+            f"{n_seeds} seeds from {first} run past 2**64 - 1", field="seed"
+        )
+    runs = []
+    for seed in range(first, first + n_seeds):
+        seeded = [replace(config, seed=seed) for config in configs]
+        pool = build_scene_pool(seeded[0], sim_config)
+        results = tuple(run_training(config, sim_config, pool) for config in seeded)
+        if on_seed is not None:
+            on_seed(results, pool)
+        runs.append(results)
     return ExperimentReport(
-        baseline_config=config_baseline,
-        variant_config=config_variant,
-        sim_config=sim_config,
-        pairs=pairs,
+        configs=tuple(configs), sim_config=sim_config, runs=tuple(runs)
     )

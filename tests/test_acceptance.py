@@ -2,9 +2,11 @@
 
 Each test prints a single "criterion N (...): PASS" line (visible with
 pytest -s; under plain pytest the verdict is the test's own PASSED or
-FAILED line).  Criteria 4 and 5 share one paired 10-seed experiment at
-the default configuration; criterion 6 reuses its first trained gated
-state and criterion 7 its baseline runs.
+FAILED line).  Criteria 4-7 share one 10-seed experiment at the default
+configuration that trains four arms on each seed's scene pool: the
+baseline, the gated variant, the gated variant without the variance
+loss (criterion 5) and the inert-gate control (criterion 7).  Criterion
+6 also reuses the first trained gated state.
 """
 
 import os
@@ -31,7 +33,6 @@ from probanet import (
     label_arrays,
     probanet_loss,
     run_experiment,
-    run_training,
     sample_minibatch,
     variance_constraint,
 )
@@ -55,34 +56,15 @@ def report_pass(number: int, label: str, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def paired_experiment():
-    """Criterion 4's protocol: 10 paired seeds, default configs, 2000 steps."""
+def experiment():
+    """Criterion 4's protocol, 10 seeds at the default configs and 2000
+    steps, with the criterion-5 arm (gated, variance loss off) and the
+    criterion-7 arm (gate present but inert: th=0, alpha=0) trained on
+    the same pools.  runs[s] is (baseline, gated, no-aux, control)."""
     start = time.perf_counter()
-    report = run_experiment(BASELINE, GATED, N_SEEDS, SIM)
+    report = run_experiment((BASELINE, GATED, NO_AUX, CONTROL), N_SEEDS, SIM)
     elapsed = time.perf_counter() - start
     return report, elapsed
-
-
-@pytest.fixture(scope="module")
-def no_aux_runs():
-    """The criterion-5 comparison arm: gated with the variance loss off."""
-    runs = []
-    for s in range(N_SEEDS):
-        config = replace(NO_AUX, seed=NO_AUX.seed + s)
-        pool = build_scene_pool(config, SIM)
-        runs.append(run_training(config, SIM, pool))
-    return runs
-
-
-@pytest.fixture(scope="module")
-def control_runs():
-    """The criterion-7 arm: gate present but inert (th=0, alpha=0)."""
-    runs = []
-    for s in range(N_SEEDS):
-        config = replace(CONTROL, seed=CONTROL.seed + s)
-        pool = build_scene_pool(config, SIM)
-        runs.append(run_training(config, SIM, pool))
-    return runs
 
 
 def test_criterion_1_extra_parameters(capsys):
@@ -131,11 +113,11 @@ def test_criterion_3_gradient_suite(capsys):
         )
 
 
-def test_criterion_4_hard_ratio_uplift(paired_experiment, capsys):
-    report, elapsed = paired_experiment
+def test_criterion_4_hard_ratio_uplift(experiment, capsys):
+    report, elapsed = experiment
     mean = report.mean_uplift()
     wins = report.uplift_wins()
-    assert elapsed < 300.0, f"paired experiment took {elapsed:.0f}s"
+    assert elapsed < 300.0, f"the experiment took {elapsed:.0f}s"
     assert mean >= 0.05, f"mean uplift {mean:+.4f}"
     assert wins >= 8, f"only {wins}/10 seeds improved"
     with capsys.disabled():
@@ -146,30 +128,21 @@ def test_criterion_4_hard_ratio_uplift(paired_experiment, capsys):
         )
 
 
-def test_criterion_5_separation_needs_variance_loss(
-    paired_experiment, no_aux_runs, capsys
-):
-    report, _ = paired_experiment
+def test_criterion_5_separation_needs_variance_loss(experiment, capsys):
+    report, _ = experiment
     wins = 0
-    for pair, no_aux in zip(report.pairs, no_aux_runs):
-        assert no_aux.config.seed == pair.seed
-        if pair.variant.gate_gap >= no_aux.gate_gap:
+    for _, gated, no_aux, _ in report.runs:
+        assert no_aux.config == replace(NO_AUX, seed=gated.config.seed)
+        if gated.gate_gap >= no_aux.gate_gap:
             wins += 1
     assert wins >= 8, f"variance loss widened the gap in only {wins}/10 seeds"
     with capsys.disabled():
         report_pass(5, "gate-weight separation", f"{wins}/10 seeds")
 
 
-def test_criterion_6_aux_loss_below_cls_loss(
-    paired_experiment, no_aux_runs, control_runs, capsys
-):
-    report, _ = paired_experiment
-    logs = []
-    for pair in report.pairs:
-        logs.append(pair.baseline.metrics)
-        logs.append(pair.variant.metrics)
-    logs.extend(run.metrics for run in no_aux_runs)
-    logs.extend(run.metrics for run in control_runs)
+def test_criterion_6_aux_loss_below_cls_loss(experiment, capsys):
+    report, _ = experiment
+    logs = [run.metrics for results in report.runs for run in results]
     violations = 0
     checked = 0
     for log in logs:
@@ -187,9 +160,9 @@ def test_criterion_6_aux_loss_below_cls_loss(
     # at alpha minus those at alpha = 0 must equal the gate backward pass
     # of -alpha * cls / v^2 * dv/dt2 alone, and at a variance floor above
     # the weights' variance the two must be equal.
-    pair = report.pairs[0]
-    state = pair.variant.final_state
-    pool = build_scene_pool(pair.variant.config, SIM)
+    gated = report.runs[0][1]
+    state = gated.final_state
+    pool = build_scene_pool(gated.config, SIM)
     x, labels = pool.step_inputs(0, 2)
     record, grads, _, _ = loss_and_grads(state, x, labels, GATED)
     _, grads0, _, _ = loss_and_grads(state, x, labels, replace(GATED, alpha=0.0))
@@ -218,24 +191,23 @@ def test_criterion_6_aux_loss_below_cls_loss(
         )
 
 
-def test_criterion_7_inert_gate_changes_nothing(
-    paired_experiment, control_runs, capsys
-):
+def test_criterion_7_inert_gate_changes_nothing(experiment, capsys):
     # With th=0 every anchor survives truncation and with alpha=0 the
     # auxiliary gradient never fires, so the control's sampled batches
     # coincide with the baseline's draw for draw: every step's hard ratio
     # is the baseline's and the per-seed difference is exactly zero.  The
     # 2-sigma band then degenerates to a point, so the bound is applied
     # inclusively.
-    report, _ = paired_experiment
+    report, _ = experiment
     diffs = []
-    for pair, control in zip(report.pairs, control_runs):
-        assert control.config.seed == pair.seed
+    for baseline, _, _, control in report.runs:
+        seed = baseline.config.seed
+        assert control.config == replace(CONTROL, seed=seed)
         assert [r.hard_ratio for r in control.metrics] == [
-            r.hard_ratio for r in pair.baseline.metrics
-        ], f"seed {pair.seed}: control batches differ from the baseline's"
+            r.hard_ratio for r in baseline.metrics
+        ], f"seed {seed}: control batches differ from the baseline's"
         assert all(r.kept_fraction == 1.0 for r in control.metrics)
-        diffs.append(control.tail_hard_ratio - pair.baseline.tail_hard_ratio)
+        diffs.append(control.tail_hard_ratio - baseline.tail_hard_ratio)
     diffs = np.array(diffs)
     mean = abs(diffs.mean())
     sigma = diffs.std(ddof=1)
@@ -252,9 +224,14 @@ def test_criterion_8_byte_for_byte_determinism(tmp_path, capsys):
     config = replace(GATED, epochs=1, steps_per_epoch=50, seed=123)
     dirs = []
     for name in ("first", "second"):
-        pool = build_scene_pool(config, SIM)
-        result = run_training(config, SIM, pool)
-        dirs += write_seed_dirs(str(tmp_path / name), [result], SIM, pool)
+        run_experiment(
+            (config,),
+            1,
+            SIM,
+            lambda results, pool: dirs.extend(
+                write_seed_dirs(str(tmp_path / name), results, SIM, pool)
+            ),
+        )
     names_a = sorted(os.listdir(dirs[0]))
     names_b = sorted(os.listdir(dirs[1]))
     assert names_a == names_b

@@ -184,7 +184,7 @@ def test_write_run_dir_is_byte_reproducible(tmp_path):
 
 def test_summary_csv_header_and_rows():
     base = replace(CONFIG, probanet_enabled=False)
-    report = run_experiment(base, CONFIG, 2, SIM)
+    report = run_experiment((base, CONFIG), 2, SIM)
     text = summary_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == SUMMARY_HEADER == (
@@ -197,6 +197,5 @@ def test_summary_csv_header_and_rows():
     # Every numeric field round-trips through float().
     uplift = float(first[3])
     assert uplift == pytest.approx(
-        report.pairs[0].variant.tail_hard_ratio
-        - report.pairs[0].baseline.tail_hard_ratio
+        report.runs[0][1].tail_hard_ratio - report.runs[0][0].tail_hard_ratio
     )

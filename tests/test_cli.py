@@ -165,6 +165,54 @@ def test_train_paired_experiment(tmp_path, tiny_config_path, capsys):
     assert lines[0].startswith("seed,baseline_hard_ratio")
 
 
+def _tree_bytes(root):
+    """Every file under root by its relative path, with its bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
+def test_single_variant_runs_equal_the_paired_arms(
+    tmp_path, tiny_config_path, capsys
+):
+    # One seed loop serves both modes: each single-variant run directory
+    # is byte for byte the matching arm of the paired run.
+    paired = tmp_path / "paired"
+    argv = ["train", "--config", tiny_config_path, "--seeds", "2", "--out"]
+    assert main(argv + [str(paired)]) == 0
+    paired_files = _tree_bytes(paired)
+    for variant in ("baseline", "probanet"):
+        out = tmp_path / variant
+        assert main(argv + [str(out), f"--{variant}"]) == 0
+        files = _tree_bytes(out)
+        assert sorted({path.split(os.sep)[0] for path in files}) == [
+            f"{variant}_seed3", f"{variant}_seed4"
+        ]
+        assert files == {path: paired_files[path] for path in files}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("variant", [[], ["--probanet"]], ids=["paired", "single"])
+def test_train_rejects_seeds_past_u64_before_writing(tmp_path, capsys, variant):
+    config = tmp_path / "last.cfg"
+    config.write_text(
+        TINY_CONFIG.replace("seed = 3", "seed = 18446744073709551615"),
+        encoding="ascii",
+    )
+    out_dir = tmp_path / "r"
+    code = main(
+        ["train", "--config", str(config), "--out", str(out_dir), "--seeds", "2"]
+        + variant
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "2**64 - 1" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists() or os.listdir(out_dir) == []
+
+
 def test_train_rejects_bad_seed_count(tmp_path, tiny_config_path, capsys):
     code = main(
         [

@@ -1,6 +1,7 @@
 """Tests for the flat key = value configuration format."""
 
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,33 @@ def test_comments_and_blank_lines_are_ignored():
     train, sim = parse_config("\n# a comment\n\n   \nseed = 9\n")
     assert train.seed == 9
     assert sim == SimConfig()
+
+
+def test_inline_comments_are_dropped():
+    train, sim = parse_config(
+        "seed = 9  # a note\nanchor_shapes = 3x3,5x5# two shapes\n#seed = 4\n"
+    )
+    assert train.seed == 9
+    assert sim.anchor_shapes == ((3, 3), (5, 5))
+
+
+def _readme_block(title: str) -> str:
+    """The fenced block that follows README's line "<title>:"."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    after = readme.read_text(encoding="utf-8").split(f"\n{title}:\n\n```\n", 1)[1]
+    return after.split("```", 1)[0]
+
+
+def test_readme_key_listings_are_the_defaults():
+    # README lists every key at its default, with inline comments; pasted
+    # into a config file, the listings must parse back to the defaults.
+    train_text = _readme_block("Training keys")
+    sim_text = _readme_block("Simulator keys")
+    for text, cls in ((train_text, TrainConfig), (sim_text, SimConfig)):
+        keys = [line.partition("=")[0].strip() for line in text.splitlines()]
+        assert keys == [f.name for f in fields(cls)]
+    assert len(train_text.splitlines()) + len(sim_text.splitlines()) == 32
+    assert parse_config(train_text + sim_text) == (TrainConfig(), SimConfig())
 
 
 def test_roundtrip_preserves_every_field():

@@ -17,7 +17,6 @@ from probanet import (
     MetricsRecord,
     NumericError,
     RunResult,
-    SeedPair,
     SimConfig,
     SplitMix64,
     TrainConfig,
@@ -36,6 +35,7 @@ from probanet import (
     train_step,
     variance_constraint,
 )
+from probanet.config import parse_config
 from probanet.training import (
     binary_cross_entropy,
     binary_cross_entropy_grad,
@@ -564,47 +564,135 @@ def test_run_result_evaluates_in_test_mode():
 def test_run_experiment_pairs_seeds_and_shares_pools():
     base = tiny_config(probanet_enabled=False, epochs=1, steps_per_epoch=2)
     variant = tiny_config(probanet_enabled=True, epochs=1, steps_per_epoch=2)
-    report = run_experiment(base, variant, 2, TINY_SIM)
-    assert [p.seed for p in report.pairs] == [base.seed, base.seed + 1]
-    for pair in report.pairs:
-        assert pair.baseline.config.probanet_enabled is False
-        assert pair.variant.config.probanet_enabled is True
-        assert pair.baseline.config.seed == pair.seed
-        assert pair.variant.config.seed == pair.seed
+    report = run_experiment((base, variant), 2, TINY_SIM)
+    assert report.configs == (base, variant)
+    seeds = [baseline.config.seed for baseline, _ in report.runs]
+    assert seeds == [base.seed, base.seed + 1]
+    for seed, (baseline, gated) in zip(seeds, report.runs):
+        assert baseline.config.probanet_enabled is False
+        assert gated.config.probanet_enabled is True
+        assert baseline.config.seed == seed
+        assert gated.config.seed == seed
     rows = report.summary_rows()
     assert len(rows) == 2
     assert rows[0]["hard_ratio_uplift"] == pytest.approx(
-        report.pairs[0].variant.tail_hard_ratio
-        - report.pairs[0].baseline.tail_hard_ratio
+        report.runs[0][1].tail_hard_ratio - report.runs[0][0].tail_hard_ratio
     )
 
 
 def test_run_experiment_rejects_non_knob_differences():
     base = tiny_config(probanet_enabled=False)
     with pytest.raises(ConfigError):
-        run_experiment(base, tiny_config(learning_rate=0.01), 1, TINY_SIM)
+        run_experiment((base, tiny_config(learning_rate=0.01)), 1, TINY_SIM)
     with pytest.raises(ConfigError):
-        run_experiment(base, tiny_config(seed=4), 1, TINY_SIM)
+        run_experiment((base, tiny_config(seed=4)), 1, TINY_SIM)
     with pytest.raises(ConfigError):
-        run_experiment(base, tiny_config(), 0, TINY_SIM)
+        run_experiment((base, tiny_config()), 0, TINY_SIM)
     # The mechanism knobs may differ.
     run_experiment(
-        tiny_config(probanet_enabled=True, alpha=0.0, th=0.0, epochs=0),
-        tiny_config(probanet_enabled=True, alpha=0.5, th=0.5, epochs=0),
+        (
+            tiny_config(probanet_enabled=True, alpha=0.0, th=0.0, epochs=0),
+            tiny_config(probanet_enabled=True, alpha=0.5, th=0.5, epochs=0),
+        ),
         1,
         TINY_SIM,
     )
 
 
+def test_run_experiment_rejects_empty_configs():
+    with pytest.raises(ConfigError, match="at least one config"):
+        run_experiment((), 1, TINY_SIM)
+
+
+def test_run_experiment_single_variant_matches_run_training():
+    config = tiny_config(probanet_enabled=True, th=0.3, alpha=0.5)
+    seen = []
+    report = run_experiment(
+        (config,), 2, TINY_SIM, on_seed=lambda results, pool: seen.append(results)
+    )
+    assert report.configs == (config,)
+    assert [len(results) for results in report.runs] == [1, 1]
+    assert seen == list(report.runs)
+    for s, (result,) in enumerate(report.runs):
+        alone = run_training(replace(config, seed=config.seed + s), TINY_SIM)
+        assert result.config == alone.config
+        assert result.metrics.to_csv() == alone.metrics.to_csv()
+        assert result.gate_gap == alone.gate_gap
+        assert result.logit_gap == alone.logit_gap
+
+
+def test_run_experiment_trains_four_variants_on_one_pool_per_seed(monkeypatch):
+    import probanet.training
+
+    base = tiny_config(probanet_enabled=False)
+    gated = tiny_config(probanet_enabled=True, th=0.3, alpha=0.5)
+    no_aux = replace(gated, alpha=0.0)
+    control = replace(gated, th=0.0, alpha=0.0)
+    configs = (base, gated, no_aux, control)
+    built = []
+
+    def counting_build(config, sim_config):
+        built.append(config.seed)
+        return build_scene_pool(config, sim_config)
+
+    monkeypatch.setattr(probanet.training, "build_scene_pool", counting_build)
+    pools = []
+    report = run_experiment(
+        configs, 2, TINY_SIM, on_seed=lambda results, pool: pools.append(pool)
+    )
+    assert built == [base.seed, base.seed + 1]
+    assert len(pools) == 2
+    for s, results in enumerate(report.runs):
+        assert [r.config for r in results] == [
+            replace(c, seed=base.seed + s) for c in configs
+        ]
+        for result in results:
+            alone = run_training(result.config, TINY_SIM)
+            assert result.metrics.to_csv() == alone.metrics.to_csv()
+        # The inert-gate control samples the baseline's batches draw for draw.
+        assert [r.hard_ratio for r in results[3].metrics] == [
+            r.hard_ratio for r in results[0].metrics
+        ]
+    assert report.uplifts() == [
+        results[1].tail_hard_ratio - results[0].tail_hard_ratio
+        for results in report.runs
+    ]
+
+
+def test_train_config_rejects_seeds_outside_u64():
+    assert TrainConfig(seed=0).seed == 0
+    assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (-1, 2**64, 2**65 + 3):
+        with pytest.raises(ConfigError, match="^seed: must lie in") as exc:
+            TrainConfig(seed=seed)
+        assert exc.value.field == "seed"
+    with pytest.raises(ConfigError, match="^line 2: bad value for seed: must lie"):
+        parse_config("epochs = 1\nseed = 18446744073709551616\n")
+
+
+def test_run_experiment_rejects_seeds_past_u64_before_training():
+    config = tiny_config(epochs=0, seed=2**64 - 1)
+    seen = []
+    with pytest.raises(ConfigError, match="2\\*\\*64 - 1") as exc:
+        run_experiment(
+            (config,), 2, TINY_SIM, on_seed=lambda results, pool: seen.append(pool)
+        )
+    assert exc.value.field == "seed"
+    assert seen == []
+    # The last seed below 2**64 still runs.
+    [(result,)] = run_experiment((config,), 1, TINY_SIM).runs
+    assert result.config.seed == 2**64 - 1
+
+
 def test_zero_step_experiment_reports_identical_empty_metrics():
     base = tiny_config(probanet_enabled=False, epochs=0)
     variant = tiny_config(probanet_enabled=True, epochs=0)
-    report = run_experiment(base, variant, 1, TINY_SIM)
-    pair = report.pairs[0]
-    assert len(pair.baseline.metrics) == 0
-    assert len(pair.variant.metrics) == 0
-    assert pair.baseline.metrics.to_csv() == pair.variant.metrics.to_csv()
-    assert pair.baseline.tail_hard_ratio == pair.variant.tail_hard_ratio == 0.0
+    report = run_experiment((base, variant), 1, TINY_SIM)
+    baseline, gated = report.runs[0]
+    assert len(baseline.metrics) == 0
+    assert len(gated.metrics) == 0
+    assert baseline.metrics.to_csv() == gated.metrics.to_csv()
+    assert baseline.tail_hard_ratio == gated.tail_hard_ratio == 0.0
     assert report.mean_uplift() == 0.0
 
 
@@ -621,15 +709,14 @@ def test_experiment_report_arithmetic():
             final_state=None,
         )
 
-    pairs = [
-        SeedPair(seed=0, baseline=fake_result(0.2), variant=fake_result(0.5)),
-        SeedPair(seed=1, baseline=fake_result(0.4), variant=fake_result(0.3)),
-    ]
+    runs = (
+        (fake_result(0.2), fake_result(0.5)),
+        (fake_result(0.4), fake_result(0.3)),
+    )
     report = ExperimentReport(
-        baseline_config=tiny_config(epochs=0),
-        variant_config=tiny_config(epochs=0),
+        configs=(tiny_config(epochs=0), tiny_config(epochs=0)),
         sim_config=TINY_SIM,
-        pairs=pairs,
+        runs=runs,
     )
     assert report.uplifts() == pytest.approx([0.3, -0.1])
     assert report.mean_uplift() == pytest.approx(0.1)
