@@ -23,7 +23,6 @@ from .training import (
     SUMMARY_COLUMNS,
     ExperimentReport,
     RunResult,
-    ScenePool,
     TrainConfig,
     TrainState,
 )
@@ -173,16 +172,15 @@ def write_seed_dirs(
     out_dir: str,
     results: list[RunResult],
     sim_config: SimConfig,
-    pool: ScenePool,
+    scene0: Scene,
 ) -> list[str]:
     """Write the run directories of results trained on one seed's pool,
-    one out_dir/<variant>_seed<seed>/ per result; scene 0 of the pool is
-    exported.
+    one out_dir/<variant>_seed<seed>/ per result, creating out_dir if
+    need be; scene0, the pool's scene 0, is exported.
 
     Scene 0's feature dump is the same text for every such run, so it is
     formatted once and written into each directory.
     """
-    scene0 = pool.scenes[0]
     features_text = dump_feature_map(scene0.features)
     boxes_text = boxes_csv(scene0)
     run_dirs = []

@@ -167,12 +167,13 @@ def _load_configs(path: str | None) -> tuple[TrainConfig, SimConfig]:
 
 def cmd_train(args) -> int:
     train_cfg, sim_cfg = _load_configs(args.config)
-    os.makedirs(args.out, exist_ok=True)
     gated = (args.probanet,) if args.baseline or args.probanet else (False, True)
     configs = tuple(replace(train_cfg, probanet_enabled=g) for g in gated)
 
-    def write_seed(results, pool):
-        run_dirs = write_seed_dirs(args.out, results, sim_cfg, pool)
+    # write_seed_dirs creates args.out, after run_experiment has checked
+    # the seed range, so a rejected run leaves no directory behind.
+    def write_seed(results, scene0):
+        run_dirs = write_seed_dirs(args.out, results, sim_cfg, scene0)
         base, seed = results[0], results[0].config.seed
         if len(results) == 1:
             print(

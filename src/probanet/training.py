@@ -17,6 +17,10 @@ head only at the sampled anchors' feature rows.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 
@@ -27,6 +31,7 @@ from .errors import (
     DimensionError,
     EmptyPoolError,
     NumericError,
+    ProbanetError,
     require_field_kinds,
 )
 from .gate import (
@@ -584,16 +589,23 @@ def run_experiment(
     configs: tuple[TrainConfig, ...],
     n_seeds: int,
     sim_config: SimConfig | None = None,
-    on_seed: Callable[[tuple[RunResult, ...], ScenePool], None] | None = None,
+    on_seed: Callable[[tuple[RunResult, ...], Scene], None] | None = None,
 ) -> ExperimentReport:
     """Train every config on identical scene pools over n_seeds seeds.
 
     Seed s of the experiment runs each config, in order, with seed field
     configs[0].seed + s; the scene pool and the sampler streams depend
     only on that seed, so the variants are compared draw for draw.  Each
-    seed's pool is built once; on_seed, when given, receives the seed's
-    results and pool before the next seed starts, and no pool outlives
-    its seed.
+    seed's pool is built once, in this process; on_seed, when given,
+    receives each seed's results and the pool's scene 0, in seed order.
+
+    With two or more seeds and a core per seed to spare (see
+    _worker_count), each seed trains in a forked worker that inherits
+    its pool; this process keeps scene 0 alone and takes the results
+    back in seed order, so every output is the same as in-process.  The
+    first failing seed's exception is re-raised after on_seed has run
+    for the seeds before it; no worker outlives a call that returns or
+    raises.
     """
     if not configs:
         raise ConfigError("run_experiment needs at least one config")
@@ -616,13 +628,102 @@ def run_experiment(
             f"{n_seeds} seeds from {first} run past 2**64 - 1", field="seed"
         )
     runs = []
-    for seed in range(first, first + n_seeds):
-        seeded = [replace(config, seed=seed) for config in configs]
-        pool = build_scene_pool(seeded[0], sim_config)
-        results = tuple(run_training(config, sim_config, pool) for config in seeded)
+    pending = deque()  # (scene 0, seed, pid, read end) per worker, in seed order
+
+    def finish(results: tuple[RunResult, ...], scene0: Scene) -> None:
         if on_seed is not None:
-            on_seed(results, pool)
+            on_seed(results, scene0)
         runs.append(results)
+
+    def finish_oldest() -> None:
+        scene0, *worker = pending.popleft()
+        finish(_join(*worker), scene0)
+
+    workers = _worker_count(n_seeds)
+    try:
+        for seed in range(first, first + n_seeds):
+            if len(pending) == workers:
+                finish_oldest()
+            seeded = [replace(config, seed=seed) for config in configs]
+            pool = build_scene_pool(seeded[0], sim_config)
+            scene0 = pool.scenes[0]
+            if workers == 1:
+                finish(_train_seed(seeded, sim_config, pool), scene0)
+            else:
+                # The worker inherits the pool; this process keeps scene 0 alone.
+                scene0 = replace(scene0, features=scene0.features.copy())
+                pending.append((scene0, seed, *_fork(seeded, sim_config, pool)))
+            del pool, scene0
+        while pending:
+            finish_oldest()
+    finally:
+        for _, _, pid, fd in pending:
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
     return ExperimentReport(
         configs=tuple(configs), sim_config=sim_config, runs=tuple(runs)
     )
+
+
+def _train_seed(
+    seeded: list[TrainConfig], sim_config: SimConfig, pool: ScenePool
+) -> tuple[RunResult, ...]:
+    return tuple(run_training(config, sim_config, pool) for config in seeded)
+
+
+def _worker_count(n_seeds: int) -> int:
+    """Seeds to train at once: one per core, counting a core per BLAS
+    thread of a process (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
+    else every CPU); 1 trains in-process."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    env = os.environ
+    text = env.get("OPENBLAS_NUM_THREADS") or env.get("OMP_NUM_THREADS") or ""
+    blas = int(text) if text.isdigit() and int(text) > 0 else os.cpu_count() or 1
+    return max(1, min(n_seeds, len(os.sched_getaffinity(0)) // blas))
+
+
+def _fork(*args) -> tuple[int, int]:
+    """Fork a worker that pickles back _train_seed(*args), or the exception
+    it raised, and exits; its pid and the read end of its pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:  # never return into the caller's loop, nor run its cleanup
+            os.close(read_fd)
+            try:
+                reply = _train_seed(*args)
+            except Exception as exc:
+                reply = exc
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join(seed: int, pid: int, read_fd: int) -> tuple[RunResult, ...]:
+    """Reap the worker training seed and return its results, or raise the
+    exception it sent back."""
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            payload = fh.read()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise ProbanetError(
+            f"the worker training seed {seed} exited with status {status} "
+            "without a result"
+        )
+    reply = pickle.loads(payload)
+    if isinstance(reply, Exception):
+        raise reply
+    return reply

@@ -228,8 +228,8 @@ def test_criterion_8_byte_for_byte_determinism(tmp_path, capsys):
             (config,),
             1,
             SIM,
-            lambda results, pool: dirs.extend(
-                write_seed_dirs(str(tmp_path / name), results, SIM, pool)
+            lambda results, scene0: dirs.extend(
+                write_seed_dirs(str(tmp_path / name), results, SIM, scene0)
             ),
         )
     names_a = sorted(os.listdir(dirs[0]))

@@ -145,7 +145,7 @@ def test_variant_and_run_dir_names():
 def test_write_run_dir_emits_expected_files(tmp_path):
     pool = build_scene_pool(CONFIG, SIM)
     result = run_training(CONFIG, SIM, pool)
-    [run_dir] = write_seed_dirs(str(tmp_path), [result], SIM, pool)
+    [run_dir] = write_seed_dirs(str(tmp_path), [result], SIM, pool.scenes[0])
     assert os.path.basename(run_dir) == "probanet_seed5"
     names = sorted(os.listdir(run_dir))
     assert names == [
@@ -172,7 +172,7 @@ def test_write_run_dir_is_byte_reproducible(tmp_path):
     for name in ("a", "b"):
         pool = build_scene_pool(CONFIG, SIM)
         result = run_training(CONFIG, SIM, pool)
-        dirs += write_seed_dirs(str(tmp_path / name), [result], SIM, pool)
+        dirs += write_seed_dirs(str(tmp_path / name), [result], SIM, pool.scenes[0])
     dir_a, dir_b = dirs
     for name in sorted(os.listdir(dir_a)):
         with open(os.path.join(dir_a, name), "rb") as fh:

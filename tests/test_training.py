@@ -608,7 +608,7 @@ def test_run_experiment_single_variant_matches_run_training():
     config = tiny_config(probanet_enabled=True, th=0.3, alpha=0.5)
     seen = []
     report = run_experiment(
-        (config,), 2, TINY_SIM, on_seed=lambda results, pool: seen.append(results)
+        (config,), 2, TINY_SIM, on_seed=lambda results, scene0: seen.append(results)
     )
     assert report.configs == (config,)
     assert [len(results) for results in report.runs] == [1, 1]
@@ -636,12 +636,14 @@ def test_run_experiment_trains_four_variants_on_one_pool_per_seed(monkeypatch):
         return build_scene_pool(config, sim_config)
 
     monkeypatch.setattr(probanet.training, "build_scene_pool", counting_build)
-    pools = []
+    scenes = []
     report = run_experiment(
-        configs, 2, TINY_SIM, on_seed=lambda results, pool: pools.append(pool)
+        configs, 2, TINY_SIM, on_seed=lambda results, scene0: scenes.append(scene0)
     )
     assert built == [base.seed, base.seed + 1]
-    assert len(pools) == 2
+    assert [scene.seed for scene in scenes] == [
+        derive_seed(seed, "scene", 0) for seed in built
+    ]
     for s, results in enumerate(report.runs):
         assert [r.config for r in results] == [
             replace(c, seed=base.seed + s) for c in configs
@@ -675,7 +677,7 @@ def test_run_experiment_rejects_seeds_past_u64_before_training():
     seen = []
     with pytest.raises(ConfigError, match="2\\*\\*64 - 1") as exc:
         run_experiment(
-            (config,), 2, TINY_SIM, on_seed=lambda results, pool: seen.append(pool)
+            (config,), 2, TINY_SIM, on_seed=lambda results, scene0: seen.append(scene0)
         )
     assert exc.value.field == "seed"
     assert seen == []
