@@ -213,11 +213,11 @@ def cmd_heatmap(args) -> int:
             f"channel must lie in [0, {sim_cfg.anchors_per_cell}), "
             f"got {args.channel}"
         )
+    # Scene 0, as train renders it, so the final step reproduces its files.
     state, pool, _ = run_partial(train_cfg, sim_cfg, args.step)
-    scene_index = (train_cfg.scenes_per_batch * args.step) % len(pool.scenes)
     files = heatmap_files(
         state,
-        pool.scenes[scene_index],
+        pool.scenes[0],
         sim_cfg,
         channel=args.channel,
         step=args.step,

@@ -107,9 +107,7 @@ def gate_backward(
     }
 
 
-def variance_constraint(
-    t2: FeatureMap, epsilon: float = 1e-3
-) -> tuple[float, np.ndarray]:
+def variance_constraint(t2: FeatureMap, epsilon: float) -> tuple[float, np.ndarray]:
     """Floor-clamped population variance of the gate weights, with gradient.
 
     Returns (v, dv/dt2).  When the raw variance sits at or below the
@@ -124,7 +122,7 @@ def variance_constraint(
 
 
 def probanet_loss(
-    v: float, cls_loss: float, alpha: float = 0.5
+    v: float, cls_loss: float, alpha: float
 ) -> tuple[float, float, float]:
     """Auxiliary loss L = beta * e^(1/v) with beta = alpha * cls_loss * e^(-1/v).
 
@@ -168,14 +166,10 @@ def param_megabytes(count: int, bytes_per_param: int = 4) -> float:
 
 
 def init_gate_params(
-    c: int,
-    c_prime: int,
-    r: int,
-    rng: SplitMix64,
-    weight_scale: float = 1.0,
+    c: int, c_prime: int, r: int, rng: SplitMix64
 ) -> dict[str, np.ndarray]:
     """Fresh gate arrays by name (see gate_forward): weights uniform in
-    +-weight_scale/sqrt(fan_in), biases zero.
+    +-1/sqrt(fan_in), biases zero.
 
     Zero biases put the initial weights near 0.5, so a 0.5 threshold is
     non-degenerate from the first step.  Draw order (reduce weights row
@@ -183,8 +177,8 @@ def init_gate_params(
     """
     _check_geometry(c, c_prime, r)
     mid = c // r
-    s1 = weight_scale / np.sqrt(c)
-    s2 = weight_scale / np.sqrt(mid)
+    s1 = 1.0 / np.sqrt(c)
+    s2 = 1.0 / np.sqrt(mid)
     reduce_w = rng.uniform_range(-s1, s1, (mid, c))
     expand_w = rng.uniform_range(-s2, s2, (c_prime, mid))
     return {

@@ -222,9 +222,7 @@ def check_head(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     )
 
 
-def check_end_to_end(
-    rng: SplitMix64, shape, h: float = 1e-5, alpha: float = 0.5
-) -> float:
+def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     """The gradients of one two-scene training step
     (training.loss_and_grads) against differencing of a dense forward
     pass over both scenes, parameter by parameter, with the step's
@@ -262,7 +260,7 @@ def check_end_to_end(
         raise NumericError("could not label a kept background anchor")
     params = {"head_weight": head_weight, "scale": scale, "shift": shift, **gate}
     state = TrainState(params=params, velocity={})
-    config = TrainConfig(alpha=alpha, epsilon=eps, th=th, r=2, seed=rng.next_u64())
+    config = TrainConfig(epsilon=eps, th=th, r=2, seed=rng.next_u64())
     labels = LabelArrays(
         category=category, hard=np.zeros(n, dtype=bool), iou=np.zeros(n)
     )
@@ -282,7 +280,7 @@ def check_end_to_end(
         return binary_cross_entropy(z, targets), variance_constraint(t2, eps)[0]
 
     cls0, v0 = parts()
-    log_beta0 = np.log(alpha * cls0) - 1.0 / v0
+    log_beta0 = np.log(config.alpha * cls0) - 1.0 / v0
 
     def total() -> float:
         cls, v = parts()

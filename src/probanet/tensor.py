@@ -155,11 +155,11 @@ def mean_and_variance(x: np.ndarray) -> tuple[float, float]:
     return mean, variance
 
 
-def variance_backward(x: np.ndarray, grad_out: float = 1.0) -> np.ndarray:
+def variance_backward(x: np.ndarray) -> np.ndarray:
     """Gradient of the population variance: 2 (x_k - mean) / N per element."""
     if x.size == 0:
         raise DimensionError("variance_backward of an empty tensor")
-    return grad_out * 2.0 * (x - x.mean()) / x.size
+    return 2.0 * (x - x.mean()) / x.size
 
 
 def finite_diff_gradient(

@@ -16,10 +16,12 @@ head only at the sampled anchors' feature rows.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
 import signal
+import sys
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -555,7 +557,6 @@ class ExperimentReport:
     """
 
     configs: tuple[TrainConfig, ...]
-    sim_config: SimConfig
     runs: tuple[tuple[RunResult, ...], ...]
 
     def uplifts(self) -> list[float]:
@@ -588,31 +589,30 @@ _PAIR_KNOBS = {"probanet_enabled", "th", "alpha"}
 def run_experiment(
     configs: tuple[TrainConfig, ...],
     n_seeds: int,
-    sim_config: SimConfig | None = None,
+    sim_config: SimConfig,
     on_seed: Callable[[tuple[RunResult, ...], Scene], None] | None = None,
 ) -> ExperimentReport:
     """Train every config on identical scene pools over n_seeds seeds.
 
-    Seed s of the experiment runs each config, in order, with seed field
-    configs[0].seed + s; the scene pool and the sampler streams depend
-    only on that seed, so the variants are compared draw for draw.  Each
-    seed's pool is built once, in this process; on_seed, when given,
-    receives each seed's results and the pool's scene 0, in seed order.
+    Seed s of the experiment is _train_seed(configs, sim_config,
+    configs[0].seed + s): the seed's pool, built once, and every config
+    trained on it in order; the pool and the sampler streams depend only
+    on that seed, so the variants are compared draw for draw.  on_seed,
+    when given, receives each seed's results and the pool's scene 0, in
+    seed order.
 
     With two or more seeds and a core per seed to spare (see
-    _worker_count), each seed trains in a forked worker that inherits
-    its pool; this process keeps scene 0 alone and takes the results
-    back in seed order, so every output is the same as in-process.  The
-    first failing seed's exception is re-raised after on_seed has run
-    for the seeds before it; no worker outlives a call that returns or
-    raises.
+    _worker_count), each seed runs in a forked worker and this process
+    only schedules them, taking the results back in seed order, so every
+    output is the same as in-process.  The first failing seed's
+    exception is re-raised after on_seed has run for the seeds before
+    it; no worker outlives a call that returns or raises, nor, on Linux,
+    this process.
     """
     if not configs:
         raise ConfigError("run_experiment needs at least one config")
     if n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
-    if sim_config is None:
-        sim_config = SimConfig()
     for config in configs[1:]:
         for f in fields(TrainConfig):
             if f.name in _PAIR_KNOBS:
@@ -628,48 +628,41 @@ def run_experiment(
             f"{n_seeds} seeds from {first} run past 2**64 - 1", field="seed"
         )
     runs = []
-    pending = deque()  # (scene 0, seed, pid, read end) per worker, in seed order
+    pending = deque()  # (seed, pid, read end) per worker, in seed order
 
     def finish(results: tuple[RunResult, ...], scene0: Scene) -> None:
         if on_seed is not None:
             on_seed(results, scene0)
         runs.append(results)
 
-    def finish_oldest() -> None:
-        scene0, *worker = pending.popleft()
-        finish(_join(*worker), scene0)
-
     workers = _worker_count(n_seeds)
     try:
         for seed in range(first, first + n_seeds):
             if len(pending) == workers:
-                finish_oldest()
-            seeded = [replace(config, seed=seed) for config in configs]
-            pool = build_scene_pool(seeded[0], sim_config)
-            scene0 = pool.scenes[0]
+                finish(*_join(*pending.popleft()))
             if workers == 1:
-                finish(_train_seed(seeded, sim_config, pool), scene0)
+                finish(*_train_seed(configs, sim_config, seed))
             else:
-                # The worker inherits the pool; this process keeps scene 0 alone.
-                scene0 = replace(scene0, features=scene0.features.copy())
-                pending.append((scene0, seed, *_fork(seeded, sim_config, pool)))
-            del pool, scene0
+                pending.append((seed, *_fork(configs, sim_config, seed)))
         while pending:
-            finish_oldest()
+            finish(*_join(*pending.popleft()))
     finally:
-        for _, _, pid, fd in pending:
+        for _, pid, fd in pending:
             os.kill(pid, signal.SIGKILL)
             os.close(fd)
             os.waitpid(pid, 0)
-    return ExperimentReport(
-        configs=tuple(configs), sim_config=sim_config, runs=tuple(runs)
-    )
+    return ExperimentReport(configs=tuple(configs), runs=tuple(runs))
 
 
 def _train_seed(
-    seeded: list[TrainConfig], sim_config: SimConfig, pool: ScenePool
-) -> tuple[RunResult, ...]:
-    return tuple(run_training(config, sim_config, pool) for config in seeded)
+    configs: tuple[TrainConfig, ...], sim_config: SimConfig, seed: int
+) -> tuple[tuple[RunResult, ...], Scene]:
+    """One seed of run_experiment: every config at that seed, trained on
+    one pool built here, and the pool's scene 0."""
+    seeded = [replace(config, seed=seed) for config in configs]
+    pool = build_scene_pool(seeded[0], sim_config)
+    results = tuple(run_training(config, sim_config, pool) for config in seeded)
+    return results, pool.scenes[0]
 
 
 def _worker_count(n_seeds: int) -> int:
@@ -686,7 +679,9 @@ def _worker_count(n_seeds: int) -> int:
 
 def _fork(*args) -> tuple[int, int]:
     """Fork a worker that pickles back _train_seed(*args), or the exception
-    it raised, and exits; its pid and the read end of its pipe."""
+    it raised, and exits; its pid and the read end of its pipe.  On Linux
+    the worker is killed when this process dies."""
+    parent = os.getpid()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -697,6 +692,13 @@ def _fork(*args) -> tuple[int, int]:
     if pid == 0:
         try:  # never return into the caller's loop, nor run its cleanup
             os.close(read_fd)
+            if sys.platform == "linux":  # prctl(PR_SET_PDEATHSIG, SIGKILL)
+                prctl = ctypes.CDLL(None).prctl
+                prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+                prctl.restype = ctypes.c_int
+                prctl(1, signal.SIGKILL)
+            if os.getppid() != parent:  # died before the request took effect
+                os._exit(1)
             try:
                 reply = _train_seed(*args)
             except Exception as exc:
@@ -710,9 +712,9 @@ def _fork(*args) -> tuple[int, int]:
     return pid, read_fd
 
 
-def _join(seed: int, pid: int, read_fd: int) -> tuple[RunResult, ...]:
-    """Reap the worker training seed and return its results, or raise the
-    exception it sent back."""
+def _join(seed: int, pid: int, read_fd: int) -> tuple[tuple[RunResult, ...], Scene]:
+    """Reap the worker training seed and return its _train_seed reply, or
+    raise the exception it sent back."""
     try:
         with os.fdopen(read_fd, "rb") as fh:
             payload = fh.read()

@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line front end."""
 
 import os
-import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from reference import read_pgm, read_ppm
+from spies import read_calls, record_calls, use_workers
 
 from probanet.cli import main
 
@@ -275,6 +276,31 @@ def test_heatmap_renders_for_existing_run(tmp_path, tiny_config_path, capsys):
     assert overlay.shape == (16, 16, 3)
 
 
+def test_heatmap_at_the_final_step_reproduces_train_images(tmp_path, capsys):
+    # One scene per batch over an odd number of steps on a two-scene pool,
+    # so the last step's scene is not scene 0, the scene train renders.
+    config = tmp_path / "odd.cfg"
+    config.write_text(
+        TINY_CONFIG.replace("scenes_per_batch = 2", "scenes_per_batch = 1"),
+        encoding="ascii",
+    )
+    out_dir = str(tmp_path / "runs")
+    argv = ["train", "--config", str(config), "--out", out_dir, "--seeds", "1"]
+    assert main(argv + ["--probanet"]) == 0
+    run_dir = os.path.join(out_dir, "probanet_seed3")
+    names = ("gate_step3_ch0.pgm", "overlay_step3_ch0.ppm")
+    trained = {}
+    for name in names:
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            trained[name] = fh.read()
+    argv = ["heatmap", "--run", run_dir, "--channel", "0", "--step", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name in names:
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            assert fh.read() == trained[name], name
+
+
 def test_heatmap_plain_variant(tmp_path, tiny_config_path, capsys):
     out_dir = str(tmp_path / "runs")
     main(
@@ -348,35 +374,24 @@ def test_train_builds_one_pool_and_one_dump_per_seed(
     import probanet.tensor
     import probanet.training
 
-    calls = {"build_scene_pool": 0, "dump_feature_map": 0}
-
-    def count_calls(original):
-        def wrapper(*args, **kwargs):
-            calls[original.__name__] += 1
-            return original(*args, **kwargs)
-
-        # Patch every probanet namespace that imported the function.
-        for name, module in list(sys.modules.items()):
-            if name.startswith("probanet") and getattr(
-                module, original.__name__, None
-            ) is original:
-                monkeypatch.setattr(module, original.__name__, wrapper)
-
-    count_calls(probanet.training.build_scene_pool)
-    count_calls(probanet.tensor.dump_feature_map)
-
-    out_dir = tmp_path / "runs"
-    code = main(
-        ["train", "--config", tiny_config_path, "--out", str(out_dir), "--seeds", "2"]
-        + variant
-    )
-    capsys.readouterr()
-    assert code == 0
-    assert calls == {"build_scene_pool": 2, "dump_feature_map": 2}
-    if not variant:
-        for seed in (3, 4):
-            dumps = [
-                (out_dir / f"{name}_seed{seed}" / "scene0_features.txt").read_bytes()
-                for name in ("baseline", "probanet")
-            ]
-            assert dumps[0] == dumps[1]
+    calls = tmp_path / "calls"
+    record_calls(monkeypatch, calls, probanet.training.build_scene_pool)
+    record_calls(monkeypatch, calls, probanet.tensor.dump_feature_map)
+    for forked in (True, False):
+        use_workers(monkeypatch, forked)
+        out_dir = tmp_path / ("forked" if forked else "in-process")
+        code = main(
+            ["train", "--config", tiny_config_path, "--out", str(out_dir)]
+            + ["--seeds", "2"] + variant
+        )
+        capsys.readouterr()
+        assert code == 0
+        counts = Counter(name for name, _ in read_calls(calls))
+        assert counts == {"build_scene_pool": 2, "dump_feature_map": 2}
+        if not variant:
+            for seed in (3, 4):
+                dumps = [
+                    out_dir / f"{name}_seed{seed}" / "scene0_features.txt"
+                    for name in ("baseline", "probanet")
+                ]
+                assert dumps[0].read_bytes() == dumps[1].read_bytes()

@@ -10,10 +10,15 @@ worker records is written to a file, since its memory is its own.
 import contextlib
 import os
 import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from spies import read_calls, record_calls, use_workers
 
 import probanet.training as training
 from probanet import (
@@ -65,30 +70,6 @@ scene_pool_size = 2
 """
 
 
-def use_workers(monkeypatch, forked: bool) -> None:
-    """One BLAS thread per process forks a worker per seed; as many as
-    there are CPUs keeps every seed in-process."""
-    threads = 1 if forked else os.cpu_count()
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(threads))
-
-
-def record_pids(monkeypatch, path) -> None:
-    """Append the pid of the process running each run_training to path."""
-
-    def spy(config, sim_config, pool=None):
-        with open(path, "a", encoding="ascii") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return run_training(config, sim_config, pool)
-
-    monkeypatch.setattr(training, "run_training", spy)
-
-
-def read_pids(path) -> list[int]:
-    pids = [int(line) for line in path.read_text(encoding="ascii").split()]
-    path.unlink()
-    return pids
-
-
 @contextlib.contextmanager
 def time_limit(seconds: int):
     """Raise TimeoutError in the test if the block runs past seconds."""
@@ -111,16 +92,21 @@ def assert_no_child_left() -> None:
 
 
 def test_forked_seeds_equal_one_seed_runs(tmp_path, monkeypatch):
-    pids = tmp_path / "pids"
-    record_pids(monkeypatch, pids)
+    calls = tmp_path / "calls"
+    record_calls(monkeypatch, calls, training.build_scene_pool)
+    record_calls(monkeypatch, calls, training.run_training)
     use_workers(monkeypatch, forked=True)
     seen = []
     report = run_experiment(
         CONFIGS, 2, SIM, on_seed=lambda results, scene0: seen.append((results, scene0))
     )
-    worker_pids = read_pids(pids)
-    assert os.getpid() not in worker_pids
-    assert len(set(worker_pids)) == 2  # one worker per seed
+    by_pid = {}
+    for name, pid in read_calls(calls):
+        by_pid.setdefault(pid, []).append(name)
+    assert os.getpid() not in by_pid
+    # One worker per seed builds the seed's pool, then trains every config.
+    one_seed = ["build_scene_pool"] + ["run_training"] * len(CONFIGS)
+    assert list(by_pid.values()) == [one_seed, one_seed]
     assert [results for results, _ in seen] == list(report.runs)
 
     for s, (results, scene0) in enumerate(seen):
@@ -129,7 +115,7 @@ def test_forked_seeds_equal_one_seed_runs(tmp_path, monkeypatch):
         [alone] = run_experiment(
             seeded, 1, SIM, on_seed=lambda r, scene: alone_seen.append(scene)
         ).runs
-        assert read_pids(pids) == [os.getpid()] * len(CONFIGS)
+        assert read_calls(calls) == [(name, os.getpid()) for name in one_seed]
         assert scene0.seed == alone_seen[0].seed
         assert np.array_equal(scene0.features, alone_seen[0].features)
         assert [r.config for r in results] == [r.config for r in alone]
@@ -153,15 +139,16 @@ def _tree_bytes(root):
 def test_forked_train_writes_the_in_process_bytes(tmp_path, monkeypatch, capsys):
     config = tmp_path / "tiny.cfg"
     config.write_text(CLI_CONFIG, encoding="ascii")
-    pids = tmp_path / "pids"
-    record_pids(monkeypatch, pids)
+    calls = tmp_path / "calls"
+    record_calls(monkeypatch, calls, training.build_scene_pool)
+    record_calls(monkeypatch, calls, training.run_training)
     trees, stdouts = [], []
     for forked in (True, False):
         use_workers(monkeypatch, forked)
         out = tmp_path / ("forked" if forked else "in-process")
         argv = ["train", "--config", str(config), "--out", str(out), "--seeds", "2"]
         assert main(argv) == 0
-        ran_in = set(read_pids(pids))
+        ran_in = {pid for _, pid in read_calls(calls)}
         if forked:
             assert os.getpid() not in ran_in
         else:
@@ -234,3 +221,50 @@ def test_worker_exiting_without_reply_names_seed_and_status(monkeypatch, offset)
         )
     assert seen == list(range(GATED.seed, bad))
     assert_no_child_left()
+
+
+def live_members(pgid: int) -> list[int]:
+    """The pids of process group pgid's processes that are not zombies,
+    read from /proc.  A killed worker whose new parent never reaps it
+    stays a zombie in the group, so only live members count."""
+    members = []
+    for entry in os.listdir("/proc"):
+        try:
+            stat = Path("/proc", entry, "stat").read_bytes()
+        except OSError:
+            continue
+        state, _, group = stat[stat.rindex(b")") + 2 :].split()[:3]
+        if int(group) == pgid and state != b"Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="PR_SET_PDEATHSIG is Linux's")
+def test_seed_workers_die_with_their_parent(tmp_path):
+    # About a minute per seed, far past the bound below.
+    config = tmp_path / "long.cfg"
+    config.write_text("epochs = 250\nth = 0\n", encoding="ascii")
+    src = str(Path(training.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [
+        sys.executable, "-m", "probanet.cli", "train", "--config", str(config),
+        "--out", str(tmp_path / "runs"), "--seeds", "2",
+    ]
+    proc = subprocess.Popen(argv, env=env, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(live_members(proc.pid)) < 3:  # the parent and both workers
+            assert proc.poll() is None, "train exited before forking its workers"
+            assert time.monotonic() < deadline, "the seed workers never started"
+            time.sleep(0.05)
+        proc.terminate()  # SIGTERM skips run_experiment's cleanup
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while left := live_members(proc.pid):
+            assert time.monotonic() < deadline, f"workers {left} outlived train"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from reference import truncate
+from spies import use_workers
 
 from probanet import (
     METRICS_HEADER,
@@ -621,7 +622,9 @@ def test_run_experiment_single_variant_matches_run_training():
         assert result.logit_gap == alone.logit_gap
 
 
-def test_run_experiment_trains_four_variants_on_one_pool_per_seed(monkeypatch):
+def test_run_experiment_trains_four_variants_on_one_pool_per_seed(
+    tmp_path, monkeypatch
+):
     import probanet.training
 
     base = tiny_config(probanet_enabled=False)
@@ -629,21 +632,28 @@ def test_run_experiment_trains_four_variants_on_one_pool_per_seed(monkeypatch):
     no_aux = replace(gated, alpha=0.0)
     control = replace(gated, th=0.0, alpha=0.0)
     configs = (base, gated, no_aux, control)
-    built = []
+    seeds = [base.seed, base.seed + 1]
+    built = tmp_path / "built"
 
     def counting_build(config, sim_config):
-        built.append(config.seed)
+        # A forked worker's memory is its own, so its builds go to a file.
+        with open(built, "a", encoding="ascii") as fh:
+            fh.write(f"{config.seed}\n")
         return build_scene_pool(config, sim_config)
 
     monkeypatch.setattr(probanet.training, "build_scene_pool", counting_build)
-    scenes = []
-    report = run_experiment(
-        configs, 2, TINY_SIM, on_seed=lambda results, scene0: scenes.append(scene0)
-    )
-    assert built == [base.seed, base.seed + 1]
-    assert [scene.seed for scene in scenes] == [
-        derive_seed(seed, "scene", 0) for seed in built
-    ]
+    for forked in (True, False):
+        use_workers(monkeypatch, forked)
+        scenes = []
+        report = run_experiment(
+            configs, 2, TINY_SIM, on_seed=lambda results, scene0: scenes.append(scene0)
+        )
+        # Forked workers build at once, in either order.
+        assert sorted(map(int, built.read_text(encoding="ascii").split())) == seeds
+        built.unlink()
+        assert [scene.seed for scene in scenes] == [
+            derive_seed(seed, "scene", 0) for seed in seeds
+        ]
     for s, results in enumerate(report.runs):
         assert [r.config for r in results] == [
             replace(c, seed=base.seed + s) for c in configs
@@ -717,7 +727,6 @@ def test_experiment_report_arithmetic():
     )
     report = ExperimentReport(
         configs=(tiny_config(epochs=0), tiny_config(epochs=0)),
-        sim_config=TINY_SIM,
         runs=runs,
     )
     assert report.uplifts() == pytest.approx([0.3, -0.1])
