@@ -323,9 +323,7 @@ class MiniBatch:
         return len(self.indices)
 
 
-def sample_minibatch(
-    labels: LabelArrays, keep_mask, rng: SplitMix64
-) -> MiniBatch:
+def sample_minibatch(labels: LabelArrays, keep_mask, rng: SplitMix64) -> MiniBatch:
     """Draw up to 256 anchors at a 64:192 foreground:background target.
 
     Candidates are fg/bg anchors with keep_mask true (ignores are never
@@ -335,22 +333,23 @@ def sample_minibatch(
     pool sizes, so equal pools reproduce equal batches.
     """
     n = len(labels)
-    if keep_mask is None:
-        mask = np.ones(n, dtype=bool)
-    else:
+    fg, bg = labels.category == FG, labels.category == BG
+    if keep_mask is not None:
         mask = np.asarray(keep_mask, dtype=bool).ravel()
         if mask.size != n:
             raise DimensionError(
                 f"keep_mask covers {mask.size} anchors, labels cover {n}"
             )
-    fg_pool = np.flatnonzero((labels.category == FG) & mask)
-    bg_pool = np.flatnonzero((labels.category == BG) & mask)
+        fg, bg = fg & mask, bg & mask
+    fg_pool, bg_pool = fg.nonzero()[0], bg.nonzero()[0]
     if bg_pool.size == 0:
         raise EmptyPoolError("no background anchors survive the mask")
     fg_take = min(FG_QUOTA, fg_pool.size)
     bg_take = min(BATCH_SIZE - fg_take, bg_pool.size)
-    fg_sel = _draw_without_replacement(fg_pool, fg_take, rng)
-    bg_sel = _draw_without_replacement(bg_pool, bg_take, rng)
+    # The generator is counter-based: one draw equals fg_pool's, then bg_pool's.
+    keys = rng.u64(fg_pool.size + bg_pool.size)
+    fg_sel = _draw_without_replacement(fg_pool, fg_take, keys[: fg_pool.size])
+    bg_sel = _draw_without_replacement(bg_pool, bg_take, keys[fg_pool.size :])
     return MiniBatch(
         indices=np.concatenate([fg_sel, bg_sel]),
         fg_count=fg_take,
@@ -359,27 +358,25 @@ def sample_minibatch(
 
 
 def _draw_without_replacement(
-    pool: np.ndarray, take: int, rng: SplitMix64
+    pool: np.ndarray, take: int, keys: np.ndarray
 ) -> np.ndarray:
-    """The first `take` of pool in a stable sort by one random key each.
+    """The first `take` of pool in a stable sort by keys, one per candidate.
 
     Only the candidates at or below the take-th smallest key can be
     picked, so only they are sorted; they stay in pool order, so ties at
-    the cut resolve as in a sort of every key.  The draws depend on
-    pool.size alone.
+    the cut resolve as in a sort of every key.
     """
-    keys = rng.u64(pool.size)
     if 0 < take < pool.size:
-        head = np.flatnonzero(keys <= np.partition(keys, take - 1)[take - 1])
+        head = (keys <= np.partition(keys, take - 1)[take - 1]).nonzero()[0]
         pool, keys = pool[head], keys[head]
-    return pool[np.argsort(keys, kind="stable")[:take]]
+    return pool[keys.argsort(kind="stable")[:take]]
 
 
 def hard_ratio(batch: MiniBatch, labels: LabelArrays) -> float:
     """Fraction of the batch tagged hard."""
     if batch.size == 0:
         raise DomainError("hard_ratio of an empty batch")
-    return float(labels.hard[batch.indices].sum()) / batch.size
+    return np.count_nonzero(labels.hard[batch.indices]) / batch.size
 
 
 def boxes_csv(scene: Scene) -> str:

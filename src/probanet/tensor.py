@@ -115,7 +115,7 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     """Stable logistic, unclipped: with e = exp(-|x|), 1/(1+e) where
     x >= 0 and e/(1+e) elsewhere, so exp never overflows."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: FeatureMap) -> FeatureMap:
@@ -124,7 +124,7 @@ def sigmoid(x: FeatureMap) -> FeatureMap:
     Without the clip, float64 saturates to exactly 0 or 1 for |x| > ~37;
     the clip keeps the strict-bounds contract at a sub-ulp perturbation.
     """
-    return np.clip(_logistic(x), _SIG_LO, _SIG_HI)
+    return np.minimum(np.maximum(_logistic(x), _SIG_LO), _SIG_HI)
 
 
 def sigmoid_backward(y: FeatureMap, grad_out: FeatureMap) -> FeatureMap:
@@ -150,16 +150,20 @@ def mean_and_variance(x: np.ndarray) -> tuple[float, float]:
     """Mean and population variance (divisor N) over all elements."""
     if x.size == 0:
         raise DimensionError("mean_and_variance of an empty tensor")
-    mean = float(x.mean())
-    variance = float(np.mean((x - mean) ** 2))
-    return mean, variance
+    mean = float(_mean(x))
+    return mean, float(_mean((x - mean) ** 2))
 
 
 def variance_backward(x: np.ndarray) -> np.ndarray:
     """Gradient of the population variance: 2 (x_k - mean) / N per element."""
     if x.size == 0:
         raise DimensionError("variance_backward of an empty tensor")
-    return 2.0 * (x - x.mean()) / x.size
+    return 2.0 * (x - _mean(x)) / x.size
+
+
+def _mean(x: np.ndarray) -> np.float64:
+    """x.mean(): the same sum and quotient, without np.mean's wrapper."""
+    return np.add.reduce(x, axis=None) / x.size
 
 
 def finite_diff_gradient(

@@ -17,6 +17,7 @@ head only at the sampled anchors' feature rows.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import pickle
@@ -25,6 +26,7 @@ import sys
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -57,13 +59,7 @@ from .sim import (
     label_arrays,
     sample_minibatch,
 )
-from .tensor import (
-    Conv1x1Params,
-    FeatureMap,
-    _logistic,
-    conv1x1_forward,
-    conv1x1_param_grads,
-)
+from .tensor import FeatureMap, _logistic, _mean
 
 # derive_seed reads a root seed mod 2**64, so a seed outside [0, 2**64)
 # would train the same run as one inside it.
@@ -144,6 +140,16 @@ class MetricsRecord:
     fg_gate_mean: float
     bg_gate_mean: float
     kept_fraction: float
+
+    def __post_init__(self):
+        # metrics.csv holds repr(value), which is "np.float64(0.5)" for numpy's.
+        for name in _METRIC_COLUMNS:
+            value = getattr(self, name)
+            kind, admits = (int, Integral) if name == "step" else (float, Real)
+            if type(value) is not kind:
+                if isinstance(value, bool) or not isinstance(value, admits):
+                    raise TypeError(f"metric {name} must be a number, got {value!r}")
+                object.__setattr__(self, name, kind(value))
 
     def is_finite(self) -> bool:
         """Whether every metric column is finite."""
@@ -256,14 +262,18 @@ class TrainState:
     """The trainable parameters by name, their momentum buffers under
     the same names, and the number of steps taken.
 
-    params holds head_weight (anchors_per_cell, channels) and the floats
+    params holds head_weight (anchors_per_cell, channels) and the scalars
     scale and shift, plus, when the gate is enabled, its four arrays
     (reduce_weight, reduce_bias, expand_weight, expand_bias).
+
+    Updates write every entry in place as a view of one flat buffer, packed
+    anew after an entry is replaced (see _flat_buffers), which then trains as set.
     """
 
     params: dict
     velocity: dict
     step: int = 0
+    _flat: tuple = field(default=((), None, ()), init=False, repr=False)
 
     @property
     def gate(self) -> dict | None:
@@ -297,7 +307,7 @@ def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean stabilized BCE: max(z,0) - z*y + log(1 + e^-|z|)."""
     z, y = logits, targets
     per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(per.mean())
+    return float(_mean(per))
 
 
 def binary_cross_entropy_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -359,24 +369,22 @@ def loss_and_grads(
         t2_flat = out.t2.ravel()
         # Truncation keeps the entries weighted strictly above the threshold.
         mask = t2_flat > config.th
-        kept_fraction = float(mask.mean())
-    where = f"step {step}, seed {config.seed}, kept fraction {kept_fraction:.4g}"
-    rng = SplitMix64(derive_seed(config.seed, "sampler", step))
+        kept_fraction = np.count_nonzero(mask) / mask.size
+    rng = SplitMix64(derive_seed(_sampler_root(config.seed), step))
     try:
         batch = sample_minibatch(labels, mask, rng)
     except EmptyPoolError as exc:
-        raise EmptyPoolError(f"{exc} at {where}") from exc
+        raise EmptyPoolError(f"{exc} at {_where(step, config, kept_fraction)}") from exc
 
     # The head at the sampled anchors only: flat anchor index i sits at
     # anchor slot i % k of cell i // k of the map.  The head has no
     # bias: the scalar affine's shift already models a batch-wide offset,
     # and a trainable per-map bias feeds every cell the same constant,
     # drowning per-cell contrast.
-    n = batch.size
-    head = Conv1x1Params(weight=params["head_weight"], bias=np.zeros(k))
+    picked = np.arange(batch.size)
     cell, anchor = np.divmod(batch.indices, k)
-    rows = x.reshape(-1, 1, c)[cell]
-    a_sel = conv1x1_forward(rows, head).reshape(n, k)[np.arange(n), anchor]
+    rows = x.reshape(-1, c).take(cell, axis=0)
+    a_sel = (rows @ params["head_weight"].T)[picked, anchor]
     if gate is not None:
         t2_sel = t2_flat[batch.indices]
         values = a_sel * t2_sel
@@ -408,53 +416,80 @@ def loss_and_grads(
         kept_fraction=kept_fraction,
     )
     if not record.is_finite():
-        raise NumericError(f"non-finite metrics at {where}: {record}")
+        raise NumericError(
+            f"non-finite metrics at {_where(step, config, kept_fraction)}: {record}"
+        )
 
     # Backward.
     grad_values, grads = head_backward(values, logits, targets, params["scale"])
-    grad_a = np.zeros((n, 1, k))
-    grad_a[np.arange(n), 0, anchor] = (
-        grad_values * t2_sel if gate is not None else grad_values
-    )
-    grads["head_weight"], _ = conv1x1_param_grads(rows, head, grad_a)
+    grad_a = np.zeros((batch.size, k))
+    grad_a[picked, anchor] = grad_values * t2_sel if gate is not None else grad_values
+    grads["head_weight"] = grad_a.T @ rows
     if gate is not None:
-        if grad_v_coeff != 0.0:
-            grad_t2_flat = grad_v_coeff * grad_v
-        else:
-            grad_t2_flat = np.zeros(t2_flat.size)
+        grad_t2 = grad_v_coeff * grad_v if grad_v_coeff else np.zeros(t2_flat.size)
         # Every sampled anchor was kept, so its weighted value a * t2
         # passes grad_values * a to t2; dropped entries pass nothing.
-        grad_t2_flat[batch.indices] += grad_values * a_sel
-        _, gate_grads = gate_backward(out, x, gate, grad_t2_flat.reshape(out.t2.shape))
+        grad_t2[batch.indices] += grad_values * a_sel
+        _, gate_grads = gate_backward(out, x, gate, grad_t2.reshape(out.t2.shape))
         grads.update(gate_grads)
     return record, grads, batch, logits
+
+
+@functools.lru_cache(maxsize=64)
+def _sampler_root(seed: int) -> int:
+    """Step s samples with derive_seed(seed, "sampler", s), this root's child s."""
+    return derive_seed(seed, "sampler")
+
+
+def _where(step: int, config: TrainConfig, kept_fraction: float) -> str:
+    return f"step {step}, seed {config.seed}, kept fraction {kept_fraction:.4g}"
 
 
 def _class_means(values: np.ndarray, category: np.ndarray) -> tuple[float, float]:
     """Mean of values over the foreground anchors and over the background
     anchors, 0.0 for a class with none."""
-    return tuple(
-        float(values[sel].mean()) if sel.any() else 0.0
-        for sel in (category == FG, category == BG)
-    )
+    members = (values[category == FG], values[category == BG])
+    return tuple(float(_mean(v)) if v.size else 0.0 for v in members)
 
 
 def _sgd_update(state: TrainState, grads: dict, config: TrainConfig) -> None:
     """v <- momentum*v - lr*(g + weight_decay*w); w <- w + v, for every
-    parameter by name.  Raises NumericError naming the first parameter
-    that the update leaves non-finite."""
+    parameter at once over the flat buffers.  Raises NumericError naming
+    the first parameter that the update leaves non-finite."""
     lr = config.learning_rate_at(state.step)
-    mom, wd = config.momentum, config.weight_decay
-    params, velocity = state.params, state.velocity
-    for name in params:
-        v = mom * velocity[name] - lr * (grads[name] + wd * params[name])
-        velocity[name] = v
-        params[name] = params[name] + v
-        if not np.isfinite(params[name]).all():
-            raise NumericError(
-                f"non-finite parameter {name} after the update of step "
-                f"{state.step}, seed {config.seed}"
-            )
+    names, theta, velocity = _flat_buffers(state)
+    g = np.concatenate([grads[name] for name in names], axis=None)
+    g += config.weight_decay * theta
+    g *= lr
+    velocity *= config.momentum
+    velocity -= g
+    theta += velocity
+    if not np.isfinite(theta).all():
+        name = next(n for n in names if not np.isfinite(state.params[n]).all())
+        raise NumericError(
+            f"non-finite parameter {name} after the update of step "
+            f"{state.step}, seed {config.seed}"
+        )
+
+
+def _flat_buffers(state: TrainState) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The parameter names and the flat parameter and velocity buffers
+    that the entries of state.params and state.velocity view, packed anew
+    from the entries when one of them is not such a view."""
+    names = tuple(state.params)
+    entries = [d[n] for d in (state.params, state.velocity) for n in names]
+    packed, buffer, views = state._flat
+    stale = packed != names or any(e is not v for e, v in zip(entries, views))
+    if stale or views[0].base is not buffer:  # a copied state's views lost its buffer
+        shapes = [np.shape(e) for e in entries[: len(names)]] * 2
+        buffer = np.concatenate(entries, axis=None, dtype=float)
+        parts = np.split(buffer, np.cumsum([math.prod(s) for s in shapes])[:-1])
+        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        state.params.update(zip(names, views))
+        state.velocity.update(zip(names, views[len(names) :]))
+        state._flat = (names, buffer, views)
+    half = buffer.size // 2
+    return names, buffer[:half], buffer[half:]
 
 
 @dataclass(frozen=True)
@@ -512,16 +547,10 @@ def _finalize_run(
     # Evaluation truncates nothing: every anchor of the pool gets a logit.
     p, h, w, c = pool.features.shape
     x = pool.features.reshape(p * h, w, c)
-    head_weight = state.params["head_weight"]
-    head = Conv1x1Params(weight=head_weight, bias=np.zeros(head_weight.shape[0]))
-    a = conv1x1_forward(x, head).ravel()
-    if state.gate is not None:
-        t2_flat = gate_forward(x, state.gate).t2.ravel()
-        b_flat = a * t2_flat
-    else:
-        t2_flat = np.ones(a.size)
-        b_flat = a
-    z = state.params["scale"] * b_flat + state.params["shift"]
+    a = (x.reshape(-1, c) @ state.params["head_weight"].T).ravel()
+    gate = state.gate
+    t2_flat = np.ones(a.size) if gate is None else gate_forward(x, gate).t2.ravel()
+    z = state.params["scale"] * (a * t2_flat) + state.params["shift"]  # a * 1.0 is a
     category = pool.labels.category
     fg_gate_mean, bg_gate_mean = _class_means(t2_flat, category)
     fg_z, bg_z = z[category == FG], z[category == BG]

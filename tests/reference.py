@@ -1,8 +1,21 @@
 """Plain references the tests compare the program against: dense
-truncation, the scalar box overlap, and readers for the images the
-program writes."""
+truncation, the scalar box overlap, readers for the images the program
+writes, and a training step written out call by call."""
 
 import numpy as np
+
+from probanet import (
+    Conv1x1Params,
+    SplitMix64,
+    conv1x1_forward,
+    derive_seed,
+    gate_backward,
+    probanet_loss,
+    relu,
+)
+from probanet.gate import GateOutput
+from probanet.tensor import conv1x1_param_grads
+from probanet.sim import BATCH_SIZE, BG, FG, FG_QUOTA
 
 
 def truncate(a_prime, t2, threshold):
@@ -61,3 +74,96 @@ def _read_netpbm(data: bytes, magics, depth: int) -> np.ndarray:
         arr = np.array(rest.split()[:n], dtype=np.uint8)
     assert arr.size == n, "pixel payload shorter than header promises"
     return arr.reshape((h, w, depth) if depth > 1 else (h, w))
+
+
+def _logistic(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def two_draw_sample(labels, keep_mask, rng):
+    """The sampler with one key draw per class, foreground first, and a
+    full stable sort of each pool's keys: (indices, fg_count)."""
+    mask = np.ones(len(labels), dtype=bool) if keep_mask is None else keep_mask
+    fg_pool = np.flatnonzero((labels.category == FG) & mask)
+    bg_pool = np.flatnonzero((labels.category == BG) & mask)
+    fg_take = min(FG_QUOTA, fg_pool.size)
+    bg_take = min(BATCH_SIZE - fg_take, bg_pool.size)
+    picks = [
+        pool[np.argsort(rng.u64(pool.size), kind="stable")[:take]]
+        for pool, take in ((fg_pool, fg_take), (bg_pool, bg_take))
+    ]
+    return np.concatenate(picks), fg_take
+
+
+def train_step(params, velocity, step, x, labels, config):
+    """One training step with np.mean reductions, a per-name momentum
+    update and nothing fused: the metric values in metrics.csv order, the
+    gradients by name, and the updated parameters and velocities as new
+    dicts."""
+    k, c = params["head_weight"].shape
+    gated = "reduce_weight" in params
+    mask, kept = None, 1.0
+    if gated:
+        reduce = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
+        expand = Conv1x1Params(params["expand_weight"], params["expand_bias"])
+        t1 = relu(conv1x1_forward(x, reduce))
+        t2 = np.clip(
+            _logistic(conv1x1_forward(t1, expand)),
+            np.nextafter(0.0, 1.0),
+            np.nextafter(1.0, 0.0),
+        )
+        t2_flat = t2.ravel()
+        mask = t2_flat > config.th
+        kept = float(mask.mean())
+    rng = SplitMix64(derive_seed(config.seed, "sampler", step))
+    idx, _ = two_draw_sample(labels, mask, rng)
+    n = idx.size
+
+    head = Conv1x1Params(params["head_weight"], np.zeros(k))
+    cell, anchor = np.divmod(idx, k)
+    rows = x.reshape(-1, 1, c)[cell]
+    a_sel = conv1x1_forward(rows, head).reshape(n, k)[np.arange(n), anchor]
+    values = a_sel * t2_flat[idx] if gated else a_sel
+    logits = params["scale"] * values + params["shift"]
+    targets = (labels.category[idx] == FG).astype(np.float64)
+    per = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
+    cls_loss = float(per.mean())
+    aux, beta, variance, coeff = 0.0, 0.0, 0.0, 0.0
+    fg_mean = bg_mean = 1.0
+    if gated:
+        raw = float(np.mean((t2_flat - float(t2_flat.mean())) ** 2))
+        if raw <= config.epsilon:
+            variance, grad_v = config.epsilon, np.zeros_like(t2_flat)
+        else:
+            variance, grad_v = raw, 2.0 * (t2_flat - t2_flat.mean()) / t2_flat.size
+        if config.alpha > 0.0:
+            aux, beta, coeff = probanet_loss(variance, cls_loss, config.alpha)
+        fg_mean, bg_mean = (
+            float(t2_flat[sel].mean()) if sel.any() else 0.0
+            for sel in (labels.category == FG, labels.category == BG)
+        )
+    hard = float(labels.hard[idx].sum()) / n
+    record = (step, cls_loss, aux, variance, beta, hard, fg_mean, bg_mean, kept)
+
+    dz = (_logistic(logits) - targets) / n
+    grads = {"scale": float(np.dot(dz, values)), "shift": float(dz.sum())}
+    grad_values = params["scale"] * dz
+    grad_a = np.zeros((n, 1, k))
+    grad_a[np.arange(n), 0, anchor] = grad_values * t2_flat[idx] if gated else grad_values
+    grads["head_weight"], _ = conv1x1_param_grads(rows, head, grad_a)
+    if gated:
+        grad_t2 = coeff * grad_v if coeff != 0.0 else np.zeros(t2_flat.size)
+        grad_t2[idx] += grad_values * a_sel
+        out = GateOutput(t1=t1, t2=t2)
+        grads.update(gate_backward(out, x, params, grad_t2.reshape(t2.shape))[1])
+
+    lr = config.learning_rate_at(step)
+    new_params, new_velocity = {}, {}
+    for name in params:
+        v = config.momentum * velocity[name] - lr * (
+            grads[name] + config.weight_decay * params[name]
+        )
+        new_velocity[name] = v
+        new_params[name] = params[name] + v
+    return record, grads, new_params, new_velocity

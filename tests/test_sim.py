@@ -371,7 +371,7 @@ def test_partial_selection_equals_full_stable_sort(monkeypatch, size, take, tied
             assert (keys == cut).sum() > 1
             assert (keys <= cut).sum() > take
     ref = _full_sort_draw(pool, take, rng_ref)
-    got = _draw_without_replacement(pool, take, rng_new)
+    got = _draw_without_replacement(pool, take, rng_new.u64(pool.size))
     assert np.array_equal(got, ref)
     assert rng_new.counter == rng_ref.counter == size
 

@@ -1,5 +1,6 @@
 """Tests for the training loop: losses, SGD semantics, runs, experiments."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -402,6 +403,69 @@ def test_momentum_accumulates_across_steps():
             for name in grads:
                 assert np.array_equal(state.params[name], params[name]), name
                 assert np.array_equal(state.velocity[name], velocity[name]), name
+
+
+def test_update_writes_in_place_and_trains_a_replaced_entry_as_set():
+    # After the first update every entry views one flat buffer, which each
+    # update writes in place.  An entry replaced after that must train from
+    # its new value, never be skipped by the fused update.
+    config = tiny_config(probanet_enabled=True, alpha=0.5)
+    pool = build_scene_pool(config, TINY_SIM)
+    state = init_state(config, TINY_SIM)
+    x, labels = pool.step_inputs(0, 2)
+    train_step(state, x, labels, config)
+    held = state.params["head_weight"], state.velocity["expand_weight"]
+    before = held[0].copy()
+    train_step(state, x, labels, config)
+    assert state.params["head_weight"] is held[0]
+    assert state.velocity["expand_weight"] is held[1]
+    assert not np.array_equal(held[0], before)
+    # A copy of the state trains, and leaves the original as it was.
+    held = copy.deepcopy(state.params)
+    twin = copy.deepcopy(state)
+    train_step(twin, x, labels, config)
+    assert not np.array_equal(twin.params["head_weight"], held["head_weight"])
+    assert all(np.array_equal(state.params[n], v) for n, v in held.items())
+
+    state.params["reduce_weight"] = np.full_like(state.params["reduce_weight"], 0.25)
+    state.params["scale"] = 1.5
+    state.velocity["shift"] = 0.125
+    for _ in range(2):  # once from the new entries, once from their views
+        params, velocity = copy.deepcopy(state.params), copy.deepcopy(state.velocity)
+        lr = config.learning_rate_at(state.step)
+        _, grads, _, _ = loss_and_grads(state, x, labels, config)
+        train_step(state, x, labels, config)
+        for name, g in grads.items():
+            v = config.momentum * velocity[name] - lr * (
+                g + config.weight_decay * params[name]
+            )
+            assert np.array_equal(state.velocity[name], v), name
+            assert np.array_equal(state.params[name], params[name] + v), name
+
+
+def test_metrics_record_holds_python_numbers():
+    # metrics.csv writes repr(value); a numpy scalar would read
+    # "np.float64(0.5)" there.
+    record = MetricsRecord(
+        step=np.int64(2), cls_loss=np.float64(0.5), probanet_loss=0,
+        variance=np.float32(0.25), beta=0.0, hard_ratio=np.float64(0.125),
+        fg_gate_mean=1.0, bg_gate_mean=1.0, kept_fraction=np.float64(1.0),
+    )
+    assert type(record.step) is int
+    assert all(type(getattr(record, name)) is float for name in METRICS_HEADER.split(",")[1:])
+    log = MetricsLog()
+    log.append(record)
+    assert log.to_csv().splitlines()[1] == "2,0.5,0.0,0.25,0.0,0.125,1.0,1.0,1.0"
+    for name, bad in (
+        ("cls_loss", "0.5"), ("cls_loss", np.array([0.5])), ("variance", True),
+        ("beta", None), ("step", 2.0), ("step", False),
+    ):
+        with pytest.raises(TypeError, match=name):
+            replace(record, **{name: bad})
+    # TrainConfig admits numpy numbers, and alpha * cls_loss is then one.
+    config = tiny_config(probanet_enabled=True, alpha=np.float64(0.5))
+    _, _, log = run_partial(config, TINY_SIM, 2)
+    assert "np." not in log.to_csv()
 
 
 def test_loss_and_grads_rejects_labels_that_miss_the_map():
