@@ -179,9 +179,9 @@ def write_seed_dirs(
     need be; scene0, the pool's scene 0, is exported.
 
     Scene 0's feature dump is the same text for every such run, so it is
-    formatted once and written into each directory.
+    formatted and encoded once and written into each directory.
     """
-    features_text = dump_feature_map(scene0.features)
+    features_bytes = dump_feature_map(scene0.features).encode("ascii")
     boxes_text = boxes_csv(scene0)
     run_dirs = []
     for result in results:
@@ -194,7 +194,7 @@ def write_seed_dirs(
             os.path.join(run_dir, "resolved-config.txt"),
             format_config(result.config, sim_config),
         )
-        _write_text(os.path.join(run_dir, "scene0_features.txt"), features_text)
+        _write_bytes(os.path.join(run_dir, "scene0_features.txt"), features_bytes)
         _write_text(os.path.join(run_dir, "scene0_boxes.csv"), boxes_text)
         files = heatmap_files(
             result.final_state,

@@ -19,7 +19,7 @@ from .errors import (
     EmptyPoolError,
     require_field_kinds,
 )
-from .rng import SplitMix64
+from .rng import _BLOCK, SplitMix64
 from .tensor import FeatureMap
 
 BG, FG, IGNORE = 0, 1, 2
@@ -212,6 +212,13 @@ def generate_scene(config: SimConfig, seed: int) -> Scene:
     only object-centered anchors see.  The zero-mean floor keeps the
     flat background off both cue directions.
     """
+    shape = (config.height, config.width, config.channels)
+    return _synthesize_into(config, seed, np.empty(shape))
+
+
+def _synthesize_into(config: SimConfig, seed: int, features: np.ndarray) -> Scene:
+    """generate_scene into features, a C-contiguous (H, W, C) float64
+    array; each cache-sized block of cells is drawn, then bumped."""
     rng = SplitMix64(seed)
     h, w, c = config.height, config.width, config.channels
     n = rng.randint(config.n_objects_min, config.n_objects_max)
@@ -225,14 +232,12 @@ def generate_scene(config: SimConfig, seed: int) -> Scene:
         boxes.append(Box(x0, y0, x0 + bw, y0 + bh))
 
     gains = rng.uniform_range(config.gain_min, config.gain_max, (n, c))
-    features = rng.uniform_range(
-        -config.noise_level, config.noise_level, (h, w, c)
-    )
 
     yc = np.arange(h, dtype=np.float64) + 0.5
     xc = np.arange(w, dtype=np.float64) + 0.5
     half = c // 2
-    for o, box in enumerate(boxes):
+    bumps = []  # per object: its (H*W, 1) halo and core amplitudes
+    for box in boxes:
         cy = (box.y_min + box.y_max) / 2
         cx = (box.x_min + box.x_max) / 2
         sy = (box.y_max - box.y_min) / 2
@@ -241,12 +246,19 @@ def generate_scene(config: SimConfig, seed: int) -> Scene:
         dx2 = (xc - cx)[None, :] ** 2
         halo = np.exp(-(dy2 / (2 * sy * sy) + dx2 / (2 * sx * sx)))
         core = np.exp(-(dy2 / (2 * (sy / 2) ** 2) + dx2 / (2 * (sx / 2) ** 2)))
-        features[:, :, :half] += (
-            config.bump_amplitude * halo[:, :, None] * gains[o][None, None, :half]
-        )
-        features[:, :, half:] += (
-            config.core_amplitude * core[:, :, None] * gains[o][None, None, half:]
-        )
+        bumps.append((config.bump_amplitude * halo.reshape(-1, 1),
+                      config.core_amplitude * core.reshape(-1, 1)))
+
+    cells, rows = features.reshape(h * w, c), max(1, _BLOCK // c)
+    term = np.empty((min(rows, h * w), c))
+    for r0 in range(0, h * w, rows):
+        block = cells[r0 : r0 + rows]
+        t = term[: len(block)]
+        rng.fill_uniform(block, -config.noise_level, config.noise_level)
+        for (halo, core), gain in zip(bumps, gains):
+            np.multiply(halo[r0 : r0 + rows], gain[:half], out=t[:, :half])
+            np.multiply(core[r0 : r0 + rows], gain[half:], out=t[:, half:])
+            block += t
 
     return Scene(objects=tuple(boxes), features=features, seed=seed)
 

@@ -200,7 +200,8 @@ def dump_feature_map(x: FeatureMap) -> str:
     row_format = " ".join(["%.17g"] * c)
     lines = [f"{h} {w} {c}"]
     lines.extend(row_format % tuple(row.tolist()) for row in x.reshape(h * w, c))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:

@@ -53,7 +53,7 @@ from .sim import (
     MiniBatch,
     Scene,
     SimConfig,
-    generate_scene,
+    _synthesize_into,
     grid_for,
     hard_ratio,
     label_arrays,
@@ -227,15 +227,14 @@ class ScenePool:
 
 def build_scene_pool(config: TrainConfig, sim_config: SimConfig) -> ScenePool:
     """Pre-generate the cycled pool of labeled scenes for one run seed,
-    filling one array scene by scene."""
+    each scene synthesized straight into its row of one array."""
     sc = sim_config
     features = np.empty((sc.scene_pool_size, sc.height, sc.width, sc.channels))
     grid = grid_for(sc)
     scenes, labels = [], []
     for i in range(sc.scene_pool_size):
-        scene = generate_scene(sc, derive_seed(config.seed, "scene", i))
-        features[i] = scene.features
-        scenes.append(replace(scene, features=features[i]))
+        scene = _synthesize_into(sc, derive_seed(config.seed, "scene", i), features[i])
+        scenes.append(scene)
         labels.append(
             label_arrays(
                 scene,

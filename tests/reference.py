@@ -1,10 +1,12 @@
 """Plain references the tests compare the program against: dense
 truncation, the scalar box overlap, readers for the images the program
-writes, and a training step written out call by call."""
+writes, scene synthesis over whole arrays, and a training step written
+out call by call."""
 
 import numpy as np
 
 from probanet import (
+    Box,
     Conv1x1Params,
     SplitMix64,
     conv1x1_forward,
@@ -36,6 +38,50 @@ def iou(a, b) -> float:
         return 0.0
     inter = ix * iy
     return inter / (area(a) + area(b) - inter)
+
+
+def uniform_range(rng, low, high, shape):
+    """One bulk draw of doubles in [low, high): a single u64 call over the
+    whole shape, its top 53 bits scaled by 2**-53."""
+    u = (rng.u64(int(np.prod(shape))) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return low + (high - low) * u.reshape(shape)
+
+
+def generate_scene(config, seed):
+    """(objects, features) of a scene drawn as full arrays: the whole
+    noise floor in one draw, then each object's bumps added over the
+    whole map, halo channels and then core channels."""
+    rng = SplitMix64(seed)
+    h, w, c = config.height, config.width, config.channels
+    n = rng.randint(config.n_objects_min, config.n_objects_max)
+    boxes = []
+    for _ in range(n):
+        bh = rng.randint(config.object_min_size, config.object_max_size)
+        bw = rng.randint(config.object_min_size, config.object_max_size)
+        y0 = rng.uniform_range(0.0, float(h - bh))
+        x0 = rng.uniform_range(0.0, float(w - bw))
+        boxes.append(Box(x0, y0, x0 + bw, y0 + bh))
+    gains = uniform_range(rng, config.gain_min, config.gain_max, (n, c))
+    features = uniform_range(rng, -config.noise_level, config.noise_level, (h, w, c))
+    yc = np.arange(h, dtype=np.float64) + 0.5
+    xc = np.arange(w, dtype=np.float64) + 0.5
+    half = c // 2
+    for o, box in enumerate(boxes):
+        cy = (box.y_min + box.y_max) / 2
+        cx = (box.x_min + box.x_max) / 2
+        sy = (box.y_max - box.y_min) / 2
+        sx = (box.x_max - box.x_min) / 2
+        dy2 = (yc - cy)[:, None] ** 2
+        dx2 = (xc - cx)[None, :] ** 2
+        halo = np.exp(-(dy2 / (2 * sy * sy) + dx2 / (2 * sx * sx)))
+        core = np.exp(-(dy2 / (2 * (sy / 2) ** 2) + dx2 / (2 * (sx / 2) ** 2)))
+        features[:, :, :half] += (
+            config.bump_amplitude * halo[:, :, None] * gains[o][None, None, :half]
+        )
+        features[:, :, half:] += (
+            config.core_amplitude * core[:, :, None] * gains[o][None, None, half:]
+        )
+    return tuple(boxes), features
 
 
 def read_pgm(data: bytes) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from probanet import SplitMix64, derive_seed, mix64
+from probanet.rng import _BLOCK
 
 MASK = (1 << 64) - 1
 
@@ -46,6 +47,33 @@ def test_blockwise_draws_match_single_block():
     rng = SplitMix64(99)
     parts = np.concatenate([rng.u64(7), rng.u64(5), rng.u64(8)])
     assert np.array_equal(whole, parts)
+
+
+def test_draws_over_several_blocks_match_sequential_reference():
+    # Bulk draws run in blocks of _BLOCK; a draw over more than three of
+    # them, and one starting off a block boundary, equal one full draw.
+    n = 3 * _BLOCK + 5
+    expected = reference_splitmix64(MASK, n + 7)
+    assert [int(v) for v in SplitMix64(MASK).u64(n)] == expected[:n]
+    rng = SplitMix64(MASK)
+    head = rng.u64(7)
+    raw = np.array(expected[7:], dtype=np.uint64)
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    got = rng.uniform_range(-0.3, 0.3, (n,))
+    assert [int(v) for v in head] == expected[:7]
+    assert got.tobytes() == (-0.3 + 0.6 * u).tobytes()
+    assert rng.counter == n + 7
+
+
+def test_negative_draw_counts_leave_the_counter_alone():
+    rng = SplitMix64(1)
+    rng.u64(3)
+    with pytest.raises(ValueError):
+        rng.u64(-2)
+    with pytest.raises(ValueError):
+        rng.uniform((2, -1))
+    assert rng.counter == 3
+    assert int(rng.u64(1)[0]) == reference_splitmix64(1, 4)[3]
 
 
 def test_next_u64_advances_counter():

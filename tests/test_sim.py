@@ -1,7 +1,10 @@
 """Tests for scenes, anchor labeling and the fixed-ratio batch sampler."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import reference
 from reference import area, iou
 
 from probanet import (
@@ -21,6 +24,8 @@ from probanet import (
     Scene,
     SimConfig,
     SplitMix64,
+    TrainConfig,
+    build_scene_pool,
     derive_seed,
     generate_scene,
     grid_for,
@@ -182,6 +187,33 @@ def test_generate_scene_deterministic_and_in_bounds():
         assert box.x_max - box.x_min <= config.object_max_size
     other = generate_scene(config, 8)
     assert not np.array_equal(a.features, other.features)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimConfig(),
+        SimConfig(channels=7),
+        SimConfig(n_objects_min=0, n_objects_max=0),
+        # 89,010 draws: a block and a part block of 129-channel rows.
+        SimConfig(height=30, width=23, channels=129),
+        # 208,000 draws: four blocks.
+        SimConfig(height=40, width=40, channels=130, object_max_size=8),
+    ],
+    ids=["default", "odd-channels", "no-objects", "part-block", "four-blocks"],
+)
+def test_scene_synthesis_matches_full_array_reference(config):
+    # The noise floor is drawn and bumped a block of cells at a time,
+    # starting off a block boundary (after the geometry and gain draws);
+    # both scene paths must equal whole-array synthesis bit for bit.
+    pool = build_scene_pool(TrainConfig(seed=3), replace(config, scene_pool_size=2))
+    for i, scene in enumerate(pool.scenes):
+        seed = derive_seed(3, "scene", i)
+        objects, features = reference.generate_scene(config, seed)
+        for got in (scene, generate_scene(config, seed)):
+            assert got.objects == objects
+            assert got.features.tobytes() == features.tobytes()
+        assert np.shares_memory(scene.features, pool.features[i])
 
 
 def test_zero_object_scene_is_pure_noise_and_all_background():
