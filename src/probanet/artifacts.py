@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .training import (
     RunResult,
     TrainConfig,
     TrainState,
+    variant_name,
 )
 
 SUMMARY_HEADER = ",".join(SUMMARY_COLUMNS)
@@ -160,29 +162,34 @@ def heatmap_files(
     }
 
 
-def variant_name(config: TrainConfig) -> str:
-    return "probanet" if config.probanet_enabled else "baseline"
-
-
 def run_dir_name(config: TrainConfig) -> str:
     return f"{variant_name(config)}_seed{config.seed}"
+
+
+class SceneExport(NamedTuple):
+    """A scene, its feature dump encoded in ASCII and its boxes CSV."""
+
+    scene: Scene
+    features: bytes
+    boxes: str
+
+
+def export_scene(scene: Scene) -> SceneExport:
+    """The export of a pool's scene 0 as train writes it: its on_pool."""
+    dump = dump_feature_map(scene.features).encode("ascii")
+    return SceneExport(scene, dump, boxes_csv(scene))
 
 
 def write_seed_dirs(
     out_dir: str,
     results: list[RunResult],
     sim_config: SimConfig,
-    scene0: Scene,
+    export: SceneExport,
 ) -> list[str]:
     """Write the run directories of results trained on one seed's pool,
     one out_dir/<variant>_seed<seed>/ per result, creating out_dir if
-    need be; scene0, the pool's scene 0, is exported.
-
-    Scene 0's feature dump is the same text for every such run, so it is
-    formatted and encoded once and written into each directory.
+    need be; export is that of the pool's scene 0.
     """
-    features_bytes = dump_feature_map(scene0.features).encode("ascii")
-    boxes_text = boxes_csv(scene0)
     run_dirs = []
     for result in results:
         run_dir = os.path.join(out_dir, run_dir_name(result.config))
@@ -194,11 +201,11 @@ def write_seed_dirs(
             os.path.join(run_dir, "resolved-config.txt"),
             format_config(result.config, sim_config),
         )
-        _write_bytes(os.path.join(run_dir, "scene0_features.txt"), features_bytes)
-        _write_text(os.path.join(run_dir, "scene0_boxes.csv"), boxes_text)
+        _write_bytes(os.path.join(run_dir, "scene0_features.txt"), export.features)
+        _write_text(os.path.join(run_dir, "scene0_boxes.csv"), export.boxes)
         files = heatmap_files(
             result.final_state,
-            scene0,
+            export.scene,
             sim_config,
             channel=0,
             step=result.config.total_steps,

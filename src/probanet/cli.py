@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 
 from .artifacts import (
+    export_scene,
     heatmap_files,
     summary_csv,
     variant_name,
@@ -172,8 +173,8 @@ def cmd_train(args) -> int:
 
     # write_seed_dirs creates args.out, after run_experiment has checked
     # the seed range, so a rejected run leaves no directory behind.
-    def write_seed(results, scene0):
-        run_dirs = write_seed_dirs(args.out, results, sim_cfg, scene0)
+    def write_seed(results, export):
+        run_dirs = write_seed_dirs(args.out, results, sim_cfg, export)
         base, seed = results[0], results[0].config.seed
         if len(results) == 1:
             print(
@@ -187,7 +188,7 @@ def cmd_train(args) -> int:
                 f"probanet {results[1].tail_hard_ratio:.4f}, uplift {uplift:+.4f}"
             )
 
-    report = run_experiment(configs, args.seeds, sim_cfg, write_seed)
+    report = run_experiment(configs, args.seeds, sim_cfg, write_seed, export_scene)
     if len(configs) == 1:
         return 0
     summary_path = os.path.join(args.out, "summary.csv")

@@ -16,8 +16,10 @@ head only at the sampled anchors' feature rows.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import os
 import pickle
@@ -150,10 +152,8 @@ class MetricsRecord:
                 if isinstance(value, bool) or not isinstance(value, admits):
                     raise TypeError(f"metric {name} must be a number, got {value!r}")
                 object.__setattr__(self, name, kind(value))
-
-    def is_finite(self) -> bool:
-        """Whether every metric column is finite."""
-        return all(math.isfinite(getattr(self, name)) for name in _METRIC_COLUMNS)
+            if not math.isfinite(value):
+                raise NumericError(f"metric {name} is {value!r} in {self}")
 
 
 # metrics.csv's columns, in order: the fields of MetricsRecord.
@@ -168,8 +168,6 @@ class MetricsLog:
     records: list[MetricsRecord] = field(default_factory=list)
 
     def append(self, rec: MetricsRecord) -> None:
-        if not rec.is_finite():
-            raise NumericError(f"non-finite metrics at step {rec.step}: {rec}")
         self.records.append(rec)
 
     def __len__(self) -> int:
@@ -403,21 +401,22 @@ def loss_and_grads(
                 variance, cls_loss, config.alpha
             )
         fg_gate_mean, bg_gate_mean = _class_means(t2_flat, labels.category)
-    record = MetricsRecord(
-        step=step,
-        cls_loss=cls_loss,
-        probanet_loss=aux_loss,
-        variance=variance,
-        beta=beta,
-        hard_ratio=hard_ratio(batch, labels),
-        fg_gate_mean=fg_gate_mean,
-        bg_gate_mean=bg_gate_mean,
-        kept_fraction=kept_fraction,
-    )
-    if not record.is_finite():
-        raise NumericError(
-            f"non-finite metrics at {_where(step, config, kept_fraction)}: {record}"
+    try:
+        record = MetricsRecord(
+            step=step,
+            cls_loss=cls_loss,
+            probanet_loss=aux_loss,
+            variance=variance,
+            beta=beta,
+            hard_ratio=hard_ratio(batch, labels),
+            fg_gate_mean=fg_gate_mean,
+            bg_gate_mean=bg_gate_mean,
+            kept_fraction=kept_fraction,
         )
+    except NumericError as exc:
+        raise NumericError(
+            f"non-finite metrics at {_where(step, config, kept_fraction)}: {exc}"
+        ) from None
 
     # Backward.
     grad_values, grads = head_backward(values, logits, targets, params["scale"])
@@ -618,24 +617,24 @@ def run_experiment(
     configs: tuple[TrainConfig, ...],
     n_seeds: int,
     sim_config: SimConfig,
-    on_seed: Callable[[tuple[RunResult, ...], Scene], None] | None = None,
+    on_seed: Callable[[tuple[RunResult, ...], object], None] | None = None,
+    on_pool: Callable[[Scene], object] | None = None,
 ) -> ExperimentReport:
     """Train every config on identical scene pools over n_seeds seeds.
 
-    Seed s of the experiment is _train_seed(configs, sim_config,
-    configs[0].seed + s): the seed's pool, built once, and every config
-    trained on it in order; the pool and the sampler streams depend only
-    on that seed, so the variants are compared draw for draw.  on_seed,
-    when given, receives each seed's results and the pool's scene 0, in
-    seed order.
+    Seed s is the seed configs[0].seed + s: its pool, built once, and
+    every config trained on it; the pool and the sampler streams depend
+    only on that seed, so the variants are compared draw for draw.
+    on_seed gets each seed's results, in seed order, with the picklable
+    value of on_pool(scene 0), run in the seed's process, or scene 0.
 
-    With two or more seeds and a core per seed to spare (see
-    _worker_count), each seed runs in a forked worker and this process
-    only schedules them, taking the results back in seed order, so every
-    output is the same as in-process.  The first failing seed's
-    exception is re-raised after on_seed has run for the seeds before
-    it; no worker outlives a call that returns or raises, nor, on Linux,
-    this process.
+    Up to _worker_count() seeds train at once, in forked workers if two
+    or more, sharing its processes equally.  A seed with two or more
+    trains configs[0], then runs on_pool, while configs[1:] train in
+    children forked from it; with one, it trains them, then on_pool.
+    Outputs and the first failing seed's (then config's) exception,
+    raised after on_seed ran for the seeds before it, are as in-process;
+    no child outlives the call, nor, on Linux, its parent.
     """
     if not configs:
         raise ConfigError("run_experiment needs at least one config")
@@ -655,60 +654,90 @@ def run_experiment(
         raise ConfigError(
             f"{n_seeds} seeds from {first} run past 2**64 - 1", field="seed"
         )
+    budget = _worker_count()
+    at_once = min(n_seeds, budget)
+    share = budget // at_once
+    train = functools.partial(_train_seed, configs, sim_config, share, on_pool)
+    seeds = ((f"seed {seed}", seed) for seed in range(first, first + n_seeds))
     runs = []
-    pending = deque()  # (seed, pid, read end) per worker, in seed order
+    with _fork_map(train, seeds, at_once if at_once > 1 else 0) as replies:
+        for results, scene0 in replies:
+            if on_seed is not None:
+                on_seed(results, scene0)
+            runs.append(results)
+    return ExperimentReport(configs=tuple(configs), runs=tuple(runs))
 
-    def finish(results: tuple[RunResult, ...], scene0: Scene) -> None:
-        if on_seed is not None:
-            on_seed(results, scene0)
-        runs.append(results)
 
-    workers = _worker_count(n_seeds)
-    try:
-        for seed in range(first, first + n_seeds):
-            if len(pending) == workers:
-                finish(*_join(*pending.popleft()))
-            if workers == 1:
-                finish(*_train_seed(configs, sim_config, seed))
-            else:
-                pending.append((seed, *_fork(configs, sim_config, seed)))
+def variant_name(config: TrainConfig) -> str:
+    return "probanet" if config.probanet_enabled else "baseline"
+
+
+def _train_seed(
+    configs: tuple[TrainConfig, ...], sim_config: SimConfig, cores: int, on_pool, seed
+) -> tuple[tuple[RunResult, ...], object]:
+    """One seed of run_experiment with cores processes: every config at
+    that seed, trained on one pool built here, and on_pool(scene 0)."""
+    seeded = [replace(config, seed=seed) for config in configs]
+    pool = build_scene_pool(seeded[0], sim_config)
+    train = functools.partial(run_training, sim_config=sim_config, pool=pool)
+    export = functools.partial(on_pool or (lambda scene: scene), pool.scenes[0])
+    rest = ((f"the {variant_name(c)} variant at seed {seed}", c) for c in seeded[1:])
+    with _fork_map(train, rest, cores - 1) as replies:
+        results = [train(seeded[0])]
+        made = export() if cores > 1 else None  # while the children train
+        results.extend(replies)
+    return tuple(results), made if cores > 1 else export()
+
+
+def _worker_count() -> int:
+    """Processes to run at once: the cores of this process's affinity set
+    over the BLAS threads of each (OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, a positive ASCII integer, else every CPU); 1 runs
+    in-process, as does a platform without fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    env = os.environ
+    text = env.get("OPENBLAS_NUM_THREADS") or env.get("OMP_NUM_THREADS") or ""
+    valid = text.isascii() and text.isdigit() and int(text) > 0
+    blas = int(text) if valid else os.cpu_count() or 1
+    return max(1, len(os.sched_getaffinity(0)) // blas)
+
+
+@contextlib.contextmanager
+def _fork_map(fn: Callable, jobs, width: int):
+    """An iterator over fn(arg) for each (label, arg) of jobs, in order:
+    computed here as asked for with width 0, else each in a child forked
+    from here, at most width at once, the first on entry.  Exceptions are
+    raised in job order; every child left on exit is killed and reaped."""
+    if width == 0:
+        yield (fn(arg) for _, arg in jobs)
+        return
+    jobs, pending = iter(jobs), deque()  # (label, pid, read end) per child
+
+    def fork_more():
+        for label, arg in itertools.islice(jobs, width - len(pending)):
+            pending.append((label, *_fork(fn, arg)))
+
+    def replies():
         while pending:
-            finish(*_join(*pending.popleft()))
+            reply = _join(*pending.popleft())
+            fork_more()
+            yield reply
+
+    try:
+        fork_more()
+        yield replies()
     finally:
         for _, pid, fd in pending:
             os.kill(pid, signal.SIGKILL)
             os.close(fd)
             os.waitpid(pid, 0)
-    return ExperimentReport(configs=tuple(configs), runs=tuple(runs))
 
 
-def _train_seed(
-    configs: tuple[TrainConfig, ...], sim_config: SimConfig, seed: int
-) -> tuple[tuple[RunResult, ...], Scene]:
-    """One seed of run_experiment: every config at that seed, trained on
-    one pool built here, and the pool's scene 0."""
-    seeded = [replace(config, seed=seed) for config in configs]
-    pool = build_scene_pool(seeded[0], sim_config)
-    results = tuple(run_training(config, sim_config, pool) for config in seeded)
-    return results, pool.scenes[0]
-
-
-def _worker_count(n_seeds: int) -> int:
-    """Seeds to train at once: one per core, counting a core per BLAS
-    thread of a process (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
-    else every CPU); 1 trains in-process."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    env = os.environ
-    text = env.get("OPENBLAS_NUM_THREADS") or env.get("OMP_NUM_THREADS") or ""
-    blas = int(text) if text.isdigit() and int(text) > 0 else os.cpu_count() or 1
-    return max(1, min(n_seeds, len(os.sched_getaffinity(0)) // blas))
-
-
-def _fork(*args) -> tuple[int, int]:
-    """Fork a worker that pickles back _train_seed(*args), or the exception
-    it raised, and exits; its pid and the read end of its pipe.  On Linux
-    the worker is killed when this process dies."""
+def _fork(fn: Callable, *args) -> tuple[int, int]:
+    """Fork a child that pickles back fn(*args), or the exception it
+    raised, and exits; its pid and the read end of its pipe.  On Linux
+    the child is killed when this process dies."""
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
     try:
@@ -728,7 +757,7 @@ def _fork(*args) -> tuple[int, int]:
             if os.getppid() != parent:  # died before the request took effect
                 os._exit(1)
             try:
-                reply = _train_seed(*args)
+                reply = fn(*args)
             except Exception as exc:
                 reply = exc
             with os.fdopen(write_fd, "wb") as fh:
@@ -740,9 +769,9 @@ def _fork(*args) -> tuple[int, int]:
     return pid, read_fd
 
 
-def _join(seed: int, pid: int, read_fd: int) -> tuple[tuple[RunResult, ...], Scene]:
-    """Reap the worker training seed and return its _train_seed reply, or
-    raise the exception it sent back."""
+def _join(label: str, pid: int, read_fd: int):
+    """Reap the child training label and return its reply, or raise the
+    exception it sent back."""
     try:
         with os.fdopen(read_fd, "rb") as fh:
             payload = fh.read()
@@ -750,7 +779,7 @@ def _join(seed: int, pid: int, read_fd: int) -> tuple[tuple[RunResult, ...], Sce
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
         raise ProbanetError(
-            f"the worker training seed {seed} exited with status {status} "
+            f"the worker training {label} exited with status {status} "
             "without a result"
         )
     reply = pickle.loads(payload)

@@ -36,7 +36,7 @@ from probanet import (
     sample_minibatch,
     variance_constraint,
 )
-from probanet.artifacts import write_seed_dirs
+from probanet.artifacts import export_scene, write_seed_dirs
 from probanet.cli import main
 from probanet.gradcheck import DEFAULT_SHAPES, REL_TOL, run_suite
 from probanet.training import loss_and_grads
@@ -228,9 +228,10 @@ def test_criterion_8_byte_for_byte_determinism(tmp_path, capsys):
             (config,),
             1,
             SIM,
-            lambda results, scene0: dirs.extend(
-                write_seed_dirs(str(tmp_path / name), results, SIM, scene0)
+            lambda results, export: dirs.extend(
+                write_seed_dirs(str(tmp_path / name), results, SIM, export)
             ),
+            on_pool=export_scene,
         )
     names_a = sorted(os.listdir(dirs[0]))
     names_b = sorted(os.listdir(dirs[1]))

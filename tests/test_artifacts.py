@@ -10,6 +10,7 @@ from reference import read_pgm, read_ppm
 from probanet import DomainError, SimConfig, TrainConfig, run_experiment, run_training
 from probanet.artifacts import (
     SUMMARY_HEADER,
+    export_scene,
     gate_weights_for,
     heatmap_files,
     normalize_gray,
@@ -145,7 +146,9 @@ def test_variant_and_run_dir_names():
 def test_write_run_dir_emits_expected_files(tmp_path):
     pool = build_scene_pool(CONFIG, SIM)
     result = run_training(CONFIG, SIM, pool)
-    [run_dir] = write_seed_dirs(str(tmp_path), [result], SIM, pool.scenes[0])
+    [run_dir] = write_seed_dirs(
+        str(tmp_path), [result], SIM, export_scene(pool.scenes[0])
+    )
     assert os.path.basename(run_dir) == "probanet_seed5"
     names = sorted(os.listdir(run_dir))
     assert names == [
@@ -172,7 +175,8 @@ def test_write_run_dir_is_byte_reproducible(tmp_path):
     for name in ("a", "b"):
         pool = build_scene_pool(CONFIG, SIM)
         result = run_training(CONFIG, SIM, pool)
-        dirs += write_seed_dirs(str(tmp_path / name), [result], SIM, pool.scenes[0])
+        export = export_scene(pool.scenes[0])
+        dirs += write_seed_dirs(str(tmp_path / name), [result], SIM, export)
     dir_a, dir_b = dirs
     for name in sorted(os.listdir(dir_a)):
         with open(os.path.join(dir_a, name), "rb") as fh:

@@ -10,6 +10,8 @@ from its path and executed; nothing under bench/ is written.
 import types
 from pathlib import Path
 
+from spies import use_workers
+
 from probanet import cli
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -38,7 +40,9 @@ def load_spans() -> types.ModuleType:
     return module
 
 
-def test_traced_train_and_gradcheck(tmp_path, capsys):
+def test_traced_train_and_gradcheck(tmp_path, capsys, monkeypatch):
+    # Spans recorded in a forked child die with it, so train in-process.
+    use_workers(monkeypatch, forked=False)
     spans = load_spans()
     config = tmp_path / "tiny.cfg"
     config.write_text(CONFIG, encoding="ascii")

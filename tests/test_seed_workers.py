@@ -1,8 +1,10 @@
-"""run_experiment's forked seed workers against its in-process loop.
+"""run_experiment's forked seed workers and config children against its
+in-process loop.
 
-With OPENBLAS_NUM_THREADS=1 on two or more cores, each seed of a
-multi-seed experiment trains in a forked worker; with as many BLAS
-threads as CPUs it trains in-process.  Spies patched into
+With OPENBLAS_NUM_THREADS=1 on two cores, each seed of a two-seed
+experiment trains in a forked worker, and a one-seed experiment trains
+configs[0] in this process and configs[1] in a child forked from it;
+with as many BLAS threads as CPUs everything trains in-process.  Spies patched into
 probanet.training are inherited by the workers through fork; what a
 worker records is written to a file, since its memory is its own.
 """
@@ -26,10 +28,12 @@ from probanet import (
     ProbanetError,
     SimConfig,
     TrainConfig,
+    dump_feature_map,
     run_experiment,
     run_training,
     sample_minibatch,
 )
+from probanet.artifacts import variant_name
 from probanet.cli import main
 
 pytestmark = pytest.mark.skipif(
@@ -109,6 +113,7 @@ def test_forked_seeds_equal_one_seed_runs(tmp_path, monkeypatch):
     assert list(by_pid.values()) == [one_seed, one_seed]
     assert [results for results, _ in seen] == list(report.runs)
 
+    use_workers(monkeypatch, forked=False)
     for s, (results, scene0) in enumerate(seen):
         seeded = tuple(replace(c, seed=GATED.seed + s) for c in CONFIGS)
         alone_seen = []
@@ -223,6 +228,115 @@ def test_worker_exiting_without_reply_names_seed_and_status(monkeypatch, offset)
     assert_no_child_left()
 
 
+def record_variants(monkeypatch, path) -> None:
+    """Spy on run_training, appending each run's variant and the calling
+    process's pid to path, as record_calls does."""
+
+    def spy(config, sim_config, pool=None):
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(f"{variant_name(config)} {os.getpid()}\n")
+        return run_training(config, sim_config, pool)
+
+    monkeypatch.setattr(training, "run_training", spy)
+
+
+@pytest.mark.parametrize("seeds", [1, 2])
+def test_each_seed_builds_and_exports_once_in_its_own_process(
+    tmp_path, monkeypatch, capsys, seeds
+):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(CLI_CONFIG, encoding="ascii")
+    calls = tmp_path / "calls"
+    record_calls(monkeypatch, calls, training.build_scene_pool)
+    record_calls(monkeypatch, calls, dump_feature_map)
+    record_variants(monkeypatch, calls)
+    trees, stdouts = [], []
+    for forked in (True, False):
+        use_workers(monkeypatch, forked)
+        out = tmp_path / ("forked" if forked else "in-process")
+        argv = ["train", "--config", str(config), "--out", str(out)]
+        assert main(argv + ["--seeds", str(seeds)]) == 0
+        ran_in = {}
+        for name, pid in read_calls(calls):
+            ran_in.setdefault(name, []).append(pid)
+        # One pool and one export per seed, both made where the seed trains.
+        seed_pids = ran_in.pop("build_scene_pool")
+        assert len(seed_pids) == seeds
+        assert sorted(ran_in.pop("dump_feature_map")) == sorted(seed_pids)
+        assert sorted(ran_in.pop("baseline")) == sorted(seed_pids)
+        gated_pids = ran_in.pop("probanet")
+        assert ran_in == {}
+        if not forked:
+            assert set(seed_pids + gated_pids) == {os.getpid()}
+        elif seeds == 1:  # train's own process and one core to spare
+            assert seed_pids == [os.getpid()]
+            assert len(gated_pids) == 1 and gated_pids[0] != os.getpid()
+        else:  # a worker per seed and no core to spare
+            assert os.getpid() not in seed_pids
+            assert sorted(gated_pids) == sorted(seed_pids)
+        trees.append(_tree_bytes(out))
+        stdouts.append(capsys.readouterr().out.replace(str(out), "<out>"))
+    assert "summary.csv" in trees[0]
+    assert len(trees[0]) == 1 + seeds * len(CONFIGS) * 6  # six files a run
+    assert trees[0] == trees[1]
+    assert stdouts[0] == stdouts[1]
+    assert_no_child_left()
+
+
+THREE_CONFIGS = CONFIGS + (replace(GATED, th=0.2),)
+
+
+@pytest.mark.parametrize("failing", ["baseline", "probanet"])
+def test_failing_config_is_raised_as_in_process(monkeypatch, failing):
+    # th tells the two gated configs apart; the first to fail is raised.
+    current = {}
+
+    def run_spy(config, sim_config, pool=None):
+        current["config"] = config
+        return run_training(config, sim_config, pool)
+
+    def sample_spy(labels, mask, rng):
+        config = current["config"]
+        if variant_name(config) == failing:
+            raise EmptyPoolError(f"no candidates (spy, th {config.th})")
+        return sample_minibatch(labels, mask, rng)
+
+    monkeypatch.setattr(training, "run_training", run_spy)
+    monkeypatch.setattr(training, "sample_minibatch", sample_spy)
+    errors = []
+    for forked in (True, False):
+        use_workers(monkeypatch, forked)
+        with time_limit(60), pytest.raises(EmptyPoolError) as exc:
+            run_experiment(THREE_CONFIGS, 1, SIM)
+        errors.append(exc.value)
+        assert_no_child_left()
+    forked_error, in_process_error = errors
+    assert type(forked_error) is type(in_process_error)
+    assert str(forked_error) == str(in_process_error)
+    assert str(forked_error).startswith(f"no candidates (spy, th {GATED.th}) at step 0")
+
+
+def test_config_child_exiting_without_reply_names_seed_and_variant(monkeypatch):
+    parent = os.getpid()
+
+    def exiting_spy(config, sim_config, pool=None):
+        if config.probanet_enabled and os.getpid() != parent:
+            os._exit(1)
+        return run_training(config, sim_config, pool)
+
+    monkeypatch.setattr(training, "run_training", exiting_spy)
+    use_workers(monkeypatch, forked=True)
+    seen = []
+    match = (
+        f"^the worker training the probanet variant at seed {GATED.seed} "
+        "exited with status 1 without a result$"
+    )
+    with time_limit(60), pytest.raises(ProbanetError, match=match):
+        run_experiment(CONFIGS, 1, SIM, on_seed=lambda *reply: seen.append(reply))
+    assert seen == []
+    assert_no_child_left()
+
+
 def live_members(pgid: int) -> list[int]:
     """The pids of process group pgid's processes that are not zombies,
     read from /proc.  A killed worker whose new parent never reaps it
@@ -239,8 +353,10 @@ def live_members(pgid: int) -> list[int]:
     return members
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="PR_SET_PDEATHSIG is Linux's")
-def test_seed_workers_die_with_their_parent(tmp_path):
+def terminate_train(tmp_path, seeds: int, children: int) -> None:
+    """Start a long `probanet train --seeds <seeds>` in its own process
+    group, SIGTERM it once it has that many live children, and require
+    the group to empty."""
     # About a minute per seed, far past the bound below.
     config = tmp_path / "long.cfg"
     config.write_text("epochs = 250\nth = 0\n", encoding="ascii")
@@ -249,14 +365,14 @@ def test_seed_workers_die_with_their_parent(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [
         sys.executable, "-m", "probanet.cli", "train", "--config", str(config),
-        "--out", str(tmp_path / "runs"), "--seeds", "2",
+        "--out", str(tmp_path / "runs"), "--seeds", str(seeds),
     ]
     proc = subprocess.Popen(argv, env=env, start_new_session=True)
     try:
         deadline = time.monotonic() + 60
-        while len(live_members(proc.pid)) < 3:  # the parent and both workers
+        while len(live_members(proc.pid)) < 1 + children:
             assert proc.poll() is None, "train exited before forking its workers"
-            assert time.monotonic() < deadline, "the seed workers never started"
+            assert time.monotonic() < deadline, "the workers never started"
             time.sleep(0.05)
         proc.terminate()  # SIGTERM skips run_experiment's cleanup
         proc.wait()
@@ -268,3 +384,14 @@ def test_seed_workers_die_with_their_parent(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="PR_SET_PDEATHSIG is Linux's")
+def test_seed_workers_die_with_their_parent(tmp_path):
+    terminate_train(tmp_path, seeds=2, children=2)  # a worker per seed
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="PR_SET_PDEATHSIG is Linux's")
+def test_config_children_die_with_their_parent(tmp_path):
+    # One seed trains in train's own process, its gated config in a child.
+    terminate_train(tmp_path, seeds=1, children=1)

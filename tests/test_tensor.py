@@ -117,6 +117,18 @@ def test_relu_values_and_subgradient():
     assert np.array_equal(g, np.array([[[0.0, 0.0, 1.0]]]))
 
 
+def test_relu_backward_is_bit_identical_to_where_form():
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310]
+    for seed, shape in [(50, (7, 9, 5)), (51, (38, 50, 9)), (52, (3800, 32))]:
+        x, grad = random_map(seed, shape), random_map(seed + 100, shape)
+        for i, value in enumerate(special):  # seed both maps, apart and together
+            x.flat[i :: 97] = value
+            grad.flat[i :: 89] = value
+        ref = np.where(x > 0.0, grad, 0.0)
+        assert np.array_equal(relu_backward(x, grad).view(np.int64), ref.view(np.int64))
+
+
 def test_sigmoid_values_and_open_interval():
     assert abs(sigmoid(np.zeros((1, 1, 1)))[0, 0, 0] - 0.5) < 1e-15
     extreme = sigmoid(np.array([[[-1000.0, 1000.0]]]))

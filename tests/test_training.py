@@ -796,3 +796,16 @@ def test_experiment_report_arithmetic():
     assert report.uplifts() == pytest.approx([0.3, -0.1])
     assert report.mean_uplift() == pytest.approx(0.1)
     assert report.uplift_wins() == 1
+
+
+@pytest.mark.parametrize("text", ["²", "0", " 1", "abc"])
+def test_bad_blas_thread_count_counts_as_unset(monkeypatch, text):
+    import probanet.training
+
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    unset = probanet.training._worker_count()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", text)
+    assert probanet.training._worker_count() == unset
+    report = run_experiment((tiny_config(),), 2, TINY_SIM)
+    assert [r.config.seed for (r,) in report.runs] == [3, 4]
