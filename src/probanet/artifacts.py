@@ -1,6 +1,7 @@
 """Run-directory emission: metrics CSV, resolved config, scene exports,
 and the two heatmap products (a normalized gate-weight image and a scene
-overlay outlining the top-weighted anchors).
+overlay outlining the top-weighted anchors); and an experiment's summary
+CSV.
 
 Everything written here is a deterministic function of the run's config
 and seed; repeated runs reproduce every file byte for byte.
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import fields
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -21,15 +24,21 @@ from .netpbm import write_pgm, write_ppm
 from .sim import AnchorGrid, Scene, SimConfig, boxes_csv, grid_for
 from .tensor import dump_feature_map
 from .training import (
-    SUMMARY_COLUMNS,
     ExperimentReport,
+    MetricsRecord,
     RunResult,
     TrainConfig,
     TrainState,
     variant_name,
 )
 
-SUMMARY_HEADER = ",".join(SUMMARY_COLUMNS)
+# metrics.csv's columns: the fields of MetricsRecord, in order.
+_METRIC_NAMES = tuple(f.name for f in fields(MetricsRecord))
+METRICS_HEADER = ",".join(_METRIC_NAMES)
+SUMMARY_HEADER = (
+    "seed,baseline_hard_ratio,probanet_hard_ratio,hard_ratio_uplift,"
+    "baseline_gate_gap,probanet_gate_gap,baseline_logit_gap,probanet_logit_gap"
+)
 
 
 def normalize_gray(values: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -194,9 +203,7 @@ def write_seed_dirs(
     for result in results:
         run_dir = os.path.join(out_dir, run_dir_name(result.config))
         os.makedirs(run_dir, exist_ok=True)
-        _write_text(
-            os.path.join(run_dir, "metrics.csv"), result.metrics.to_csv()
-        )
+        _write_text(os.path.join(run_dir, "metrics.csv"), metrics_csv(result.metrics))
         _write_text(
             os.path.join(run_dir, "resolved-config.txt"),
             format_config(result.config, sim_config),
@@ -216,10 +223,29 @@ def write_seed_dirs(
     return run_dirs
 
 
+def metrics_csv(metrics: tuple[MetricsRecord, ...]) -> str:
+    """metrics.csv: one row per step, under METRICS_HEADER."""
+    return _csv_table(METRICS_HEADER, map(attrgetter(*_METRIC_NAMES), metrics))
+
+
 def summary_csv(report: ExperimentReport) -> str:
-    lines = [SUMMARY_HEADER]
-    for row in report.summary_rows():
-        lines.append(",".join(repr(row[name]) for name in SUMMARY_COLUMNS))
+    """summary.csv: one row per seed comparing variant 1 with variant 0,
+    under SUMMARY_HEADER."""
+    rows = (
+        (
+            base.config.seed, base.tail_hard_ratio, variant.tail_hard_ratio,
+            uplift, base.gate_gap, variant.gate_gap,
+            base.logit_gap, variant.logit_gap,
+        )
+        for (base, variant, *_), uplift in zip(report.runs, report.uplifts())
+    )
+    return _csv_table(SUMMARY_HEADER, rows)
+
+
+def _csv_table(header: str, rows) -> str:
+    """The header line, one line of comma-separated reprs per row, which
+    read back exactly, and a trailing newline."""
+    lines = [header, *(",".join(map(repr, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -205,10 +205,6 @@ def cmd_heatmap(args) -> int:
     config_path = os.path.join(args.run, "resolved-config.txt")
     with open(config_path, "r", encoding="utf-8") as fh:
         train_cfg, sim_cfg = parse_config(fh.read())
-    if not 0 <= args.step <= train_cfg.total_steps:
-        raise ConfigError(
-            f"step must lie in [0, {train_cfg.total_steps}], got {args.step}"
-        )
     if not 0 <= args.channel < sim_cfg.anchors_per_cell:
         raise ConfigError(
             f"channel must lie in [0, {sim_cfg.anchors_per_cell}), "

@@ -259,7 +259,7 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     else:
         raise NumericError("could not label a kept background anchor")
     params = {"head_weight": head_weight, "scale": scale, "shift": shift, **gate}
-    state = TrainState(params=params, velocity={})
+    state = TrainState(params)
     config = TrainConfig(epsilon=eps, th=th, r=2, seed=rng.next_u64())
     labels = LabelArrays(
         category=category, hard=np.zeros(n, dtype=bool), iou=np.zeros(n)

@@ -263,22 +263,17 @@ def _synthesize_into(config: SimConfig, seed: int, features: np.ndarray) -> Scen
     return Scene(objects=tuple(boxes), features=features, seed=seed)
 
 
-def label_arrays(
-    scene: Scene,
-    grid: AnchorGrid,
-    *,
-    fg_iou: float = 0.7,
-    bg_iou: float = 0.3,
-    hard_bg_lo: float = 0.1,
-    hard_fg_hi: float = 0.75,
-) -> LabelArrays:
-    """Vectorized labeling of every anchor against every object.
+def label_arrays(scene: Scene, sim_config: SimConfig) -> LabelArrays:
+    """Vectorized labeling of every anchor of sim_config's grid against
+    every object, with sim_config's thresholds.
 
     Foreground: overlap >= fg_iou, or best-overlap anchor for an object.
     Background: overlap < bg_iou.  Anything between is ignored.  Hard
     means background inside [hard_bg_lo, bg_iou) or foreground inside
     [fg_iou, hard_fg_hi); best-overlap promotions below fg_iou are easy.
     """
+    sc = sim_config
+    grid = grid_for(sc)
     n = grid.n_anchors
     if not scene.objects:
         return LabelArrays(
@@ -302,8 +297,8 @@ def label_arrays(
 
     best = overlap.max(axis=1)
     category = np.full(n, IGNORE, dtype=np.int8)
-    category[best < bg_iou] = BG
-    category[best >= fg_iou] = FG
+    category[best < sc.bg_iou] = BG
+    category[best >= sc.fg_iou] = FG
     # Best-overlap promotion keeps every object owned by at least one
     # foreground anchor even when no anchor clears the threshold.
     argmax_anchors = overlap.argmax(axis=0)
@@ -312,7 +307,9 @@ def label_arrays(
 
     is_fg = category == FG
     is_bg = category == BG
-    hard = (is_bg & (best >= hard_bg_lo)) | (is_fg & (best >= fg_iou) & (best < hard_fg_hi))
+    hard = (is_bg & (best >= sc.hard_bg_lo)) | (
+        is_fg & (best >= sc.fg_iou) & (best < sc.hard_fg_hi)
+    )
     return LabelArrays(category=category, hard=hard, iou=best)
 
 

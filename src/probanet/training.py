@@ -26,9 +26,10 @@ import pickle
 import signal
 import sys
 from collections import deque
-from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .sim import (
     Scene,
     SimConfig,
     _synthesize_into,
-    grid_for,
     hard_ratio,
     label_arrays,
     sample_minibatch,
@@ -145,50 +145,15 @@ class MetricsRecord:
 
     def __post_init__(self):
         # metrics.csv holds repr(value), which is "np.float64(0.5)" for numpy's.
-        for name in _METRIC_COLUMNS:
-            value = getattr(self, name)
-            kind, admits = (int, Integral) if name == "step" else (float, Real)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, admits = (int, Integral) if f.name == "step" else (float, Real)
             if type(value) is not kind:
                 if isinstance(value, bool) or not isinstance(value, admits):
-                    raise TypeError(f"metric {name} must be a number, got {value!r}")
-                object.__setattr__(self, name, kind(value))
+                    raise TypeError(f"metric {f.name} must be a number, got {value!r}")
+                object.__setattr__(self, f.name, kind(value))
             if not math.isfinite(value):
-                raise NumericError(f"metric {name} is {value!r} in {self}")
-
-
-# metrics.csv's columns, in order: the fields of MetricsRecord.
-_METRIC_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
-METRICS_HEADER = ",".join(_METRIC_COLUMNS)
-
-
-@dataclass
-class MetricsLog:
-    """Per-step records, serialized as CSV under a fixed header."""
-
-    records: list[MetricsRecord] = field(default_factory=list)
-
-    def append(self, rec: MetricsRecord) -> None:
-        self.records.append(rec)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def to_csv(self) -> str:
-        lines = [METRICS_HEADER]
-        for r in self.records:
-            lines.append(",".join(repr(getattr(r, name)) for name in _METRIC_COLUMNS))
-        return "\n".join(lines) + "\n"
-
-    def tail_mean_hard_ratio(self, fraction: float = 0.25) -> float:
-        """Mean hard ratio over the final `fraction` of steps (0.0 if empty)."""
-        if not self.records:
-            return 0.0
-        n_tail = max(1, int(math.ceil(len(self.records) * fraction)))
-        tail = self.records[-n_tail:]
-        return sum(r.hard_ratio for r in tail) / len(tail)
+                raise NumericError(f"metric {f.name} is {value!r} in {self}")
 
 
 @dataclass(frozen=True)
@@ -228,21 +193,11 @@ def build_scene_pool(config: TrainConfig, sim_config: SimConfig) -> ScenePool:
     each scene synthesized straight into its row of one array."""
     sc = sim_config
     features = np.empty((sc.scene_pool_size, sc.height, sc.width, sc.channels))
-    grid = grid_for(sc)
     scenes, labels = [], []
     for i in range(sc.scene_pool_size):
         scene = _synthesize_into(sc, derive_seed(config.seed, "scene", i), features[i])
         scenes.append(scene)
-        labels.append(
-            label_arrays(
-                scene,
-                grid,
-                fg_iou=sc.fg_iou,
-                bg_iou=sc.bg_iou,
-                hard_bg_lo=sc.hard_bg_lo,
-                hard_fg_hi=sc.hard_fg_hi,
-            )
-        )
+        labels.append(label_arrays(scene, sc))
     return ScenePool(
         features=features,
         labels=LabelArrays(
@@ -254,7 +209,6 @@ def build_scene_pool(config: TrainConfig, sim_config: SimConfig) -> ScenePool:
     )
 
 
-@dataclass
 class TrainState:
     """The trainable parameters by name, their momentum buffers under
     the same names, and the number of steps taken.
@@ -263,17 +217,40 @@ class TrainState:
     scale and shift, plus, when the gate is enabled, its four arrays
     (reduce_weight, reduce_bias, expand_weight, expand_bias).
 
-    Updates write every entry in place as a view of one flat buffer, packed
-    anew after an entry is replaced (see _flat_buffers), which then trains as set.
+    The constructor copies the parameters, then the velocities (zero for
+    any not given), into one flat buffer.  params and velocity are
+    read-only mappings of views of it, scale and shift 0-d ones, which
+    every update writes in place; a copy or an unpickled state packs a
+    buffer of its own.
     """
 
-    params: dict
-    velocity: dict
-    step: int = 0
-    _flat: tuple = field(default=((), None, ()), init=False, repr=False)
+    def __init__(
+        self,
+        params: Mapping[str, np.ndarray | float],
+        velocity: Mapping[str, np.ndarray | float] | None = None,
+        step: int = 0,
+    ):
+        velocity = {} if velocity is None else velocity
+        if unknown := velocity.keys() - params.keys():
+            raise KeyError(f"velocities of no parameter: {sorted(unknown)}")
+        shapes = [np.shape(value) for value in params.values()] * 2
+        sizes = [math.prod(shape) for shape in shapes]
+        buffer = np.zeros(sum(sizes))
+        parts = np.split(buffer, np.cumsum(sizes)[:-1])
+        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        values = [*params.values(), *(velocity.get(name, 0.0) for name in params)]
+        for view, value in zip(views, values):
+            view[...] = value
+        self.params = MappingProxyType(dict(zip(params, views)))
+        self.velocity = MappingProxyType(dict(zip(params, views[len(params) :])))
+        self.step = step
+        self._theta, self._moment = np.split(buffer, 2)
+
+    def __reduce__(self):
+        return TrainState, (dict(self.params), dict(self.velocity), self.step)
 
     @property
-    def gate(self) -> dict | None:
+    def gate(self) -> Mapping | None:
         """The parameters gate_forward reads, or None without a gate."""
         return self.params if "reduce_weight" in self.params else None
 
@@ -281,6 +258,7 @@ class TrainState:
 def init_state(config: TrainConfig, sim_config: SimConfig) -> TrainState:
     """Fresh parameters; the gate draws from its own seed stream so the
     baseline and gated variants start from the same head."""
+    _check_gate_geometry(config, sim_config)
     c = sim_config.channels
     k = sim_config.anchors_per_cell
     head_rng = SplitMix64(derive_seed(config.seed, "init"))
@@ -291,13 +269,17 @@ def init_state(config: TrainConfig, sim_config: SimConfig) -> TrainState:
         "shift": 0.0,
     }
     if config.probanet_enabled:
-        if c % config.r != 0:
-            raise ConfigError(f"channels {c} not divisible by reduction {config.r}")
         gate_rng = SplitMix64(derive_seed(config.seed, "init-gate"))
         params.update(init_gate_params(c, k, config.r, gate_rng))
-    velocity = {name: np.zeros_like(value) for name, value in params.items()}
-    velocity["scale"] = velocity["shift"] = 0.0
-    return TrainState(params=params, velocity=velocity)
+    return TrainState(params)
+
+
+def _check_gate_geometry(config: TrainConfig, sim_config: SimConfig) -> None:
+    """Raise ConfigError if config trains a gate whose reduction r does not
+    divide the channels of sim_config's maps."""
+    c = sim_config.channels
+    if config.probanet_enabled and c % config.r != 0:
+        raise ConfigError(f"channels {c} not divisible by reduction {config.r}")
 
 
 def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -455,47 +437,28 @@ def _sgd_update(state: TrainState, grads: dict, config: TrainConfig) -> None:
     parameter at once over the flat buffers.  Raises NumericError naming
     the first parameter that the update leaves non-finite."""
     lr = config.learning_rate_at(state.step)
-    names, theta, velocity = _flat_buffers(state)
-    g = np.concatenate([grads[name] for name in names], axis=None)
+    theta, velocity = state._theta, state._moment
+    g = np.concatenate([grads[name] for name in state.params], axis=None)
     g += config.weight_decay * theta
     g *= lr
     velocity *= config.momentum
     velocity -= g
     theta += velocity
     if not np.isfinite(theta).all():
-        name = next(n for n in names if not np.isfinite(state.params[n]).all())
+        name = next(n for n, v in state.params.items() if not np.isfinite(v).all())
         raise NumericError(
             f"non-finite parameter {name} after the update of step "
             f"{state.step}, seed {config.seed}"
         )
 
 
-def _flat_buffers(state: TrainState) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The parameter names and the flat parameter and velocity buffers
-    that the entries of state.params and state.velocity view, packed anew
-    from the entries when one of them is not such a view."""
-    names = tuple(state.params)
-    entries = [d[n] for d in (state.params, state.velocity) for n in names]
-    packed, buffer, views = state._flat
-    stale = packed != names or any(e is not v for e, v in zip(entries, views))
-    if stale or views[0].base is not buffer:  # a copied state's views lost its buffer
-        shapes = [np.shape(e) for e in entries[: len(names)]] * 2
-        buffer = np.concatenate(entries, axis=None, dtype=float)
-        parts = np.split(buffer, np.cumsum([math.prod(s) for s in shapes])[:-1])
-        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-        state.params.update(zip(names, views))
-        state.velocity.update(zip(names, views[len(names) :]))
-        state._flat = (names, buffer, views)
-    half = buffer.size // 2
-    return names, buffer[:half], buffer[half:]
-
-
 @dataclass(frozen=True)
 class RunResult:
-    """One trained variant: its log plus final-state evaluations."""
+    """One trained variant: its per-step records plus final-state
+    evaluations."""
 
     config: TrainConfig
-    metrics: MetricsLog
+    metrics: tuple[MetricsRecord, ...]
     tail_hard_ratio: float
     fg_gate_mean: float
     bg_gate_mean: float
@@ -509,7 +472,7 @@ def run_partial(
     sim_config: SimConfig,
     steps: int,
     pool: ScenePool | None = None,
-) -> tuple[TrainState, ScenePool, MetricsLog]:
+) -> tuple[TrainState, ScenePool, tuple[MetricsRecord, ...]]:
     """Train from scratch for a given number of steps (replay helper)."""
     if steps < 0 or steps > config.total_steps:
         raise ConfigError(
@@ -518,12 +481,12 @@ def run_partial(
     if pool is None:
         pool = build_scene_pool(config, sim_config)
     state = init_state(config, sim_config)
-    log = MetricsLog()
+    records = []
     for step in range(steps):
         x, labels = pool.step_inputs(step, config.scenes_per_batch)
         state, record = train_step(state, x, labels, config)
-        log.append(record)
-    return state, pool, log
+        records.append(record)
+    return state, pool, tuple(records)
 
 
 def run_training(
@@ -532,15 +495,15 @@ def run_training(
     pool: ScenePool | None = None,
 ) -> RunResult:
     """Train one variant from scratch and evaluate its final state."""
-    state, pool, log = run_partial(config, sim_config, config.total_steps, pool)
-    return _finalize_run(config, state, pool, log)
+    state, pool, metrics = run_partial(config, sim_config, config.total_steps, pool)
+    return _finalize_run(config, state, pool, metrics)
 
 
 def _finalize_run(
     config: TrainConfig,
     state: TrainState,
     pool: ScenePool,
-    log: MetricsLog,
+    metrics: tuple[MetricsRecord, ...],
 ) -> RunResult:
     # Evaluation truncates nothing: every anchor of the pool gets a logit.
     p, h, w, c = pool.features.shape
@@ -557,8 +520,8 @@ def _finalize_run(
     )
     return RunResult(
         config=config,
-        metrics=log,
-        tail_hard_ratio=log.tail_mean_hard_ratio(),
+        metrics=metrics,
+        tail_hard_ratio=tail_mean_hard_ratio(metrics),
         fg_gate_mean=fg_gate_mean,
         bg_gate_mean=bg_gate_mean,
         gate_gap=fg_gate_mean - bg_gate_mean,
@@ -567,11 +530,12 @@ def _finalize_run(
     )
 
 
-# summary.csv's columns, in order.
-SUMMARY_COLUMNS = tuple(
-    "seed baseline_hard_ratio probanet_hard_ratio hard_ratio_uplift "
-    "baseline_gate_gap probanet_gate_gap baseline_logit_gap probanet_logit_gap".split()
-)
+def tail_mean_hard_ratio(metrics: tuple[MetricsRecord, ...]) -> float:
+    """Mean hard ratio over the last quarter of the steps (0.0 if none)."""
+    if not metrics:
+        return 0.0
+    tail = metrics[-math.ceil(len(metrics) / 4) :]
+    return sum(r.hard_ratio for r in tail) / len(tail)
 
 
 @dataclass(frozen=True)
@@ -596,17 +560,6 @@ class ExperimentReport:
     def uplift_wins(self) -> int:
         return sum(1 for u in self.uplifts() if u > 0)
 
-    def summary_rows(self) -> list[dict]:
-        """One row per seed, keyed by SUMMARY_COLUMNS in order."""
-        return [
-            dict(zip(SUMMARY_COLUMNS, (
-                base.config.seed, base.tail_hard_ratio, variant.tail_hard_ratio,
-                uplift, base.gate_gap, variant.gate_gap,
-                base.logit_gap, variant.logit_gap,
-            )))
-            for (base, variant, *_), uplift in zip(self.runs, self.uplifts())
-        ]
-
 
 # Fields allowed to differ between the variants of an experiment: the
 # mechanism knobs, nothing else.
@@ -629,9 +582,10 @@ def run_experiment(
     value of on_pool(scene 0), run in the seed's process, or scene 0.
 
     Up to _worker_count() seeds train at once, in forked workers if two
-    or more, sharing its processes equally.  A seed with two or more
-    trains configs[0], then runs on_pool, while configs[1:] train in
-    children forked from it; with one, it trains them, then on_pool.
+    or more, sharing its processes equally.  A seed trains configs[0],
+    then runs on_pool, whatever its share; configs[1:] train meanwhile in
+    children forked from it if it has two or more processes, else after
+    on_pool, in order.
     Outputs and the first failing seed's (then config's) exception,
     raised after on_seed ran for the seeds before it, are as in-process;
     no child outlives the call, nor, on Linux, its parent.
@@ -649,6 +603,8 @@ def run_experiment(
                     f"configs may differ only in {sorted(_PAIR_KNOBS)}; "
                     f"field {f.name} differs"
                 )
+    for config in configs:
+        _check_gate_geometry(config, sim_config)
     first = int(configs[0].seed)
     if first + n_seeds > _SEED_END:
         raise ConfigError(
@@ -684,9 +640,9 @@ def _train_seed(
     rest = ((f"the {variant_name(c)} variant at seed {seed}", c) for c in seeded[1:])
     with _fork_map(train, rest, cores - 1) as replies:
         results = [train(seeded[0])]
-        made = export() if cores > 1 else None  # while the children train
+        made = export()  # while any children train
         results.extend(replies)
-    return tuple(results), made if cores > 1 else export()
+    return tuple(results), made
 
 
 def _worker_count() -> int:

@@ -13,6 +13,7 @@ from probanet.artifacts import (
     export_scene,
     gate_weights_for,
     heatmap_files,
+    metrics_csv,
     normalize_gray,
     render_gate_pgm,
     render_overlay_ppm,
@@ -160,7 +161,7 @@ def test_write_run_dir_emits_expected_files(tmp_path):
         "scene0_features.txt",
     ]
     with open(os.path.join(run_dir, "metrics.csv"), encoding="ascii") as fh:
-        assert fh.read() == result.metrics.to_csv()
+        assert fh.read() == metrics_csv(result.metrics)
     # The resolved config reparses to the exact run configuration.
     from probanet.config import parse_config
 

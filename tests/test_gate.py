@@ -110,7 +110,7 @@ def test_truncate_train_strict_and_test_keeps_all():
     config = TrainConfig(th=0.5, r=2)
     state = init_state(config, sim)
     for name in ("reduce_weight", "reduce_bias", "expand_weight", "expand_bias"):
-        state.params[name] = np.zeros_like(state.params[name])
+        state.params[name][...] = 0.0
     pool = build_scene_pool(config, sim)
     x, labels = pool.step_inputs(0, 2)
     # Training keeps a weight only strictly above the threshold.

@@ -125,7 +125,7 @@ def test_forked_seeds_equal_one_seed_runs(tmp_path, monkeypatch):
         assert np.array_equal(scene0.features, alone_seen[0].features)
         assert [r.config for r in results] == [r.config for r in alone]
         for forked, in_process in zip(results, alone):
-            assert forked.metrics.to_csv() == in_process.metrics.to_csv()
+            assert forked.metrics == in_process.metrics
             params = forked.final_state.params
             assert params.keys() == in_process.final_state.params.keys()
             for name, value in in_process.final_state.params.items():
@@ -286,9 +286,9 @@ def test_each_seed_builds_and_exports_once_in_its_own_process(
 THREE_CONFIGS = CONFIGS + (replace(GATED, th=0.2),)
 
 
-@pytest.mark.parametrize("failing", ["baseline", "probanet"])
-def test_failing_config_is_raised_as_in_process(monkeypatch, failing):
-    # th tells the two gated configs apart; the first to fail is raised.
+def fail_variant(monkeypatch, failing: str) -> None:
+    """Make the sampler of every run of the variant named failing find no
+    candidates, naming the run's th."""
     current = {}
 
     def run_spy(config, sim_config, pool=None):
@@ -303,6 +303,12 @@ def test_failing_config_is_raised_as_in_process(monkeypatch, failing):
 
     monkeypatch.setattr(training, "run_training", run_spy)
     monkeypatch.setattr(training, "sample_minibatch", sample_spy)
+
+
+@pytest.mark.parametrize("failing", ["baseline", "probanet"])
+def test_failing_config_is_raised_as_in_process(monkeypatch, failing):
+    # th tells the two gated configs apart; the first to fail is raised.
+    fail_variant(monkeypatch, failing)
     errors = []
     for forked in (True, False):
         use_workers(monkeypatch, forked)
@@ -314,6 +320,22 @@ def test_failing_config_is_raised_as_in_process(monkeypatch, failing):
     assert type(forked_error) is type(in_process_error)
     assert str(forked_error) == str(in_process_error)
     assert str(forked_error).startswith(f"no candidates (spy, th {GATED.th}) at step 0")
+
+
+def test_on_pool_runs_right_after_the_first_config_in_either_mode(monkeypatch):
+    # on_pool runs once configs[0] has trained, before configs[1:] finish
+    # in children or start in-process, so its error is the one raised
+    # when a later config fails too.
+    fail_variant(monkeypatch, "probanet")
+
+    def failing_export(scene):
+        raise ValueError(f"no export of scene {scene.seed} (spy)")
+
+    for forked in (True, False):
+        use_workers(monkeypatch, forked)
+        with time_limit(60), pytest.raises(ValueError, match="^no export of scene"):
+            run_experiment(CONFIGS, 1, SIM, on_pool=failing_export)
+        assert_no_child_left()
 
 
 def test_config_child_exiting_without_reply_names_seed_and_variant(monkeypatch):

@@ -223,7 +223,7 @@ def test_zero_object_scene_is_pure_noise_and_all_background():
     assert np.all(np.abs(scene.features) <= config.noise_level)
     # Zero-mean floor: the average should sit near zero.
     assert abs(scene.features.mean()) < 0.01
-    labels = label_arrays(scene, grid_for(config))
+    labels = label_arrays(scene, config)
     assert np.all(labels.category == BG)
     assert not labels.hard.any()
     assert np.all(labels.iou == 0.0)
@@ -243,7 +243,7 @@ def test_labeling_matches_brute_force_oracle():
     grid = grid_for(config)
     for seed in range(12):
         scene = generate_scene(config, seed)
-        got = label_arrays(scene, grid)
+        got = label_arrays(scene, config)
         category, hard, best = brute_force_labels(scene, grid)
         assert np.array_equal(got.category, category), f"seed {seed}"
         assert np.array_equal(got.hard, hard), f"seed {seed}"
@@ -253,13 +253,13 @@ def test_labeling_matches_brute_force_oracle():
 def test_every_object_owns_a_foreground_anchor():
     # A 2x2 object cannot reach 0.7 IoU against 3x3 anchors (max 4/9),
     # so only the promotion path can mark it foreground.
-    grid = AnchorGrid(height=8, width=8, shapes=((3, 3),))
+    config = SimConfig(height=8, width=8, channels=2, anchor_shapes=((3, 3),))
     scene = Scene(
         objects=(Box(3.0, 3.0, 5.0, 5.0),),
         features=np.zeros((8, 8, 2)),
         seed=0,
     )
-    labels = label_arrays(scene, grid)
+    labels = label_arrays(scene, config)
     assert labels.iou.max() < 0.7
     fg_anchors = np.flatnonzero(labels.category == FG)
     assert len(fg_anchors) >= 1
@@ -269,11 +269,10 @@ def test_every_object_owns_a_foreground_anchor():
 
 def test_corpus_is_heavily_background_dominated():
     config = SimConfig()
-    grid = grid_for(config)
     fg_total = 0
     bg_total = 0
     for seed in range(1000):
-        labels = label_arrays(generate_scene(config, seed), grid)
+        labels = label_arrays(generate_scene(config, seed), config)
         fg_total += int((labels.category == FG).sum())
         bg_total += int((labels.category == BG).sum())
     assert fg_total > 0
@@ -411,7 +410,7 @@ def test_partial_selection_equals_full_stable_sort(monkeypatch, size, take, tied
 def test_masking_out_easy_background_raises_expected_hard_ratio():
     config = SimConfig()
     scene = generate_scene(config, 11)
-    labels = label_arrays(scene, grid_for(config))
+    labels = label_arrays(scene, config)
     easy_bg = np.flatnonzero((labels.category == BG) & ~labels.hard)
     assert easy_bg.size > 50
 
@@ -448,7 +447,7 @@ def test_hard_ratio_recount_and_validation():
 def test_hard_ratio_matches_loop_recount_on_sampled_batches():
     config = SimConfig(height=8, width=8, channels=4)
     scene = generate_scene(config, 2)
-    labels = label_arrays(scene, grid_for(config))
+    labels = label_arrays(scene, config)
     for seed in range(5):
         batch = sample_minibatch(labels, None, SplitMix64(seed))
         expected = sum(bool(labels.hard[i]) for i in batch.indices) / batch.size

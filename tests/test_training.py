@@ -1,6 +1,7 @@
 """Tests for the training loop: losses, SGD semantics, runs, experiments."""
 
 import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +10,11 @@ from reference import truncate
 from spies import use_workers
 
 from probanet import (
-    METRICS_HEADER,
     ConfigError,
     Conv1x1Params,
     DimensionError,
     EmptyPoolError,
     ExperimentReport,
-    MetricsLog,
     MetricsRecord,
     NumericError,
     RunResult,
@@ -37,11 +36,13 @@ from probanet import (
     train_step,
     variance_constraint,
 )
+from probanet.artifacts import METRICS_HEADER, metrics_csv
 from probanet.config import parse_config
 from probanet.training import (
     binary_cross_entropy,
     binary_cross_entropy_grad,
     loss_and_grads,
+    tail_mean_hard_ratio,
 )
 from probanet.sim import FG, LabelArrays
 from probanet.tensor import relu_backward, sigmoid_backward
@@ -405,42 +406,40 @@ def test_momentum_accumulates_across_steps():
                 assert np.array_equal(state.velocity[name], velocity[name]), name
 
 
-def test_update_writes_in_place_and_trains_a_replaced_entry_as_set():
-    # After the first update every entry views one flat buffer, which each
-    # update writes in place.  An entry replaced after that must train from
-    # its new value, never be skipped by the fused update.
+def test_update_writes_in_place_and_entries_cannot_be_replaced():
+    # Every entry views one flat buffer, packed when the state is made,
+    # which each update writes in place.  No entry can be replaced, so the
+    # update can never miss one.
     config = tiny_config(probanet_enabled=True, alpha=0.5)
     pool = build_scene_pool(config, TINY_SIM)
     state = init_state(config, TINY_SIM)
     x, labels = pool.step_inputs(0, 2)
-    train_step(state, x, labels, config)
     held = state.params["head_weight"], state.velocity["expand_weight"]
     before = held[0].copy()
     train_step(state, x, labels, config)
     assert state.params["head_weight"] is held[0]
     assert state.velocity["expand_weight"] is held[1]
     assert not np.array_equal(held[0], before)
-    # A copy of the state trains, and leaves the original as it was.
-    held = copy.deepcopy(state.params)
-    twin = copy.deepcopy(state)
-    train_step(twin, x, labels, config)
-    assert not np.array_equal(twin.params["head_weight"], held["head_weight"])
-    assert all(np.array_equal(state.params[n], v) for n, v in held.items())
+    # A copy of the state, deep or unpickled, trains on a buffer of its own
+    # from the same parameters, velocities and step, and leaves the
+    # original as it was.
+    held = copy.deepcopy(dict(state.params))
+    twins = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+    for twin in twins:
+        train_step(twin, x, labels, config)
+        assert not np.array_equal(twin.params["head_weight"], held["head_weight"])
+        assert all(np.array_equal(state.params[n], v) for n, v in held.items())
+    train_step(state, x, labels, config)
+    for twin in twins:
+        assert twin.step == state.step == 2
+        for name, value in state.params.items():
+            assert np.array_equal(twin.params[name], value), name
+            assert np.array_equal(twin.velocity[name], state.velocity[name]), name
 
-    state.params["reduce_weight"] = np.full_like(state.params["reduce_weight"], 0.25)
-    state.params["scale"] = 1.5
-    state.velocity["shift"] = 0.125
-    for _ in range(2):  # once from the new entries, once from their views
-        params, velocity = copy.deepcopy(state.params), copy.deepcopy(state.velocity)
-        lr = config.learning_rate_at(state.step)
-        _, grads, _, _ = loss_and_grads(state, x, labels, config)
-        train_step(state, x, labels, config)
-        for name, g in grads.items():
-            v = config.momentum * velocity[name] - lr * (
-                g + config.weight_decay * params[name]
-            )
-            assert np.array_equal(state.velocity[name], v), name
-            assert np.array_equal(state.params[name], params[name] + v), name
+    with pytest.raises(TypeError):
+        state.params["reduce_weight"] = np.full_like(state.params["reduce_weight"], 0.25)
+    with pytest.raises(TypeError):
+        state.velocity["shift"] = 0.125
 
 
 def test_metrics_record_holds_python_numbers():
@@ -453,9 +452,7 @@ def test_metrics_record_holds_python_numbers():
     )
     assert type(record.step) is int
     assert all(type(getattr(record, name)) is float for name in METRICS_HEADER.split(",")[1:])
-    log = MetricsLog()
-    log.append(record)
-    assert log.to_csv().splitlines()[1] == "2,0.5,0.0,0.25,0.0,0.125,1.0,1.0,1.0"
+    assert metrics_csv((record,)).splitlines()[1] == "2,0.5,0.0,0.25,0.0,0.125,1.0,1.0,1.0"
     for name, bad in (
         ("cls_loss", "0.5"), ("cls_loss", np.array([0.5])), ("variance", True),
         ("beta", None), ("step", 2.0), ("step", False),
@@ -465,7 +462,7 @@ def test_metrics_record_holds_python_numbers():
     # TrainConfig admits numpy numbers, and alpha * cls_loss is then one.
     config = tiny_config(probanet_enabled=True, alpha=np.float64(0.5))
     _, _, log = run_partial(config, TINY_SIM, 2)
-    assert "np." not in log.to_csv()
+    assert "np." not in metrics_csv(log)
 
 
 def test_loss_and_grads_rejects_labels_that_miss_the_map():
@@ -547,16 +544,15 @@ def test_gated_step_runs_the_gate_once_each_way(monkeypatch):
 
 
 def test_metrics_log_csv_and_tail():
-    log = MetricsLog()
-    for i, hr in enumerate([0.1, 0.2, 0.3, 0.4]):
-        log.append(
-            MetricsRecord(
-                step=i, cls_loss=0.5, probanet_loss=0.25, variance=0.01,
-                beta=0.0, hard_ratio=hr, fg_gate_mean=0.6, bg_gate_mean=0.4,
-                kept_fraction=1.0,
-            )
+    log = tuple(
+        MetricsRecord(
+            step=i, cls_loss=0.5, probanet_loss=0.25, variance=0.01,
+            beta=0.0, hard_ratio=hr, fg_gate_mean=0.6, bg_gate_mean=0.4,
+            kept_fraction=1.0,
         )
-    text = log.to_csv()
+        for i, hr in enumerate([0.1, 0.2, 0.3, 0.4, 0.5])
+    )
+    text = metrics_csv(log[:4])
     lines = text.strip().split("\n")
     assert lines[0] == METRICS_HEADER == (
         "step,cls_loss,probanet_loss,variance,beta,hard_ratio,"
@@ -566,21 +562,19 @@ def test_metrics_log_csv_and_tail():
     assert lines[1].startswith("0,0.5,0.25,0.01,")
     # repr round-trips every float exactly.
     assert float(lines[4].split(",")[5]) == 0.4
-    assert log.tail_mean_hard_ratio(0.25) == 0.4
-    assert log.tail_mean_hard_ratio(0.5) == pytest.approx(0.35)
-    assert log.tail_mean_hard_ratio(1.0) == pytest.approx(0.25)
-    assert MetricsLog().tail_mean_hard_ratio() == 0.0
+    # The tail is the last quarter of the steps, rounded up.
+    assert tail_mean_hard_ratio(log[:4]) == 0.4
+    assert tail_mean_hard_ratio(log) == pytest.approx(0.45)
+    assert tail_mean_hard_ratio(log[:1]) == 0.1
+    assert tail_mean_hard_ratio(()) == 0.0
 
 
 def test_metrics_log_rejects_non_finite():
-    log = MetricsLog()
     with pytest.raises(NumericError):
-        log.append(
-            MetricsRecord(
-                step=0, cls_loss=float("nan"), probanet_loss=0.0, variance=0.01,
-                beta=0.0, hard_ratio=0.0, fg_gate_mean=0.0, bg_gate_mean=0.0,
-                kept_fraction=1.0,
-            )
+        MetricsRecord(
+            step=0, cls_loss=float("nan"), probanet_loss=0.0, variance=0.01,
+            beta=0.0, hard_ratio=0.0, fg_gate_mean=0.0, bg_gate_mean=0.0,
+            kept_fraction=1.0,
         )
 
 
@@ -600,13 +594,13 @@ def test_run_training_is_deterministic():
     config = tiny_config(epochs=2, steps_per_epoch=3)
     a = run_training(config, TINY_SIM)
     b = run_training(config, TINY_SIM)
-    assert a.metrics.to_csv() == b.metrics.to_csv()
+    assert a.metrics == b.metrics
     for name, value in a.final_state.params.items():
         assert np.array_equal(b.final_state.params[name], value)
     assert a.gate_gap == b.gate_gap
     assert a.logit_gap == b.logit_gap
     assert len(a.metrics) == config.total_steps
-    assert a.tail_hard_ratio == a.metrics.tail_mean_hard_ratio()
+    assert a.tail_hard_ratio == tail_mean_hard_ratio(a.metrics)
 
 
 def test_run_result_evaluates_in_test_mode():
@@ -638,11 +632,6 @@ def test_run_experiment_pairs_seeds_and_shares_pools():
         assert gated.config.probanet_enabled is True
         assert baseline.config.seed == seed
         assert gated.config.seed == seed
-    rows = report.summary_rows()
-    assert len(rows) == 2
-    assert rows[0]["hard_ratio_uplift"] == pytest.approx(
-        report.runs[0][1].tail_hard_ratio - report.runs[0][0].tail_hard_ratio
-    )
 
 
 def test_run_experiment_rejects_non_knob_differences():
@@ -664,6 +653,26 @@ def test_run_experiment_rejects_non_knob_differences():
     )
 
 
+def test_run_experiment_rejects_bad_gate_geometry_before_any_step(monkeypatch):
+    import probanet.training
+
+    steps = []
+
+    def spy(*args):
+        steps.append(args[0].step)
+        return train_step(*args)
+
+    monkeypatch.setattr(probanet.training, "train_step", spy)
+    use_workers(monkeypatch, forked=False)  # so the spy sees every step
+    base = tiny_config(probanet_enabled=False, r=3)
+    with pytest.raises(ConfigError, match="channels 4 not divisible by reduction 3"):
+        run_experiment((base, replace(base, probanet_enabled=True)), 1, TINY_SIM)
+    assert steps == []
+    # Without a gate, r is unused.
+    run_experiment((base,), 1, TINY_SIM)
+    assert len(steps) == base.total_steps > 0
+
+
 def test_run_experiment_rejects_empty_configs():
     with pytest.raises(ConfigError, match="at least one config"):
         run_experiment((), 1, TINY_SIM)
@@ -681,7 +690,7 @@ def test_run_experiment_single_variant_matches_run_training():
     for s, (result,) in enumerate(report.runs):
         alone = run_training(replace(config, seed=config.seed + s), TINY_SIM)
         assert result.config == alone.config
-        assert result.metrics.to_csv() == alone.metrics.to_csv()
+        assert result.metrics == alone.metrics
         assert result.gate_gap == alone.gate_gap
         assert result.logit_gap == alone.logit_gap
 
@@ -724,7 +733,7 @@ def test_run_experiment_trains_four_variants_on_one_pool_per_seed(
         ]
         for result in results:
             alone = run_training(result.config, TINY_SIM)
-            assert result.metrics.to_csv() == alone.metrics.to_csv()
+            assert result.metrics == alone.metrics
         # The inert-gate control samples the baseline's batches draw for draw.
         assert [r.hard_ratio for r in results[3].metrics] == [
             r.hard_ratio for r in results[0].metrics
@@ -765,9 +774,7 @@ def test_zero_step_experiment_reports_identical_empty_metrics():
     variant = tiny_config(probanet_enabled=True, epochs=0)
     report = run_experiment((base, variant), 1, TINY_SIM)
     baseline, gated = report.runs[0]
-    assert len(baseline.metrics) == 0
-    assert len(gated.metrics) == 0
-    assert baseline.metrics.to_csv() == gated.metrics.to_csv()
+    assert baseline.metrics == gated.metrics == ()
     assert baseline.tail_hard_ratio == gated.tail_hard_ratio == 0.0
     assert report.mean_uplift() == 0.0
 
@@ -776,7 +783,7 @@ def test_experiment_report_arithmetic():
     def fake_result(tail):
         return RunResult(
             config=tiny_config(epochs=0),
-            metrics=MetricsLog(),
+            metrics=(),
             tail_hard_ratio=tail,
             fg_gate_mean=0.0,
             bg_gate_mean=0.0,
