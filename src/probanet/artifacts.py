@@ -21,7 +21,7 @@ from .config import format_config
 from .errors import DomainError
 from .gate import gate_forward
 from .netpbm import write_pgm, write_ppm
-from .sim import AnchorGrid, Scene, SimConfig, boxes_csv, grid_for
+from .sim import Scene, SimConfig, anchor_boxes, boxes_csv
 from .tensor import dump_feature_map
 from .training import (
     ExperimentReport,
@@ -60,10 +60,8 @@ def top_fraction_indices(weights: np.ndarray, fraction: float) -> np.ndarray:
     if not 0 < fraction <= 1:
         raise DomainError(f"fraction must lie in (0, 1], got {fraction}")
     flat = weights.ravel()
-    n = flat.size
-    take = int(math.ceil(fraction * n))
-    order = np.lexsort((np.arange(n), -flat))
-    return order[:take]
+    take = int(math.ceil(fraction * flat.size))
+    return np.argsort(-flat, kind="stable")[:take]
 
 
 def upscale(img: np.ndarray, factor: int) -> np.ndarray:
@@ -90,7 +88,7 @@ def render_gate_pgm(
 
 def render_overlay_ppm(
     scene: Scene,
-    grid: AnchorGrid,
+    anchors: np.ndarray,
     weights: np.ndarray,
     step: int,
     scale: int = 16,
@@ -98,18 +96,15 @@ def render_overlay_ppm(
 ) -> bytes:
     """Scene energy in gray with top-5% anchors in blue, top-1% in red.
 
-    Red is drawn over blue, so the highest-weighted anchors always show
-    red even where the sets overlap.
+    anchors holds the anchor boxes (sim.anchor_boxes) in the flat order
+    of weights.  Red is drawn over blue, so the highest-weighted anchors
+    always show red even where the sets overlap.
     """
     energy = scene.features.mean(axis=2)
     gray, lo, hi = normalize_gray(energy)
     img = np.repeat(gray[:, :, None], 3, axis=2)
-    top5 = top_fraction_indices(weights, 0.05)
-    top1 = top_fraction_indices(weights, 0.01)
-    for flat in top5:
-        _outline(img, grid, int(flat), np.array([0, 0, 255], dtype=np.uint8))
-    for flat in top1:
-        _outline(img, grid, int(flat), np.array([255, 0, 0], dtype=np.uint8))
+    for fraction, color in ((0.05, (0, 0, 255)), (0.01, (255, 0, 0))):
+        _outline(img, anchors[:, top_fraction_indices(weights, fraction)], color)
     comments = [
         f"scene {scene.seed} feature energy with top-weighted anchors, "
         f"after step {step}",
@@ -119,20 +114,19 @@ def render_overlay_ppm(
     return write_ppm(upscale(img, scale), raw=raw, comments=comments)
 
 
-def _outline(img: np.ndarray, grid: AnchorGrid, flat: int, color: np.ndarray):
-    i, j, k = grid.position(flat)
-    box = grid.anchor_box(i, j, k)
+def _outline(img: np.ndarray, boxes: np.ndarray, color) -> None:
+    """Draw the edge of each (4, n) box, in pixel cells, clipped to img."""
     h, w = img.shape[:2]
     # floor(x + 0.5) rounds half always up, keeping box edges consistent
     # across the half-integer anchor coordinates.
-    y0 = int(np.clip(np.floor(box.y_min + 0.5), 0, h - 1))
-    y1 = int(np.clip(np.floor(box.y_max + 0.5) - 1, 0, h - 1))
-    x0 = int(np.clip(np.floor(box.x_min + 0.5), 0, w - 1))
-    x1 = int(np.clip(np.floor(box.x_max + 0.5) - 1, 0, w - 1))
-    img[y0, x0 : x1 + 1] = color
-    img[y1, x0 : x1 + 1] = color
-    img[y0 : y1 + 1, x0] = color
-    img[y0 : y1 + 1, x1] = color
+    x0, y0, x1, y1 = np.floor(boxes + 0.5)
+    cols = np.clip([x0, x1 - 1], 0, w - 1).astype(int).T.tolist()
+    rows = np.clip([y0, y1 - 1], 0, h - 1).astype(int).T.tolist()
+    for (x0, x1), (y0, y1) in zip(cols, rows):
+        img[y0, x0 : x1 + 1] = color
+        img[y1, x0 : x1 + 1] = color
+        img[y0 : y1 + 1, x0] = color
+        img[y0 : y1 + 1, x1] = color
 
 
 def gate_weights_for(
@@ -160,11 +154,12 @@ def heatmap_files(
     if not 0 <= channel < k:
         raise DomainError(f"channel must lie in [0, {k}), got {channel}")
     weights = gate_weights_for(state, scene, sim_config)
-    grid = grid_for(sim_config)
     pgm = render_gate_pgm(
         weights[:, :, channel], channel, step, scale=scale, raw=raw
     )
-    ppm = render_overlay_ppm(scene, grid, weights, step, scale=scale, raw=raw)
+    ppm = render_overlay_ppm(
+        scene, anchor_boxes(sim_config), weights, step, scale=scale, raw=raw
+    )
     return {
         f"gate_step{step}_ch{channel}.pgm": pgm,
         f"overlay_step{step}_ch{channel}.ppm": ppm,
@@ -197,11 +192,16 @@ def write_seed_dirs(
 ) -> list[str]:
     """Write the run directories of results trained on one seed's pool,
     one out_dir/<variant>_seed<seed>/ per result, creating out_dir if
-    need be; export is that of the pool's scene 0.
+    need be; export is that of the pool's scene 0.  Raises DomainError,
+    before writing anything, if two results share a run-directory name.
     """
+    names = [run_dir_name(result.config) for result in results]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise DomainError(f"results share a run directory: {', '.join(shared)}")
     run_dirs = []
-    for result in results:
-        run_dir = os.path.join(out_dir, run_dir_name(result.config))
+    for result, name in zip(results, names):
+        run_dir = os.path.join(out_dir, name)
         os.makedirs(run_dir, exist_ok=True)
         _write_text(os.path.join(run_dir, "metrics.csv"), metrics_csv(result.metrics))
         _write_text(

@@ -143,9 +143,13 @@ def cmd_count(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     ops = [args.op] if args.op else None
-    results = run_suite(
-        seed=args.seed, h=args.eps, shapes=args.shapes, ops=ops, n_seeds=args.seeds
-    )
+    try:
+        results = run_suite(
+            seed=args.seed, h=args.eps, shapes=args.shapes, ops=ops, n_seeds=args.seeds
+        )
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failed = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"

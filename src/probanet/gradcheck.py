@@ -52,6 +52,9 @@ REL_TOL = 1e-4
 DEFAULT_SHAPES = ((2, 3, 4), (4, 4, 4), (3, 5, 6), (5, 2, 6), (6, 6, 8))
 _MARGIN = 1e-3
 _MIN_VARIANCE = 1e-2
+# The gate's reduction ratio in the gate and end-to-end checks: a shape
+# needs at least _R channels to leave the gate a hidden channel.
+_R = 2
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     differencing of sum(t2*G)."""
     hh, ww, c = shape
     k = max(2, c // 2)
-    x, params, _ = _gate_instance(rng, shape, k, r=2)
+    x, params, _ = _gate_instance(rng, shape, k, r=_R)
     g_t2 = rng.uniform_range(-1.0, 1.0, (hh, ww, k))
 
     grad_z1, grads = gate_backward(gate_forward(x, params), x, params, g_t2)
@@ -241,7 +244,7 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     hh, ww, c = shape
     k = max(2, c // 2)
     eps = 1e-9
-    x, gate, th = _gate_instance(rng, shape, k, r=2, n=2)
+    x, gate, th = _gate_instance(rng, shape, k, r=_R, n=2)
     head_weight = rng.uniform_range(-1.0, 1.0, (k, c)) / np.sqrt(c)
     scale = 1.0 + rng.uniform()
     shift = rng.uniform() - 0.5
@@ -260,7 +263,7 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
         raise NumericError("could not label a kept background anchor")
     params = {"head_weight": head_weight, "scale": scale, "shift": shift, **gate}
     state = TrainState(params)
-    config = TrainConfig(epsilon=eps, th=th, r=2, seed=rng.next_u64())
+    config = TrainConfig(epsilon=eps, th=th, r=_R, seed=rng.next_u64())
     labels = LabelArrays(
         category=category, hard=np.zeros(n, dtype=bool), iou=np.zeros(n)
     )
@@ -320,6 +323,8 @@ def run_suite(
     for name in names:
         if name not in CHECKS:
             raise DomainError(f"unknown op {name!r}")
+        if name in ("gate", "end_to_end") and any(s[2] < _R for s in shapes):
+            raise DomainError(f"op {name!r} needs shapes of at least {_R} channels")
     results = []
     for name in names:
         worst = 0.0

@@ -1,6 +1,6 @@
 """Synthetic proposal-imbalance world: scenes with planted objects on a
-noise floor, a dense anchor grid, overlap-based labeling with easy/hard
-difficulty tags, and the fixed-ratio mini-batch sampler.
+noise floor, the boxes of a dense anchor grid, overlap-based labeling
+with easy/hard difficulty tags, and the fixed-ratio mini-batch sampler.
 
 Everything is a pure function of (config, seed): scene geometry, features,
 labels, and sampling are all reproducible bit for bit.
@@ -9,6 +9,7 @@ labels, and sampling are all reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,23 +27,6 @@ BG, FG, IGNORE = 0, 1, 2
 
 BATCH_SIZE = 256
 FG_QUOTA = 64
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box in feature-grid units."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise DomainError(
-                f"degenerate box ({self.x_min}, {self.y_min}, "
-                f"{self.x_max}, {self.y_max})"
-            )
 
 
 @dataclass(frozen=True)
@@ -122,66 +106,46 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Scene:
-    """Planted objects plus the synthesized feature map they produced."""
+    """Planted objects plus the synthesized feature map they produced.
 
-    objects: tuple[Box, ...]
+    objects is a (4, n) float64 array of box corners in feature-grid
+    units, rows x_min, y_min, x_max, y_max and one column per object.
+    """
+
+    objects: np.ndarray
     features: FeatureMap
     seed: int
 
 
-@dataclass(frozen=True)
-class AnchorGrid:
-    """One anchor of every shape centered at each cell of an HxW grid.
+def anchor_boxes(config: SimConfig) -> np.ndarray:
+    """The corners of every anchor of config's grid as one read-only
+    (4, H*W*K) array with rows x_min, y_min, x_max, y_max.
 
-    Anchor (i, j, k) is shapes[k] centered at (i + 0.5, j + 0.5); border
-    anchors may extend past the grid.  Flat order is row-major (i, j, k).
+    Anchor (i, j, k) is anchor_shapes[k] centered at (i + 0.5, j + 0.5);
+    border anchors may extend past the grid.  Columns are in row-major
+    (i, j, k) order.  The array is built once per grid.
     """
-
-    height: int
-    width: int
-    shapes: tuple[tuple[int, int], ...]
-
-    @property
-    def n_anchors(self) -> int:
-        return self.height * self.width * len(self.shapes)
-
-    def anchor_box(self, i: int, j: int, k: int) -> Box:
-        bh, bw = self.shapes[k]
-        cy, cx = i + 0.5, j + 0.5
-        return Box(cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2)
-
-    def position(self, flat: int) -> tuple[int, int, int]:
-        k = flat % len(self.shapes)
-        rest = flat // len(self.shapes)
-        return rest // self.width, rest % self.width, k
-
-    def corner_arrays(self) -> tuple[np.ndarray, ...]:
-        """(x_min, y_min, x_max, y_max) per anchor, each of length n_anchors."""
-        kk = len(self.shapes)
-        ii, jj, ks = np.meshgrid(
-            np.arange(self.height), np.arange(self.width), np.arange(kk),
-            indexing="ij",
-        )
-        bh = np.array([s[0] for s in self.shapes], dtype=np.float64)[ks]
-        bw = np.array([s[1] for s in self.shapes], dtype=np.float64)[ks]
-        cy, cx = ii + 0.5, jj + 0.5
-        return (
-            (cx - bw / 2).ravel(),
-            (cy - bh / 2).ravel(),
-            (cx + bw / 2).ravel(),
-            (cy + bh / 2).ravel(),
-        )
+    return _anchor_boxes(config.height, config.width, config.anchor_shapes)
 
 
-def grid_for(config: SimConfig) -> AnchorGrid:
-    return AnchorGrid(
-        height=config.height, width=config.width, shapes=config.anchor_shapes
-    )
+@lru_cache(maxsize=8)
+def _anchor_boxes(height: int, width: int, shapes) -> np.ndarray:
+    bh, bw = np.array(shapes, dtype=np.float64).T
+    cy = np.arange(height)[:, None, None] + 0.5
+    cx = np.arange(width)[None, :, None] + 0.5
+    boxes = np.empty((4, height, width, len(shapes)))
+    boxes[0] = cx - bw / 2
+    boxes[1] = cy - bh / 2
+    boxes[2] = cx + bw / 2
+    boxes[3] = cy + bh / 2
+    boxes = boxes.reshape(4, -1)
+    boxes.flags.writeable = False
+    return boxes
 
 
 @dataclass(frozen=True)
 class LabelArrays:
-    """Column-oriented labels, aligned with AnchorGrid flat order."""
+    """Column-oriented labels, aligned with anchor_boxes' columns."""
 
     category: np.ndarray  # int8, BG/FG/IGNORE
     hard: np.ndarray  # bool
@@ -223,31 +187,28 @@ def _synthesize_into(config: SimConfig, seed: int, features: np.ndarray) -> Scen
     h, w, c = config.height, config.width, config.channels
     n = rng.randint(config.n_objects_min, config.n_objects_max)
 
-    boxes = []
-    for _ in range(n):
+    objects = np.empty((4, n))
+    yc = np.arange(h, dtype=np.float64) + 0.5
+    xc = np.arange(w, dtype=np.float64) + 0.5
+    bumps = []  # per object: its (H*W, 1) halo and core amplitudes
+    for o in range(n):
         bh = rng.randint(config.object_min_size, config.object_max_size)
         bw = rng.randint(config.object_min_size, config.object_max_size)
         y0 = rng.uniform_range(0.0, float(h - bh))
         x0 = rng.uniform_range(0.0, float(w - bw))
-        boxes.append(Box(x0, y0, x0 + bw, y0 + bh))
-
-    gains = rng.uniform_range(config.gain_min, config.gain_max, (n, c))
-
-    yc = np.arange(h, dtype=np.float64) + 0.5
-    xc = np.arange(w, dtype=np.float64) + 0.5
-    half = c // 2
-    bumps = []  # per object: its (H*W, 1) halo and core amplitudes
-    for box in boxes:
-        cy = (box.y_min + box.y_max) / 2
-        cx = (box.x_min + box.x_max) / 2
-        sy = (box.y_max - box.y_min) / 2
-        sx = (box.x_max - box.x_min) / 2
+        y1, x1 = y0 + bh, x0 + bw
+        objects[:, o] = x0, y0, x1, y1
+        cy, cx = (y0 + y1) / 2, (x0 + x1) / 2
+        sy, sx = (y1 - y0) / 2, (x1 - x0) / 2
         dy2 = (yc - cy)[:, None] ** 2
         dx2 = (xc - cx)[None, :] ** 2
         halo = np.exp(-(dy2 / (2 * sy * sy) + dx2 / (2 * sx * sx)))
         core = np.exp(-(dy2 / (2 * (sy / 2) ** 2) + dx2 / (2 * (sx / 2) ** 2)))
         bumps.append((config.bump_amplitude * halo.reshape(-1, 1),
                       config.core_amplitude * core.reshape(-1, 1)))
+
+    gains = rng.uniform_range(config.gain_min, config.gain_max, (n, c))
+    half = c // 2
 
     cells, rows = features.reshape(h * w, c), max(1, _BLOCK // c)
     term = np.empty((min(rows, h * w), c))
@@ -260,7 +221,7 @@ def _synthesize_into(config: SimConfig, seed: int, features: np.ndarray) -> Scen
             np.multiply(core[r0 : r0 + rows], gain[half:], out=t[:, half:])
             block += t
 
-    return Scene(objects=tuple(boxes), features=features, seed=seed)
+    return Scene(objects=objects, features=features, seed=seed)
 
 
 def label_arrays(scene: Scene, sim_config: SimConfig) -> LabelArrays:
@@ -273,21 +234,17 @@ def label_arrays(scene: Scene, sim_config: SimConfig) -> LabelArrays:
     [fg_iou, hard_fg_hi); best-overlap promotions below fg_iou are easy.
     """
     sc = sim_config
-    grid = grid_for(sc)
-    n = grid.n_anchors
-    if not scene.objects:
+    ax0, ay0, ax1, ay1 = anchor_boxes(sc)
+    n = ax0.size
+    if not scene.objects.size:
         return LabelArrays(
             category=np.full(n, BG, dtype=np.int8),
             hard=np.zeros(n, dtype=bool),
             iou=np.zeros(n, dtype=np.float64),
         )
 
-    ax0, ay0, ax1, ay1 = grid.corner_arrays()
     a_area = (ax1 - ax0) * (ay1 - ay0)
-    ox0 = np.array([b.x_min for b in scene.objects])
-    oy0 = np.array([b.y_min for b in scene.objects])
-    ox1 = np.array([b.x_max for b in scene.objects])
-    oy1 = np.array([b.y_max for b in scene.objects])
+    ox0, oy0, ox1, oy1 = scene.objects
     o_area = (ox1 - ox0) * (oy1 - oy0)
 
     ix = np.minimum(ax1[:, None], ox1[None, :]) - np.maximum(ax0[:, None], ox0[None, :])
@@ -302,7 +259,7 @@ def label_arrays(scene: Scene, sim_config: SimConfig) -> LabelArrays:
     # Best-overlap promotion keeps every object owned by at least one
     # foreground anchor even when no anchor clears the threshold.
     argmax_anchors = overlap.argmax(axis=0)
-    positive = overlap[argmax_anchors, np.arange(len(scene.objects))] > 0.0
+    positive = overlap[argmax_anchors, np.arange(ox0.size)] > 0.0
     category[argmax_anchors[positive]] = FG
 
     is_fg = category == FG
@@ -391,6 +348,6 @@ def hard_ratio(batch: MiniBatch, labels: LabelArrays) -> float:
 def boxes_csv(scene: Scene) -> str:
     """One object box per line: x_min,y_min,x_max,y_max."""
     lines = ["x_min,y_min,x_max,y_max"]
-    for b in scene.objects:
-        lines.append(f"{b.x_min!r},{b.y_min!r},{b.x_max!r},{b.y_max!r}")
+    for x0, y0, x1, y1 in scene.objects.T.tolist():
+        lines.append(f"{x0!r},{y0!r},{x1!r},{y1!r}")
     return "\n".join(lines) + "\n"

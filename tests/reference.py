@@ -6,7 +6,6 @@ out call by call."""
 import numpy as np
 
 from probanet import (
-    Box,
     Conv1x1Params,
     SplitMix64,
     conv1x1_forward,
@@ -27,13 +26,18 @@ def truncate(a_prime, t2, threshold):
 
 
 def area(box) -> float:
-    return (box.x_max - box.x_min) * (box.y_max - box.y_min)
+    """Area of a box given as (x_min, y_min, x_max, y_max)."""
+    x_min, y_min, x_max, y_max = box
+    return (x_max - x_min) * (y_max - y_min)
 
 
 def iou(a, b) -> float:
-    """Intersection area over union area of two boxes, in [0, 1]."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    """Intersection area over union area of two (x_min, y_min, x_max,
+    y_max) boxes, in [0, 1]."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    ix = min(ax1, bx1) - max(ax0, bx0)
+    iy = min(ay1, by1) - max(ay0, by0)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
@@ -50,7 +54,8 @@ def uniform_range(rng, low, high, shape):
 def generate_scene(config, seed):
     """(objects, features) of a scene drawn as full arrays: the whole
     noise floor in one draw, then each object's bumps added over the
-    whole map, halo channels and then core channels."""
+    whole map, halo channels and then core channels.  objects is a
+    tuple of (x_min, y_min, x_max, y_max) tuples."""
     rng = SplitMix64(seed)
     h, w, c = config.height, config.width, config.channels
     n = rng.randint(config.n_objects_min, config.n_objects_max)
@@ -60,17 +65,17 @@ def generate_scene(config, seed):
         bw = rng.randint(config.object_min_size, config.object_max_size)
         y0 = rng.uniform_range(0.0, float(h - bh))
         x0 = rng.uniform_range(0.0, float(w - bw))
-        boxes.append(Box(x0, y0, x0 + bw, y0 + bh))
+        boxes.append((x0, y0, x0 + bw, y0 + bh))
     gains = uniform_range(rng, config.gain_min, config.gain_max, (n, c))
     features = uniform_range(rng, -config.noise_level, config.noise_level, (h, w, c))
     yc = np.arange(h, dtype=np.float64) + 0.5
     xc = np.arange(w, dtype=np.float64) + 0.5
     half = c // 2
-    for o, box in enumerate(boxes):
-        cy = (box.y_min + box.y_max) / 2
-        cx = (box.x_min + box.x_max) / 2
-        sy = (box.y_max - box.y_min) / 2
-        sx = (box.x_max - box.x_min) / 2
+    for o, (x_min, y_min, x_max, y_max) in enumerate(boxes):
+        cy = (y_min + y_max) / 2
+        cx = (x_min + x_max) / 2
+        sy = (y_max - y_min) / 2
+        sx = (x_max - x_min) / 2
         dy2 = (yc - cy)[:, None] ** 2
         dx2 = (xc - cx)[None, :] ** 2
         halo = np.exp(-(dy2 / (2 * sy * sy) + dx2 / (2 * sx * sx)))

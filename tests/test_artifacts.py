@@ -24,7 +24,7 @@ from probanet.artifacts import (
     variant_name,
     write_seed_dirs,
 )
-from probanet.sim import generate_scene, grid_for
+from probanet.sim import anchor_boxes, generate_scene
 from probanet.training import build_scene_pool, init_state
 
 SIM = SimConfig(
@@ -104,15 +104,52 @@ def test_render_gate_pgm_is_parseable_and_deterministic():
 
 def test_render_overlay_ppm_marks_top_anchors():
     scene = generate_scene(SIM, 3)
-    grid = grid_for(SIM)
     weights = np.zeros((4, 4, 1))
     weights[2, 2, 0] = 1.0
-    data = render_overlay_ppm(scene, grid, weights, step=1, scale=4)
+    data = render_overlay_ppm(scene, anchor_boxes(SIM), weights, step=1, scale=4)
     img = read_ppm(data)
     assert img.shape == (16, 16, 3)
     # The single hot anchor is outlined in red (drawn over the blue set).
     reds = (img[:, :, 0] == 255) & (img[:, :, 1] == 0) & (img[:, :, 2] == 0)
     assert reds.any()
+
+
+def _edges(shape, rows, cols):
+    """Mask of the edge pixels of the rectangle rows x cols (inclusive)."""
+    mask = np.zeros(shape, dtype=bool)
+    (y0, y1), (x0, x1) = rows, cols
+    mask[[y0, y1], x0 : x1 + 1] = True
+    mask[y0 : y1 + 1, [x0, x1]] = True
+    return mask
+
+
+def test_render_overlay_outlines_non_square_anchors_exactly():
+    # 8x9 cells, 2 shapes: 144 anchors, so the top 1% is 2 anchors (red)
+    # and the top 5% is 8 (blue: the 6 others tie at 0 and go to the
+    # smallest flat indices, cells (0, 0) to (0, 2)).
+    sim = replace(
+        SIM, height=8, width=9, channels=2, anchor_shapes=((2, 5), (5, 2))
+    )
+    scene = generate_scene(sim, 3)
+    weights = np.zeros((8, 9, 2))
+    # Interior, 5 high and 2 wide at (4.5, 3.5): x 2.5..4.5, y 2..7, so
+    # columns floor(3.0)..floor(5.0)-1 = 3..4 and rows 2..6.
+    weights[4, 3, 1] = 1.0
+    # Right border, 2 high and 5 wide at (3.5, 8.5): x 6..11, y 2.5..4.5,
+    # so columns 6..10, clipped to 6..8, and rows 3..4.
+    weights[3, 8, 0] = 1.0
+    img = read_ppm(render_overlay_ppm(scene, anchor_boxes(sim), weights, 1, scale=1))
+    shape = img.shape[:2]
+    red = _edges(shape, (2, 6), (3, 4)) | _edges(shape, (3, 4), (6, 8))
+    # Shape 0 at cells (0, 0..2): rows 0..1, columns 0..2, 0..3, 0..4;
+    # shape 1 (y -2..3, clipped to rows 0..2) at (0, 0..2): columns j..j+1.
+    blue = np.zeros(shape, dtype=bool)
+    for j in range(3):
+        blue |= _edges(shape, (0, 1), (0, j + 2)) | _edges(shape, (0, 2), (j, j + 1))
+    is_red = np.all(img == (255, 0, 0), axis=2)
+    is_blue = np.all(img == (0, 0, 255), axis=2)
+    assert np.array_equal(is_red, red)
+    assert np.array_equal(is_blue, blue & ~red)
 
 
 def test_gate_weights_for_baseline_is_all_ones():
@@ -169,6 +206,16 @@ def test_write_run_dir_emits_expected_files(tmp_path):
         train, sim = parse_config(fh.read())
     assert train == CONFIG
     assert sim == SIM
+
+
+def test_write_seed_dirs_rejects_results_sharing_a_run_dir(tmp_path):
+    # Configs that differ only in th both name their run probanet_seed5.
+    pool = build_scene_pool(CONFIG, SIM)
+    results = [run_training(c, SIM, pool) for c in (CONFIG, replace(CONFIG, th=0.0))]
+    out_dir = tmp_path / "runs"
+    with pytest.raises(DomainError, match="probanet_seed5"):
+        write_seed_dirs(str(out_dir), results, SIM, export_scene(pool.scenes[0]))
+    assert not out_dir.exists()
 
 
 def test_write_run_dir_is_byte_reproducible(tmp_path):

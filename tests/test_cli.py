@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line front end."""
 
 import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from reference import read_pgm, read_ppm
 from spies import read_calls, record_calls, use_workers
 
+import probanet
 from probanet.cli import main
 
 TINY_CONFIG = """\
@@ -91,6 +95,26 @@ def test_gradcheck_coarse_step_fails(capsys):
     assert code == 1
     assert "[FAIL]" in out
     assert "gradcheck FAIL" in out
+
+
+@pytest.mark.parametrize("op", ["gate", "end_to_end"])
+def test_gradcheck_gate_ops_reject_one_channel_shapes(op):
+    # The gate checks reduce C channels to C // 2, none for C = 1.
+    src = str(Path(probanet.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "probanet.cli", "gradcheck",
+            "--shapes", "4x4x4,3x3x1", "--op", op, "--seeds", "1",
+        ],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: op {op!r} needs shapes of at least 2 channels\n"
+    )
 
 
 @pytest.mark.parametrize(

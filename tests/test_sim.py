@@ -13,8 +13,6 @@ from probanet import (
     FG,
     FG_QUOTA,
     IGNORE,
-    AnchorGrid,
-    Box,
     ConfigError,
     DimensionError,
     DomainError,
@@ -28,33 +26,38 @@ from probanet import (
     build_scene_pool,
     derive_seed,
     generate_scene,
-    grid_for,
     hard_ratio,
     label_arrays,
     sample_minibatch,
 )
-from probanet.sim import _draw_without_replacement, boxes_csv
+from probanet.sim import _draw_without_replacement, anchor_boxes, boxes_csv
 
 
-def brute_force_labels(scene, grid, fg_iou=0.7, bg_iou=0.3, lo=0.1, hi=0.75):
+def brute_force_labels(scene, config, fg_iou=0.7, bg_iou=0.3, lo=0.1, hi=0.75):
     """Anchor-by-anchor labeling oracle written as plain loops.
 
-    Recomputes every overlap with the scalar iou function, applies the
-    band rules, then promotes each object's best anchor (first maximum
-    in flat order, only when the overlap is positive). Promotions below
-    the foreground threshold stay easy.
+    Builds each anchor's box from its (i, j, k) cell and shape, recomputes
+    every overlap with the scalar iou function, applies the band rules,
+    then promotes each object's best anchor (first maximum in flat order,
+    only when the overlap is positive). Promotions below the foreground
+    threshold stay easy.
     """
-    n = grid.n_anchors
+    objects = [tuple(box) for box in scene.objects.T.tolist()]
+    n = config.height * config.width * len(config.anchor_shapes)
     best = np.zeros(n)
-    per_object_best = [(-1.0, -1)] * len(scene.objects)
-    for flat in range(n):
-        i, j, k = grid.position(flat)
-        anchor = grid.anchor_box(i, j, k)
-        for o, obj in enumerate(scene.objects):
-            v = iou(anchor, obj)
-            best[flat] = max(best[flat], v)
-            if v > per_object_best[o][0]:
-                per_object_best[o] = (v, flat)
+    per_object_best = [(-1.0, -1)] * len(objects)
+    flat = 0
+    for i in range(config.height):
+        for j in range(config.width):
+            for bh, bw in config.anchor_shapes:
+                cy, cx = i + 0.5, j + 0.5
+                anchor = (cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2)
+                for o, obj in enumerate(objects):
+                    v = iou(anchor, obj)
+                    best[flat] = max(best[flat], v)
+                    if v > per_object_best[o][0]:
+                        per_object_best[o] = (v, flat)
+                flat += 1
 
     category = np.full(n, IGNORE, dtype=np.int8)
     category[best < bg_iou] = BG
@@ -89,60 +92,64 @@ def make_labels(n_fg, n_bg, n_ignore=0, hard_pattern=None):
 
 
 def test_iou_hand_examples():
-    a = Box(0.0, 0.0, 2.0, 2.0)
+    a = (0.0, 0.0, 2.0, 2.0)
     assert iou(a, a) == 1.0
-    assert iou(a, Box(5.0, 5.0, 7.0, 7.0)) == 0.0
+    assert iou(a, (5.0, 5.0, 7.0, 7.0)) == 0.0
     # 2x2 squares overlapping in a 1x2 strip: 2 / (4 + 4 - 2).
-    assert abs(iou(a, Box(1.0, 0.0, 3.0, 2.0)) - 1.0 / 3.0) < 1e-15
+    assert abs(iou(a, (1.0, 0.0, 3.0, 2.0)) - 1.0 / 3.0) < 1e-15
     # Touching edges do not intersect.
-    assert iou(a, Box(2.0, 0.0, 4.0, 2.0)) == 0.0
+    assert iou(a, (2.0, 0.0, 4.0, 2.0)) == 0.0
     # Contained 1x1 in a 4x4.
-    assert abs(iou(Box(0, 0, 4, 4), Box(1, 1, 2, 2)) - 1.0 / 16.0) < 1e-15
+    assert abs(iou((0, 0, 4, 4), (1, 1, 2, 2)) - 1.0 / 16.0) < 1e-15
+    assert area((0.0, 0.0, 2.0, 3.0)) == 6.0
 
 
 def test_iou_symmetry_and_range():
     rng = SplitMix64(0)
     for _ in range(50):
         vals = rng.uniform_range(0.0, 8.0, (8,))
-        a = Box(vals[0], vals[1], vals[0] + vals[2] + 0.1, vals[1] + vals[3] + 0.1)
-        b = Box(vals[4], vals[5], vals[4] + vals[6] + 0.1, vals[5] + vals[7] + 0.1)
+        a = (vals[0], vals[1], vals[0] + vals[2] + 0.1, vals[1] + vals[3] + 0.1)
+        b = (vals[4], vals[5], vals[4] + vals[6] + 0.1, vals[5] + vals[7] + 0.1)
         v = iou(a, b)
         assert v == iou(b, a)
         assert 0.0 <= v <= 1.0
 
 
-def test_box_validation_and_area():
-    with pytest.raises(DomainError):
-        Box(1.0, 0.0, 1.0, 2.0)
-    with pytest.raises(DomainError):
-        Box(0.0, 3.0, 2.0, 2.0)
-    assert area(Box(0.0, 0.0, 2.0, 3.0)) == 6.0
-
-
 def test_anchor_grid_geometry():
-    grid = AnchorGrid(height=4, width=5, shapes=((3, 3), (1, 2)))
-    assert grid.n_anchors == 4 * 5 * 2
-    box = grid.anchor_box(0, 0, 0)
-    assert (box.x_min, box.y_min, box.x_max, box.y_max) == (-1.0, -1.0, 2.0, 2.0)
-    narrow = grid.anchor_box(2, 3, 1)
-    assert (narrow.x_min, narrow.y_min) == (2.5, 2.0)
-    assert (narrow.x_max, narrow.y_max) == (4.5, 3.0)
+    config = SimConfig(
+        height=4, width=5, channels=2, anchor_shapes=((3, 3), (1, 2)),
+        object_max_size=4,
+    )
+    boxes = anchor_boxes(config)
+    assert boxes.shape == (4, 4 * 5 * 2)
+    assert boxes.dtype == np.float64
+    # Anchor (0, 0, 0): a 3x3 box centered at (0.5, 0.5).
+    assert boxes[:, 0].tolist() == [-1.0, -1.0, 2.0, 2.0]
+    # Anchor (2, 3, 1): 1 high and 2 wide, centered at (x, y) = (3.5, 2.5).
+    assert boxes[:, (2 * 5 + 3) * 2 + 1].tolist() == [2.5, 2.0, 4.5, 3.0]
+    # Built once per grid, and read-only.
+    assert anchor_boxes(config) is boxes
+    assert anchor_boxes(replace(config, bg_iou=0.2)) is boxes
+    assert not boxes.flags.writeable
+    with pytest.raises(ValueError):
+        boxes[0, 0] = 0.0
 
 
-def test_flat_index_roundtrip_and_corner_arrays():
-    grid = AnchorGrid(height=3, width=4, shapes=((2, 2), (3, 1)))
-    x0, y0, x1, y1 = grid.corner_arrays()
+def test_anchor_boxes_flat_order():
+    config = SimConfig(
+        height=3, width=4, channels=2, anchor_shapes=((2, 2), (3, 1)),
+        object_max_size=3,
+    )
+    x0, y0, x1, y1 = anchor_boxes(config)
     for i in range(3):
         for j in range(4):
-            for k in range(2):
+            for k, (bh, bw) in enumerate(config.anchor_shapes):
                 # Row-major (i, j, k): (i * width + j) * n_shapes + k.
                 flat = (i * 4 + j) * 2 + k
-                assert grid.position(flat) == (i, j, k)
-                box = grid.anchor_box(i, j, k)
-                assert x0[flat] == box.x_min
-                assert y0[flat] == box.y_min
-                assert x1[flat] == box.x_max
-                assert y1[flat] == box.y_max
+                assert x0[flat] == j + 0.5 - bw / 2
+                assert y0[flat] == i + 0.5 - bh / 2
+                assert x1[flat] == j + 0.5 + bw / 2
+                assert y1[flat] == i + 0.5 + bh / 2
 
 
 def test_sim_config_validation():
@@ -176,15 +183,16 @@ def test_generate_scene_deterministic_and_in_bounds():
     config = SimConfig()
     a = generate_scene(config, 7)
     b = generate_scene(config, 7)
-    assert a.objects == b.objects
+    assert np.array_equal(a.objects, b.objects)
     assert np.array_equal(a.features, b.features)
     assert a.features.shape == (config.height, config.width, config.channels)
-    assert config.n_objects_min <= len(a.objects) <= config.n_objects_max
-    for box in a.objects:
-        assert 0.0 <= box.x_min < box.x_max <= config.width
-        assert 0.0 <= box.y_min < box.y_max <= config.height
-        assert config.object_min_size <= box.x_max - box.x_min
-        assert box.x_max - box.x_min <= config.object_max_size
+    assert a.objects.shape[0] == 4 and a.objects.dtype == np.float64
+    assert config.n_objects_min <= a.objects.shape[1] <= config.n_objects_max
+    for x_min, y_min, x_max, y_max in a.objects.T:
+        assert 0.0 <= x_min < x_max <= config.width
+        assert 0.0 <= y_min < y_max <= config.height
+        assert config.object_min_size <= x_max - x_min
+        assert x_max - x_min <= config.object_max_size
     other = generate_scene(config, 8)
     assert not np.array_equal(a.features, other.features)
 
@@ -211,7 +219,7 @@ def test_scene_synthesis_matches_full_array_reference(config):
         seed = derive_seed(3, "scene", i)
         objects, features = reference.generate_scene(config, seed)
         for got in (scene, generate_scene(config, seed)):
-            assert got.objects == objects
+            assert got.objects.T.tolist() == [list(box) for box in objects]
             assert got.features.tobytes() == features.tobytes()
         assert np.shares_memory(scene.features, pool.features[i])
 
@@ -219,7 +227,7 @@ def test_scene_synthesis_matches_full_array_reference(config):
 def test_zero_object_scene_is_pure_noise_and_all_background():
     config = SimConfig(n_objects_min=0, n_objects_max=0)
     scene = generate_scene(config, 3)
-    assert scene.objects == ()
+    assert scene.objects.shape == (4, 0)
     assert np.all(np.abs(scene.features) <= config.noise_level)
     # Zero-mean floor: the average should sit near zero.
     assert abs(scene.features.mean()) < 0.01
@@ -240,11 +248,10 @@ def test_labeling_matches_brute_force_oracle():
         object_min_size=2,
         object_max_size=4,
     )
-    grid = grid_for(config)
     for seed in range(12):
         scene = generate_scene(config, seed)
         got = label_arrays(scene, config)
-        category, hard, best = brute_force_labels(scene, grid)
+        category, hard, best = brute_force_labels(scene, config)
         assert np.array_equal(got.category, category), f"seed {seed}"
         assert np.array_equal(got.hard, hard), f"seed {seed}"
         assert np.allclose(got.iou, best, atol=1e-12), f"seed {seed}"
@@ -255,7 +262,7 @@ def test_every_object_owns_a_foreground_anchor():
     # so only the promotion path can mark it foreground.
     config = SimConfig(height=8, width=8, channels=2, anchor_shapes=((3, 3),))
     scene = Scene(
-        objects=(Box(3.0, 3.0, 5.0, 5.0),),
+        objects=np.array([[3.0], [3.0], [5.0], [5.0]]),
         features=np.zeros((8, 8, 2)),
         seed=0,
     )
@@ -459,7 +466,6 @@ def test_boxes_csv_format():
     text = boxes_csv(scene)
     lines = text.strip().split("\n")
     assert lines[0] == "x_min,y_min,x_max,y_max"
-    assert len(lines) == 1 + len(scene.objects)
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == scene.objects[0].x_min
-    assert first[3] == scene.objects[0].y_max
+    assert len(lines) == 1 + scene.objects.shape[1]
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert rows == scene.objects.T.tolist()
