@@ -19,21 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .rng import SplitMix64
-from .tensor import (
-    Conv1x1Params,
-    FeatureMap,
-    conv1x1_backward,
-    conv1x1_forward,
-    conv1x1_param_grads,
-    mean_and_variance,
-    relu,
-    relu_backward,
-    sigmoid,
-    sigmoid_backward,
-    variance_backward,
-)
+from .tensor import FeatureMap, _mean, relu_backward, sigmoid, sigmoid_backward
+
+_KEYS = ("reduce_weight", "reduce_bias", "expand_weight", "expand_bias")
 
 
 @dataclass(frozen=True)
@@ -48,12 +38,13 @@ class GateOutput:
     t2: FeatureMap
 
 
-def _convs(params: Mapping[str, np.ndarray]) -> tuple[Conv1x1Params, Conv1x1Params]:
-    """The reduce and expand convolutions over the named gate arrays."""
-    return (
-        Conv1x1Params(weight=params["reduce_weight"], bias=params["reduce_bias"]),
-        Conv1x1Params(weight=params["expand_weight"], bias=params["expand_bias"]),
-    )
+def _arrays(params: Mapping[str, np.ndarray], c: int) -> list[np.ndarray]:
+    """params' gate arrays, checked to map c channels to a hidden layer and back."""
+    rw, rb, ew, eb = arrays = [params[key] for key in _KEYS]
+    shapes = rw.shape[1:], rb.shape, ew.shape[1:], eb.shape
+    if shapes != ((c,), rw.shape[:1], rb.shape, ew.shape[:1]):
+        raise DimensionError(f"gate arrays of shapes {shapes} do not fit {c} channels")
+    return arrays
 
 
 def gate_forward(x: FeatureMap, params: Mapping[str, np.ndarray]) -> GateOutput:
@@ -68,10 +59,15 @@ def gate_forward(x: FeatureMap, params: Mapping[str, np.ndarray]) -> GateOutput:
     a * t2, and truncation keeps the entries with t2 strictly above the
     threshold.
     """
-    reduce_conv, expand_conv = _convs(params)
-    t1 = relu(conv1x1_forward(x, reduce_conv))
-    t2 = sigmoid(conv1x1_forward(t1, expand_conv))
-    return GateOutput(t1=t1, t2=t2)
+    h, w, c = x.shape
+    rw, rb, ew, eb = _arrays(params, c)
+    # Each 1x1 convolution is one product over the map's (H*W, C) rows.
+    t1 = x.reshape(h * w, c) @ rw.T
+    t1 += rb
+    np.maximum(t1, 0.0, out=t1)
+    z2 = t1 @ ew.T
+    z2 += eb
+    return GateOutput(t1.reshape(h, w, len(rb)), sigmoid(z2).reshape(h, w, len(eb)))
 
 
 def gate_backward(
@@ -92,18 +88,18 @@ def gate_backward(
     entries (zero where truncation dropped them) plus any loss on t2
     itself, such as the variance loss.
     """
-    reduce_conv, expand_conv = _convs(params)
-    grad_z2 = sigmoid_backward(out.t2, grad_t2)
-    grad_t1, grad_ew, grad_eb = conv1x1_backward(out.t1, expand_conv, grad_z2)
+    h, w, c = x.shape
+    _, rb, ew, _ = _arrays(params, c)
+    grad_z2 = sigmoid_backward(out.t2, grad_t2).reshape(h * w, len(ew))
+    t1 = out.t1.reshape(h * w, len(rb))
     # t1 > 0 exactly where the pre-activation was > 0, so t1 doubles as
     # the ReLU mask carrier.
-    grad_z1 = relu_backward(out.t1, grad_t1)
-    grad_rw, grad_rb = conv1x1_param_grads(x, reduce_conv, grad_z1)
-    return grad_z1, {
-        "reduce_weight": grad_rw,
-        "reduce_bias": grad_rb,
-        "expand_weight": grad_ew,
-        "expand_bias": grad_eb,
+    grad_z1 = relu_backward(t1, grad_z2 @ ew)
+    return grad_z1.reshape(h, w, len(rb)), {
+        "reduce_weight": grad_z1.T @ x.reshape(h * w, c),
+        "reduce_bias": grad_z1.sum(axis=0),
+        "expand_weight": grad_z2.T @ t1,
+        "expand_bias": grad_z2.sum(axis=0),
     }
 
 
@@ -115,10 +111,13 @@ def variance_constraint(t2: FeatureMap, epsilon: float) -> tuple[float, np.ndarr
     """
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    _, raw = mean_and_variance(t2)
+    if t2.size == 0:
+        raise DimensionError("variance_constraint of an empty tensor")
+    centered = t2 - _mean(t2)
+    raw = float(_mean(centered * centered))
     if raw <= epsilon:
         return epsilon, np.zeros_like(t2)
-    return raw, variance_backward(t2)
+    return raw, 2.0 * centered / t2.size
 
 
 def probanet_loss(

@@ -38,7 +38,6 @@ from .tensor import (
     relu_backward,
     sigmoid,
     sigmoid_backward,
-    variance_backward,
 )
 from .training import (
     TrainConfig,
@@ -131,10 +130,12 @@ def check_hadamard(rng: SplitMix64, shape, h: float = 1e-5) -> float:
 
 
 def check_variance(rng: SplitMix64, shape, h: float = 1e-5) -> float:
+    """The variance gradient training uses, variance_constraint's, with a
+    floor far below the variance of x, against differencing of the
+    population variance."""
     x = rng.uniform_range(-1.0, 1.0, shape)
-    return _worst_error(
-        lambda: mean_and_variance(x)[1], {"x": x}, {"x": variance_backward(x)}, h
-    )
+    grads = {"x": variance_constraint(x, epsilon=1e-12)[1]}
+    return _worst_error(lambda: mean_and_variance(x)[1], {"x": x}, grads, h)
 
 
 def _safe_threshold(t2: np.ndarray) -> tuple[float, float]:

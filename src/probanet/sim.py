@@ -9,7 +9,7 @@ labels, and sampling are all reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,9 +88,11 @@ class SimConfig:
             raise ConfigError("noise, bump and core amplitudes must be >= 0")
         if not self.gain_min <= self.gain_max:
             raise ConfigError(f"bad gain range [{self.gain_min}, {self.gain_max}]")
-        if not 0 <= self.bg_iou <= self.fg_iou <= 1:
+        if not 0 < self.bg_iou:  # background is an overlap below it
+            raise ConfigError(f"bg_iou: must be > 0, got {self.bg_iou}", field="bg_iou")
+        if not self.bg_iou <= self.fg_iou <= 1:
             raise ConfigError(
-                f"need 0 <= bg_iou <= fg_iou <= 1, got {self.bg_iou}, {self.fg_iou}"
+                f"need bg_iou <= fg_iou <= 1, got {self.bg_iou}, {self.fg_iou}"
             )
         if not 0 <= self.hard_bg_lo <= self.bg_iou:
             raise ConfigError(f"bad hard background band floor {self.hard_bg_lo}")
@@ -138,14 +140,13 @@ def _anchor_boxes(height: int, width: int, shapes) -> np.ndarray:
     boxes[1] = cy - bh / 2
     boxes[2] = cx + bw / 2
     boxes[3] = cy + bh / 2
-    boxes = boxes.reshape(4, -1)
-    boxes.flags.writeable = False
-    return boxes
+    return _read_only(boxes.reshape(4, -1))
 
 
 @dataclass(frozen=True)
 class LabelArrays:
-    """Column-oriented labels, aligned with anchor_boxes' columns."""
+    """Column-oriented labels, aligned with anchor_boxes' columns; is_fg
+    and is_bg, the category's masks, are made on first use, read-only."""
 
     category: np.ndarray  # int8, BG/FG/IGNORE
     hard: np.ndarray  # bool
@@ -157,6 +158,14 @@ class LabelArrays:
 
     def __len__(self) -> int:
         return len(self.category)
+
+    is_fg = cached_property(lambda self: _read_only(self.category == FG))
+    is_bg = cached_property(lambda self: _read_only(self.category == BG))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def generate_scene(config: SimConfig, seed: int) -> Scene:
@@ -299,9 +308,10 @@ def sample_minibatch(labels: LabelArrays, keep_mask, rng: SplitMix64) -> MiniBat
     pool sizes, so equal pools reproduce equal batches.
     """
     n = len(labels)
-    fg, bg = labels.category == FG, labels.category == BG
+    fg, bg = labels.is_fg, labels.is_bg
     if keep_mask is not None:
-        mask = np.asarray(keep_mask, dtype=bool).ravel()
+        mask = np.asarray(keep_mask, dtype=bool)
+        mask = mask if mask.ndim == 1 else mask.ravel()
         if mask.size != n:
             raise DimensionError(
                 f"keep_mask covers {mask.size} anchors, labels cover {n}"

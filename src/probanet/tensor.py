@@ -116,8 +116,13 @@ def relu_backward(x: FeatureMap, grad_out: FeatureMap) -> FeatureMap:
 def _logistic(x: np.ndarray) -> np.ndarray:
     """Stable logistic, unclipped: with e = exp(-|x|), 1/(1+e) where
     x >= 0 and e/(1+e) elsewhere, so exp never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    y /= e
+    return y
 
 
 def sigmoid(x: FeatureMap) -> FeatureMap:
@@ -126,7 +131,9 @@ def sigmoid(x: FeatureMap) -> FeatureMap:
     Without the clip, float64 saturates to exactly 0 or 1 for |x| > ~37;
     the clip keeps the strict-bounds contract at a sub-ulp perturbation.
     """
-    return np.minimum(np.maximum(_logistic(x), _SIG_LO), _SIG_HI)
+    y = _logistic(x)
+    np.maximum(y, _SIG_LO, out=y)
+    return np.minimum(y, _SIG_HI, out=y)
 
 
 def sigmoid_backward(y: FeatureMap, grad_out: FeatureMap) -> FeatureMap:
@@ -154,13 +161,6 @@ def mean_and_variance(x: np.ndarray) -> tuple[float, float]:
         raise DimensionError("mean_and_variance of an empty tensor")
     mean = float(_mean(x))
     return mean, float(_mean((x - mean) ** 2))
-
-
-def variance_backward(x: np.ndarray) -> np.ndarray:
-    """Gradient of the population variance: 2 (x_k - mean) / N per element."""
-    if x.size == 0:
-        raise DimensionError("variance_backward of an empty tensor")
-    return 2.0 * (x - _mean(x)) / x.size
 
 
 def _mean(x: np.ndarray) -> np.float64:

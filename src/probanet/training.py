@@ -27,7 +27,7 @@ import signal
 import sys
 from collections import deque
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from types import MappingProxyType
 
@@ -56,6 +56,7 @@ from .sim import (
     MiniBatch,
     Scene,
     SimConfig,
+    _read_only,
     _synthesize_into,
     hard_ratio,
     label_arrays,
@@ -145,15 +146,18 @@ class MetricsRecord:
 
     def __post_init__(self):
         # metrics.csv holds repr(value), which is "np.float64(0.5)" for numpy's.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, admits = (int, Integral) if f.name == "step" else (float, Real)
+        for name in _METRIC_NAMES:
+            value = getattr(self, name)
+            kind, admits = (int, Integral) if name == "step" else (float, Real)
             if type(value) is not kind:
                 if isinstance(value, bool) or not isinstance(value, admits):
-                    raise TypeError(f"metric {f.name} must be a number, got {value!r}")
-                object.__setattr__(self, f.name, kind(value))
+                    raise TypeError(f"metric {name} must be a number, got {value!r}")
+                object.__setattr__(self, name, kind(value))
             if not math.isfinite(value):
-                raise NumericError(f"metric {f.name} is {value!r} in {self}")
+                raise NumericError(f"metric {name} is {value!r} in {self}")
+
+
+_METRIC_NAMES = tuple(f.name for f in fields(MetricsRecord))
 
 
 @dataclass(frozen=True)
@@ -169,23 +173,27 @@ class ScenePool:
     features: np.ndarray
     labels: LabelArrays
     scenes: tuple[Scene, ...]
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def step_inputs(self, step: int, count: int) -> tuple[FeatureMap, LabelArrays]:
         """The stacked (count*H, W, C) map of scenes (count*step + j) % P
         for j < count, and their labels.  Both are views of the pool
-        unless the range wraps past its last scene."""
+        unless the range wraps past its last scene.  Every step of a
+        window (the same first scene and count) gets the same read-only
+        arrays, so what derives from them alone is derived once."""
         p, h, w, c = self.features.shape
         first = count * step % p
-        if first + count <= p:
-            sel = slice(first, first + count)
-        else:
-            sel = (first + np.arange(count)) % p
-        x = self.features[sel].reshape(count * h, w, c)
-        labels = self.labels
-        return x, LabelArrays(*(
-            col.reshape(p, -1)[sel].ravel()
-            for col in (labels.category, labels.hard, labels.iou)
-        ))
+        if (first, count) not in self._windows:
+            if first + count <= p:
+                sel = slice(first, first + count)
+            else:  # at most count - 1 windows wrap, so the memo stays small
+                sel = (first + np.arange(count)) % p
+            x = _read_only(self.features[sel].reshape(count * h, w, c))
+            self._windows[first, count] = x, LabelArrays(*(
+                _read_only(col.reshape(p, -1)[sel].ravel())
+                for col in (self.labels.category, self.labels.hard, self.labels.iou)
+            ))
+        return self._windows[first, count]
 
 
 def build_scene_pool(config: TrainConfig, sim_config: SimConfig) -> ScenePool:
@@ -370,7 +378,8 @@ def loss_and_grads(
     else:
         values = a_sel
     logits = params["scale"] * values + params["shift"]
-    targets = (labels.category[batch.indices] == FG).astype(np.float64)
+    targets = np.zeros(batch.size)
+    targets[: batch.fg_count] = 1.0  # the batch holds its foreground first
     cls_loss = binary_cross_entropy(logits, targets)
 
     # Auxiliary loss bookkeeping (the gradient enters through grad_t2).
@@ -382,7 +391,7 @@ def loss_and_grads(
             aux_loss, beta, grad_v_coeff = probanet_loss(
                 variance, cls_loss, config.alpha
             )
-        fg_gate_mean, bg_gate_mean = _class_means(t2_flat, labels.category)
+        fg_gate_mean, bg_gate_mean = _class_means(t2_flat, labels.is_fg, labels.is_bg)
     try:
         record = MetricsRecord(
             step=step,
@@ -425,10 +434,10 @@ def _where(step: int, config: TrainConfig, kept_fraction: float) -> str:
     return f"step {step}, seed {config.seed}, kept fraction {kept_fraction:.4g}"
 
 
-def _class_means(values: np.ndarray, category: np.ndarray) -> tuple[float, float]:
+def _class_means(values: np.ndarray, is_fg, is_bg) -> tuple[float, float]:
     """Mean of values over the foreground anchors and over the background
     anchors, 0.0 for a class with none."""
-    members = (values[category == FG], values[category == BG])
+    members = (values[is_fg], values[is_bg])
     return tuple(float(_mean(v)) if v.size else 0.0 for v in members)
 
 
@@ -512,9 +521,10 @@ def _finalize_run(
     gate = state.gate
     t2_flat = np.ones(a.size) if gate is None else gate_forward(x, gate).t2.ravel()
     z = state.params["scale"] * (a * t2_flat) + state.params["shift"]  # a * 1.0 is a
-    category = pool.labels.category
-    fg_gate_mean, bg_gate_mean = _class_means(t2_flat, category)
-    fg_z, bg_z = z[category == FG], z[category == BG]
+    # Masks of its own: cached on pool.labels, they would outlive the run.
+    is_fg, is_bg = pool.labels.category == FG, pool.labels.category == BG
+    fg_gate_mean, bg_gate_mean = _class_means(t2_flat, is_fg, is_bg)
+    fg_z, bg_z = z[is_fg], z[is_bg]
     logit_gap = (
         float(fg_z.mean() - bg_z.mean()) if fg_z.size and bg_z.size else 0.0
     )

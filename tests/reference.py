@@ -7,6 +7,7 @@ import numpy as np
 
 from probanet import (
     Conv1x1Params,
+    EmptyPoolError,
     SplitMix64,
     conv1x1_forward,
     derive_seed,
@@ -134,10 +135,13 @@ def _logistic(x):
 
 def two_draw_sample(labels, keep_mask, rng):
     """The sampler with one key draw per class, foreground first, and a
-    full stable sort of each pool's keys: (indices, fg_count)."""
+    full stable sort of each pool's keys: (indices, fg_count).  Without a
+    background candidate it raises EmptyPoolError, as the sampler does."""
     mask = np.ones(len(labels), dtype=bool) if keep_mask is None else keep_mask
     fg_pool = np.flatnonzero((labels.category == FG) & mask)
     bg_pool = np.flatnonzero((labels.category == BG) & mask)
+    if bg_pool.size == 0:
+        raise EmptyPoolError("no background anchors survive the mask")
     fg_take = min(FG_QUOTA, fg_pool.size)
     bg_take = min(BATCH_SIZE - fg_take, bg_pool.size)
     picks = [

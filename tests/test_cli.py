@@ -391,6 +391,26 @@ def test_train_rejects_non_finite_config_value(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "r")
 
 
+def test_train_rejects_zero_bg_iou_before_building_a_pool(tmp_path, capsys, monkeypatch):
+    # At bg_iou = 0 no anchor overlaps less than bg_iou, so no scene with
+    # an object has a background anchor and training could only end in
+    # EmptyPoolError at step 0; the config is rejected before any work.
+    import probanet.training
+
+    calls = tmp_path / "calls.txt"
+    record_calls(monkeypatch, calls, probanet.training.build_scene_pool)
+    bad = tmp_path / "zero.cfg"
+    bad.write_text(TINY_CONFIG + "hard_bg_lo = 0\nbg_iou = 0\n", encoding="ascii")
+    lineno = len(TINY_CONFIG.splitlines()) + 2
+    for variant in ([], ["--probanet"]):
+        out_dir = tmp_path / "r"
+        code = main(["train", "--config", str(bad), "--out", str(out_dir), *variant])
+        assert code == 2
+        assert f"line {lineno}: bad value for bg_iou: must be > 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+    assert not calls.exists()
+
+
 @pytest.mark.parametrize("variant", [[], ["--probanet"]], ids=["paired", "single"])
 def test_train_builds_one_pool_and_one_dump_per_seed(
     tmp_path, tiny_config_path, capsys, monkeypatch, variant

@@ -171,6 +171,11 @@ def test_sim_config_validation():
         SimConfig(gain_min=2.0, gain_max=1.0)
     with pytest.raises(ConfigError):
         SimConfig(bg_iou=0.8, fg_iou=0.7)
+    # Background is an overlap below bg_iou, and no overlap is below 0.
+    for bg_iou in (0.0, -0.1):
+        with pytest.raises(ConfigError, match="^bg_iou: must be > 0") as exc:
+            SimConfig(bg_iou=bg_iou, hard_bg_lo=0.0)
+        assert exc.value.field == "bg_iou"
     with pytest.raises(ConfigError):
         SimConfig(hard_bg_lo=0.5)
     with pytest.raises(ConfigError):

@@ -44,7 +44,7 @@ from probanet.training import (
     loss_and_grads,
     tail_mean_hard_ratio,
 )
-from probanet.sim import FG, LabelArrays
+from probanet.sim import BG, FG, LabelArrays
 from probanet.tensor import relu_backward, sigmoid_backward
 
 
@@ -498,6 +498,31 @@ def test_step_inputs_are_views_unless_the_range_wraps():
     assert np.array_equal(labels.category[16:], pool.labels.category[:16])
     for i, scene in enumerate(pool.scenes):
         assert np.shares_memory(scene.features, pool.features[i])
+
+
+def test_step_inputs_are_made_once_per_window_and_read_only():
+    config = tiny_config()
+    pool = build_scene_pool(config, replace(TINY_SIM, scene_pool_size=3))
+    # Steps 0 and 3 read scenes 0 and 1, steps 1 and 4 the wrapped pair 2, 0.
+    for step, later in ((0, 3), (1, 4)):
+        x, labels = pool.step_inputs(step, 2)
+        again = pool.step_inputs(later, 2)
+        assert again[0] is x and again[1] is labels
+        assert labels.is_fg is again[1].is_fg and labels.is_bg is again[1].is_bg
+        assert np.array_equal(labels.is_fg, labels.category == FG)
+        assert np.array_equal(labels.is_bg, labels.category == BG)
+        arrays = (x, labels.category, labels.hard, labels.iou, labels.is_fg, labels.is_bg)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+    # One scene from scene 0 is another window than two from it.
+    x, labels = pool.step_inputs(0, 2)
+    x_one, labels_one = pool.step_inputs(0, 1)
+    assert x_one is not x and labels_one is not labels
+    assert x_one.shape[0] * 2 == x.shape[0] and len(labels_one) * 2 == len(labels)
+    assert np.array_equal(x_one, x[: x_one.shape[0]])
+    # The pool itself stays writable.
+    assert pool.features.flags.writeable and pool.labels.category.flags.writeable
 
 
 @pytest.mark.parametrize("pool_size", [3, 1])
