@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import fields
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -24,6 +23,7 @@ from .netpbm import write_pgm, write_ppm
 from .sim import Scene, SimConfig, anchor_boxes, boxes_csv
 from .tensor import dump_feature_map
 from .training import (
+    _METRIC_NAMES,
     ExperimentReport,
     MetricsRecord,
     RunResult,
@@ -33,7 +33,6 @@ from .training import (
 )
 
 # metrics.csv's columns: the fields of MetricsRecord, in order.
-_METRIC_NAMES = tuple(f.name for f in fields(MetricsRecord))
 METRICS_HEADER = ",".join(_METRIC_NAMES)
 SUMMARY_HEADER = (
     "seed,baseline_hard_ratio,probanet_hard_ratio,hard_ratio_uplift,"
@@ -133,11 +132,9 @@ def gate_weights_for(
     state: TrainState, scene: Scene, sim_config: SimConfig
 ) -> np.ndarray:
     """Final gate weights for one scene, untruncated; all ones without a gate."""
-    k = sim_config.anchors_per_cell
-    shape = (sim_config.height, sim_config.width, k)
     if state.gate is None:
-        return np.ones(shape)
-    return gate_forward(scene.features, state.gate).t2
+        return np.ones(scene.features.shape[:2] + (sim_config.anchors_per_cell,))
+    return gate_forward(scene.features, state.gate)[1]
 
 
 def heatmap_files(

@@ -23,7 +23,7 @@ from .artifacts import (
     variant_name,
     write_seed_dirs,
 )
-from .config import parse_config
+from .config import parse_config, parse_entries
 from .errors import ConfigError, DomainError, ProbanetError
 from .gate import mac_count, param_count, param_megabytes
 from .gradcheck import CHECKS, DEFAULT_SHAPES, REL_TOL, run_suite
@@ -163,16 +163,24 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _load_configs(path: str | None) -> tuple[TrainConfig, SimConfig]:
+def _load_configs(path: str | None) -> tuple[TrainConfig, SimConfig, dict]:
+    """The file's configs, else the defaults, and the entries it sets."""
     if path is None:
-        return TrainConfig(), SimConfig()
+        return TrainConfig(), SimConfig(), {}
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        text = fh.read()
+    return (*parse_config(text), parse_entries(text))
 
 
 def cmd_train(args) -> int:
-    train_cfg, sim_cfg = _load_configs(args.config)
+    train_cfg, sim_cfg, entries = _load_configs(args.config)
     gated = (args.probanet,) if args.baseline or args.probanet else (False, True)
+    if "probanet_enabled" in entries:  # a config that sets it trains one variant
+        lineno, enabled = entries["probanet_enabled"]
+        if len(gated) == 1 and gated != (enabled,):
+            flag = "--probanet" if args.probanet else "--baseline"
+            raise ConfigError(f"line {lineno}: probanet_enabled contradicts {flag}")
+        gated = (enabled,)
     configs = tuple(replace(train_cfg, probanet_enabled=g) for g in gated)
 
     # write_seed_dirs creates args.out, after run_experiment has checked

@@ -53,10 +53,10 @@ def format_value(key: str, value) -> str:
     return str(value)
 
 
-def parse_config(text: str) -> tuple[TrainConfig, SimConfig]:
-    """Parse the flat key = value format into the two config objects."""
-    train_kv, sim_kv = {}, {}
-    linenos = {}
+def parse_entries(text: str) -> dict[str, tuple[int, object]]:
+    """The keys the flat key = value text sets, each with its line number
+    and parsed value."""
+    entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.partition("#")[0].strip()
         if not stripped:
@@ -65,21 +65,25 @@ def parse_config(text: str) -> tuple[TrainConfig, SimConfig]:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = key.strip(), value.strip()
-        if key in linenos:
+        if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key}")
-        linenos[key] = lineno
-        if key in _TRAIN_FIELDS:
-            train_kv[key] = parse_value(key, value, lineno)
-        elif key in _SIM_FIELDS:
-            sim_kv[key] = parse_value(key, value, lineno)
-        else:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key}")
+        entries[key] = lineno, parse_value(key, value, lineno)
+    return entries
+
+
+def parse_config(text: str) -> tuple[TrainConfig, SimConfig]:
+    """Parse the flat key = value format into the two config objects."""
+    entries = parse_entries(text)
+    train_kv = {k: v for k, (_, v) in entries.items() if k in _TRAIN_FIELDS}
+    sim_kv = {k: v for k, (_, v) in entries.items() if k in _SIM_FIELDS}
     try:
         return TrainConfig(**train_kv), SimConfig(**sim_kv)
     except ConfigError as exc:
-        if exc.field in linenos:
+        if exc.field in entries:
             raise ConfigError(
-                f"line {linenos[exc.field]}: bad value for {exc}", field=exc.field
+                f"line {entries[exc.field][0]}: bad value for {exc}", field=exc.field
             ) from exc
         raise
     except (TypeError, ValueError) as exc:

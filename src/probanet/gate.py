@@ -15,7 +15,6 @@ here too, since both formulas are functions of the gate geometry alone.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +23,6 @@ from .rng import SplitMix64
 from .tensor import FeatureMap, _mean, relu_backward, sigmoid, sigmoid_backward
 
 _KEYS = ("reduce_weight", "reduce_bias", "expand_weight", "expand_bias")
-
-
-@dataclass(frozen=True)
-class GateOutput:
-    """Everything the forward pass of the gate network produces.
-
-    t1: reduced hidden map, after ReLU.
-    t2: per-proposal weights, strictly inside (0, 1).
-    """
-
-    t1: FeatureMap
-    t2: FeatureMap
 
 
 def _arrays(params: Mapping[str, np.ndarray], c: int) -> list[np.ndarray]:
@@ -47,8 +34,11 @@ def _arrays(params: Mapping[str, np.ndarray], c: int) -> list[np.ndarray]:
     return arrays
 
 
-def gate_forward(x: FeatureMap, params: Mapping[str, np.ndarray]) -> GateOutput:
-    """Score every proposal channel from the features.
+def gate_forward(
+    x: FeatureMap, params: Mapping[str, np.ndarray]
+) -> tuple[FeatureMap, FeatureMap]:
+    """Score every proposal channel from the features: (t1, t2), the hidden
+    map after ReLU and the per-proposal weights, strictly inside (0, 1).
 
     params maps reduce_weight, reduce_bias, expand_weight and
     expand_bias to the arrays of the two convolutions: reduce maps the C
@@ -67,21 +57,23 @@ def gate_forward(x: FeatureMap, params: Mapping[str, np.ndarray]) -> GateOutput:
     np.maximum(t1, 0.0, out=t1)
     z2 = t1 @ ew.T
     z2 += eb
-    return GateOutput(t1.reshape(h, w, len(rb)), sigmoid(z2).reshape(h, w, len(eb)))
+    return t1.reshape(h, w, len(rb)), sigmoid(z2).reshape(h, w, len(eb))
 
 
 def gate_backward(
-    out: GateOutput,
+    t1: FeatureMap,
+    t2: FeatureMap,
     x: FeatureMap,
     params: Mapping[str, np.ndarray],
     grad_t2: FeatureMap,
 ) -> tuple[FeatureMap, dict[str, np.ndarray]]:
-    """Reverse pass through the gate network from the gradient at t2.
+    """Reverse pass through the gate network, whose forward pass on x
+    gave t1 and t2, from the gradient at t2.
 
     Returns (grad_z1, the four parameter gradients keyed as in params),
     where grad_z1 is the gradient at the reduce conv's output.  The
     features x are data to training, so their gradient is not formed
-    here; conv1x1_input_grad(reduce conv, grad_z1) gives it.
+    here; conv1x1_backward(x, reduce conv, grad_z1)[0] gives it.
 
     A caller that weights and truncates the proposal map sums every
     path into grad_t2: the weighted map's gradient times a at the kept
@@ -90,8 +82,8 @@ def gate_backward(
     """
     h, w, c = x.shape
     _, rb, ew, _ = _arrays(params, c)
-    grad_z2 = sigmoid_backward(out.t2, grad_t2).reshape(h * w, len(ew))
-    t1 = out.t1.reshape(h * w, len(rb))
+    grad_z2 = sigmoid_backward(t2, grad_t2).reshape(h * w, len(ew))
+    t1 = t1.reshape(h * w, len(rb))
     # t1 > 0 exactly where the pre-activation was > 0, so t1 doubles as
     # the ReLU mask carrier.
     grad_z1 = relu_backward(t1, grad_z2 @ ew)

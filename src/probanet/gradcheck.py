@@ -29,7 +29,6 @@ from .tensor import (
     Conv1x1Params,
     conv1x1_backward,
     conv1x1_forward,
-    conv1x1_input_grad,
     finite_diff_gradient,
     hadamard,
     hadamard_backward,
@@ -178,7 +177,7 @@ def _gate_instance(rng: SplitMix64, shape, k: int, r: int, n: int = 1):
         }
         reduce_conv = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
         z1 = conv1x1_forward(x, reduce_conv)
-        t2 = gate_forward(x, params).t2
+        t2 = gate_forward(x, params)[1]
         th, margin = _safe_threshold(t2)
         if (
             np.abs(z1).min() > _MARGIN
@@ -197,11 +196,11 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     x, params, _ = _gate_instance(rng, shape, k, r=_R)
     g_t2 = rng.uniform_range(-1.0, 1.0, (hh, ww, k))
 
-    grad_z1, grads = gate_backward(gate_forward(x, params), x, params, g_t2)
+    grad_z1, grads = gate_backward(*gate_forward(x, params), x, params, g_t2)
     reduce_conv = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
-    grads["x"] = conv1x1_input_grad(reduce_conv, grad_z1)
+    grads["x"] = conv1x1_backward(x, reduce_conv, grad_z1)[0]
     return _worst_error(
-        lambda: float((gate_forward(x, params).t2 * g_t2).sum()),
+        lambda: float((gate_forward(x, params)[1] * g_t2).sum()),
         {"x": x, **params},
         grads,
         h,
@@ -252,7 +251,7 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
 
     # The stacked map's raveled anchors are the step's, scene by scene.
     n = 2 * hh * ww * k
-    kept = gate_forward(x, gate).t2.ravel() > th
+    kept = gate_forward(x, gate)[1].ravel() > th
     for _ in range(64):
         u = rng.uniform(n)
         category = np.full(n, BG, dtype=np.int8)
@@ -279,7 +278,7 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     def parts() -> tuple[float, float]:
         """Classification loss and gate-weight variance, over both maps."""
         a = conv1x1_forward(x, head)
-        t2 = gate_forward(x, point).t2
+        t2 = gate_forward(x, point)[1]
         z = point["scale"] * (a * t2).ravel()[batch.indices] + point["shift"]
         return binary_cross_entropy(z, targets), variance_constraint(t2, eps)[0]
 

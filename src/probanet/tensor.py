@@ -49,17 +49,13 @@ class Conv1x1Params:
     def out_channels(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
-
 
 def conv1x1_forward(x: FeatureMap, p: Conv1x1Params) -> FeatureMap:
     """Apply the per-pixel affine map: out(i,j) = weight @ x(i,j) + bias."""
     h, w, c = x.shape
-    if c != p.in_channels:
+    if c != p.weight.shape[1]:
         raise DimensionError(
-            f"input has {c} channels but conv expects {p.in_channels}"
+            f"input has {c} channels but conv expects {p.weight.shape[1]}"
         )
     out = x.reshape(h * w, c) @ p.weight.T + p.bias
     return out.reshape(h, w, p.out_channels)
@@ -69,36 +65,14 @@ def conv1x1_backward(
     x: FeatureMap, p: Conv1x1Params, grad_out: FeatureMap
 ) -> tuple[FeatureMap, np.ndarray, np.ndarray]:
     """VJPs of conv1x1_forward w.r.t. input, weight and bias."""
-    grad_weight, grad_bias = conv1x1_param_grads(x, p, grad_out)
-    return conv1x1_input_grad(p, grad_out), grad_weight, grad_bias
-
-
-def conv1x1_param_grads(
-    x: FeatureMap, p: Conv1x1Params, grad_out: FeatureMap
-) -> tuple[np.ndarray, np.ndarray]:
-    """VJPs of conv1x1_forward w.r.t. weight and bias only.
-
-    Training calls this where the input is data (scene features), whose
-    gradient nothing reads.
-    """
     h, w, c = x.shape
-    if grad_out.shape != (h, w, p.out_channels):
+    if grad_out.shape != (h, w, p.out_channels) or c != p.weight.shape[1]:
         raise DimensionError(
-            f"grad_out shape {grad_out.shape} does not match output "
-            f"shape {(h, w, p.out_channels)}"
+            f"input {x.shape} and grad_out {grad_out.shape} do not fit a conv "
+            f"of weight shape {p.weight.shape}"
         )
     g = grad_out.reshape(h * w, p.out_channels)
-    return g.T @ x.reshape(h * w, c), g.sum(axis=0)
-
-
-def conv1x1_input_grad(p: Conv1x1Params, grad_out: FeatureMap) -> FeatureMap:
-    """VJP of conv1x1_forward w.r.t. its input: grad_out(i,j) @ weight."""
-    h, w, k = grad_out.shape
-    if k != p.out_channels:
-        raise DimensionError(
-            f"grad_out has {k} channels but conv emits {p.out_channels}"
-        )
-    return (grad_out.reshape(h * w, k) @ p.weight).reshape(h, w, p.in_channels)
+    return (g @ p.weight).reshape(h, w, c), g.T @ x.reshape(h * w, c), g.sum(axis=0)
 
 
 def relu(x: FeatureMap) -> FeatureMap:

@@ -352,8 +352,8 @@ def loss_and_grads(
     mask = None
     kept_fraction = 1.0
     if gate is not None:
-        out = gate_forward(x, gate)
-        t2_flat = out.t2.ravel()
+        t1, t2 = gate_forward(x, gate)
+        t2_flat = t2.ravel()
         # Truncation keeps the entries weighted strictly above the threshold.
         mask = t2_flat > config.th
         kept_fraction = np.count_nonzero(mask) / mask.size
@@ -419,7 +419,7 @@ def loss_and_grads(
         # Every sampled anchor was kept, so its weighted value a * t2
         # passes grad_values * a to t2; dropped entries pass nothing.
         grad_t2[batch.indices] += grad_values * a_sel
-        _, gate_grads = gate_backward(out, x, gate, grad_t2.reshape(out.t2.shape))
+        _, gate_grads = gate_backward(t1, t2, x, gate, grad_t2.reshape(t2.shape))
         grads.update(gate_grads)
     return record, grads, batch, logits
 
@@ -519,7 +519,7 @@ def _finalize_run(
     x = pool.features.reshape(p * h, w, c)
     a = (x.reshape(-1, c) @ state.params["head_weight"].T).ravel()
     gate = state.gate
-    t2_flat = np.ones(a.size) if gate is None else gate_forward(x, gate).t2.ravel()
+    t2_flat = np.ones(a.size) if gate is None else gate_forward(x, gate)[1].ravel()
     z = state.params["scale"] * (a * t2_flat) + state.params["shift"]  # a * 1.0 is a
     # Masks of its own: cached on pool.labels, they would outlive the run.
     is_fg, is_bg = pool.labels.category == FG, pool.labels.category == BG
@@ -682,7 +682,7 @@ def _fork_map(fn: Callable, jobs, width: int):
 
     def fork_more():
         for label, arg in itertools.islice(jobs, width - len(pending)):
-            pending.append((label, *_fork(fn, arg)))
+            pending.append((label, *_fork(label, fn, arg)))
 
     def replies():
         while pending:
@@ -700,10 +700,10 @@ def _fork_map(fn: Callable, jobs, width: int):
             os.waitpid(pid, 0)
 
 
-def _fork(fn: Callable, *args) -> tuple[int, int]:
-    """Fork a child that pickles back fn(*args), or the exception it
-    raised, and exits; its pid and the read end of its pipe.  On Linux
-    the child is killed when this process dies."""
+def _fork(label: str, fn: Callable, arg) -> tuple[int, int]:
+    """Fork a child that pickles back fn(arg), or the exception it raised,
+    or a ProbanetError naming label if that fails, and exits; its pid and
+    the read end of its pipe.  On Linux it dies when this process dies."""
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
     try:
@@ -723,11 +723,18 @@ def _fork(fn: Callable, *args) -> tuple[int, int]:
             if os.getppid() != parent:  # died before the request took effect
                 os._exit(1)
             try:
-                reply = fn(*args)
+                reply = fn(arg)
             except Exception as exc:
                 reply = exc
+            try:
+                payload = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                payload = pickle.dumps(ProbanetError(
+                    f"the reply of the worker training {label} does not "
+                    f"pickle: {type(exc).__name__}: {exc}"
+                ))
             with os.fdopen(write_fd, "wb") as fh:
-                fh.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+                fh.write(payload)
             os._exit(0)
         finally:
             os._exit(1)

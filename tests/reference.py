@@ -6,17 +6,14 @@ out call by call."""
 import numpy as np
 
 from probanet import (
-    Conv1x1Params,
     EmptyPoolError,
     SplitMix64,
-    conv1x1_forward,
     derive_seed,
     gate_backward,
     probanet_loss,
     relu,
 )
-from probanet.gate import GateOutput
-from probanet.tensor import conv1x1_param_grads
+from probanet.tensor import Conv1x1Params, conv1x1_backward, conv1x1_forward
 from probanet.sim import BATCH_SIZE, BG, FG, FG_QUOTA
 
 
@@ -206,12 +203,11 @@ def train_step(params, velocity, step, x, labels, config):
     grad_values = params["scale"] * dz
     grad_a = np.zeros((n, 1, k))
     grad_a[np.arange(n), 0, anchor] = grad_values * t2_flat[idx] if gated else grad_values
-    grads["head_weight"], _ = conv1x1_param_grads(rows, head, grad_a)
+    grads["head_weight"] = conv1x1_backward(rows, head, grad_a)[1]
     if gated:
         grad_t2 = coeff * grad_v if coeff != 0.0 else np.zeros(t2_flat.size)
         grad_t2[idx] += grad_values * a_sel
-        out = GateOutput(t1=t1, t2=t2)
-        grads.update(gate_backward(out, x, params, grad_t2.reshape(t2.shape))[1])
+        grads.update(gate_backward(t1, t2, x, params, grad_t2.reshape(t2.shape))[1])
 
     lr = config.learning_rate_at(step)
     new_params, new_velocity = {}, {}

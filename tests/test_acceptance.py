@@ -166,11 +166,11 @@ def test_criterion_6_aux_loss_below_cls_loss(experiment, capsys):
     record, grads, _, _ = loss_and_grads(state, x, labels, GATED)
     _, grads0, _, _ = loss_and_grads(state, x, labels, replace(GATED, alpha=0.0))
     assert record.variance > GATED.epsilon, "the variance floor is active"
-    out = gate_forward(x, state.gate)
-    _, dv = variance_constraint(out.t2.ravel(), GATED.epsilon)
+    t1, t2 = gate_forward(x, state.gate)
+    _, dv = variance_constraint(t2.ravel(), GATED.epsilon)
     _, _, grad_v = probanet_loss(record.variance, record.cls_loss, GATED.alpha)
     grad_t2 = grad_v * dv
-    _, expected = gate_backward(out, x, state.gate, grad_t2.reshape(out.t2.shape))
+    _, expected = gate_backward(t1, t2, x, state.gate, grad_t2.reshape(t2.shape))
     worst = 0.0
     for name, value in expected.items():
         scale = np.abs(value).max()

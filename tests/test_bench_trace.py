@@ -7,6 +7,8 @@ here rather than only in a traced benchmark run.  The module is read
 from its path and executed; nothing under bench/ is written.
 """
 
+import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -68,3 +70,19 @@ def test_traced_train_and_gradcheck(tmp_path, capsys, monkeypatch):
     assert agg["tensor.conv1x1_forward"]["work"] > 0
     # Uninstalled: the package runs its own functions again.
     assert cli.main.__module__ == "probanet.cli"
+
+
+def test_every_span_with_work_or_a_tag_names_a_package_function():
+    # The tracer wraps only public functions and methods defined in a
+    # layer module; a key naming anything else never records a span, and
+    # the metric read from it would read zero without failing.
+    spans = load_spans()
+    for name in [*spans.WORK, *spans.TAGS]:
+        layer, *path = name.split(".")
+        assert layer in spans.LAYERS, name
+        obj = importlib.import_module(f"{spans.PACKAGE}.{layer}")
+        for attr in path:
+            assert not attr.startswith("_"), name
+            obj = getattr(obj, attr, None)
+        assert inspect.isfunction(obj), name
+        assert obj.__module__ == f"{spans.PACKAGE}.{layer}", name

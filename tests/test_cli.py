@@ -203,20 +203,65 @@ def test_single_variant_runs_equal_the_paired_arms(
     tmp_path, tiny_config_path, capsys
 ):
     # One seed loop serves both modes: each single-variant run directory
-    # is byte for byte the matching arm of the paired run.
+    # is byte for byte the matching arm of the paired run, whether a flag
+    # or a fed-back resolved-config.txt, which sets probanet_enabled,
+    # picks the variant.
     paired = tmp_path / "paired"
-    argv = ["train", "--config", tiny_config_path, "--seeds", "2", "--out"]
-    assert main(argv + [str(paired)]) == 0
+    argv = ["train", "--seeds", "2", "--config"]
+    assert main(argv + [tiny_config_path, "--out", str(paired)]) == 0
     paired_files = _tree_bytes(paired)
     for variant in ("baseline", "probanet"):
-        out = tmp_path / variant
-        assert main(argv + [str(out), f"--{variant}"]) == 0
-        files = _tree_bytes(out)
-        assert sorted({path.split(os.sep)[0] for path in files}) == [
-            f"{variant}_seed3", f"{variant}_seed4"
-        ]
-        assert files == {path: paired_files[path] for path in files}
+        resolved = paired / f"{variant}_seed3" / "resolved-config.txt"
+        for picked in ([tiny_config_path, f"--{variant}"], [str(resolved)]):
+            out = tmp_path / f"{variant}-{len(picked)}"
+            assert main(argv + picked + ["--out", str(out)]) == 0
+            files = _tree_bytes(out)
+            assert sorted({path.split(os.sep)[0] for path in files}) == [
+                f"{variant}_seed3", f"{variant}_seed4"
+            ]
+            assert files == {path: paired_files[path] for path in files}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("variant", ["baseline", "probanet"])
+def test_config_probanet_enabled_trains_one_variant_as_its_flag_does(
+    tmp_path, tiny_config_path, capsys, variant
+):
+    enabled = "true" if variant == "probanet" else "false"
+    config = tmp_path / "one.cfg"
+    config.write_text(TINY_CONFIG + f"probanet_enabled = {enabled}\n", encoding="ascii")
+    runs = []
+    for path, flag in (
+        (config, []),  # the key alone
+        (config, [f"--{variant}"]),  # the key and the matching flag
+        (tiny_config_path, [f"--{variant}"]),  # the flag alone
+    ):
+        out = tmp_path / f"out{len(runs)}"
+        argv = ["train", "--config", str(path), "--seeds", "2", "--out", str(out)]
+        assert main(argv + flag) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        runs.append((_tree_bytes(out), stdout))
+    assert runs[0] == runs[1] == runs[2]
+    assert sorted({path.split(os.sep)[0] for path in runs[0][0]}) == [
+        f"{variant}_seed3", f"{variant}_seed4"
+    ]
+
+
+@pytest.mark.parametrize(
+    "enabled, flag", [("false", "--probanet"), ("true", "--baseline")]
+)
+def test_flag_contradicting_config_probanet_enabled_exits_before_writing(
+    tmp_path, capsys, enabled, flag
+):
+    config = tmp_path / "one.cfg"
+    config.write_text(TINY_CONFIG + f"probanet_enabled = {enabled}\n", encoding="ascii")
+    out_dir = tmp_path / "r"
+    code = main(["train", "--config", str(config), "--out", str(out_dir), flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"probanet_enabled contradicts {flag}" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("variant", [[], ["--probanet"]], ids=["paired", "single"])

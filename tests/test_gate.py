@@ -7,7 +7,6 @@ import pytest
 from reference import truncate
 
 from probanet import (
-    Conv1x1Params,
     DimensionError,
     DomainError,
     EmptyPoolError,
@@ -17,7 +16,6 @@ from probanet import (
     TrainConfig,
     TrainState,
     build_scene_pool,
-    conv1x1_forward,
     finite_diff_gradient,
     gate_backward,
     gate_forward,
@@ -32,6 +30,7 @@ from probanet import (
     variance_constraint,
 )
 from probanet.artifacts import gate_weights_for
+from probanet.tensor import Conv1x1Params, conv1x1_forward
 from probanet.training import loss_and_grads
 
 
@@ -77,17 +76,17 @@ def test_init_geometry_errors():
 def test_gate_forward_matches_manual_composition():
     params = small_gate(seed=3)
     x = random_map(4, (2, 3, 4))
-    out = gate_forward(x, params)
+    t1, t2 = gate_forward(x, params)
 
     reduce_conv = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
     expand_conv = Conv1x1Params(params["expand_weight"], params["expand_bias"])
-    t1 = relu(conv1x1_forward(x, reduce_conv))
-    t2 = sigmoid(conv1x1_forward(t1, expand_conv))
-    assert np.array_equal(out.t1, t1)
-    assert np.array_equal(out.t2, t2)
-    assert out.t2.shape == (2, 3, 2)
-    assert np.all(out.t2 > 0.0)
-    assert np.all(out.t2 < 1.0)
+    want_t1 = relu(conv1x1_forward(x, reduce_conv))
+    want_t2 = sigmoid(conv1x1_forward(want_t1, expand_conv))
+    assert np.array_equal(t1, want_t1)
+    assert np.array_equal(t2, want_t2)
+    assert t2.shape == (2, 3, 2)
+    assert np.all(t2 > 0.0)
+    assert np.all(t2 < 1.0)
 
 
 def test_gate_forward_shape_errors():
@@ -125,7 +124,7 @@ def test_truncate_train_strict_and_test_keeps_all():
 def test_gate_test_mode_keeps_everything():
     params, th = small_gate(), 0.9
     x = random_map(6, (3, 3, 4))
-    t2 = gate_forward(x, params).t2
+    t2 = gate_forward(x, params)[1]
     assert not (t2 > th).any()
     sim = SimConfig(
         height=3, width=3, channels=4, anchor_shapes=((3, 3), (2, 2)),
@@ -139,7 +138,7 @@ def test_gate_test_mode_keeps_everything():
 def _truncated_map_grad_t2(params, th, x, a, g):
     """Gradient at t2 of sum(truncated(a * t2) * g): g * a where t2 clears
     the threshold th, zero where truncation dropped the entry."""
-    t2 = gate_forward(x, params).t2
+    t2 = gate_forward(x, params)[1]
     return np.where(t2 > th, g * a, 0.0)
 
 
@@ -149,24 +148,24 @@ def test_gate_backward_blocks_dropped_positions():
     x = random_map(9, (3, 4, 4))
     a = random_map(10, (3, 4, 2))
     g = random_map(11, (3, 4, 2))
-    out = gate_forward(x, params)
-    keep = out.t2 > th
+    t1, t2 = gate_forward(x, params)
+    keep = t2 > th
     assert keep.any() and not keep.all()
     # No weight sits within differencing reach of the threshold.
-    assert np.abs(out.t2 - th).min() > 1e-4
+    assert np.abs(t2 - th).min() > 1e-4
 
     _, grads = gate_backward(
-        out, x, params, _truncated_map_grad_t2(params, th, x, a, g)
+        t1, t2, x, params, _truncated_map_grad_t2(params, th, x, a, g)
     )
 
     def f(bias):
-        t2 = gate_forward(x, {**params, "expand_bias": bias}).t2
+        t2 = gate_forward(x, {**params, "expand_bias": bias})[1]
         return float((truncate(a * t2, t2, th) * g).sum())
 
     fd = finite_diff_gradient(f, params["expand_bias"].copy(), h=1e-6)
     assert np.allclose(grads["expand_bias"], fd, rtol=1e-6, atol=1e-9)
     # Only the kept entries feed the expand bias gradient.
-    kept_only = (out.t2 * (1 - out.t2) * np.where(keep, g * a, 0.0)).sum(axis=(0, 1))
+    kept_only = (t2 * (1 - t2) * np.where(keep, g * a, 0.0)).sum(axis=(0, 1))
     assert np.allclose(grads["expand_bias"], kept_only, rtol=0, atol=1e-15)
 
 
@@ -176,22 +175,22 @@ def test_gate_backward_t2_hook_reaches_dropped_cells():
     params = small_gate(seed=13)
     x = random_map(14, (2, 2, 4))
     a = random_map(15, (2, 2, 2))
-    out = gate_forward(x, params)
+    t1, t2 = gate_forward(x, params)
     cls_path = _truncated_map_grad_t2(params, 0.9, x, a, np.ones_like(a))
     assert not cls_path.any()
 
-    _, grads_quiet = gate_backward(out, x, params, cls_path)
+    _, grads_quiet = gate_backward(t1, t2, x, params, cls_path)
     assert np.all(grads_quiet["expand_weight"] == 0.0)
-    _, grads_hook = gate_backward(out, x, params, cls_path + np.ones_like(out.t2))
+    _, grads_hook = gate_backward(t1, t2, x, params, cls_path + np.ones_like(t2))
     assert np.any(grads_hook["expand_weight"] != 0.0)
 
 
 def test_gate_backward_shape_check():
     params = small_gate()
     x = random_map(1, (2, 2, 4))
-    out = gate_forward(x, params)
+    t1, t2 = gate_forward(x, params)
     with pytest.raises(DimensionError):
-        gate_backward(out, x, params, np.zeros((2, 2, 3)))
+        gate_backward(t1, t2, x, params, np.zeros((2, 2, 3)))
 
 
 def test_variance_floor_clamps_with_zero_gradient():

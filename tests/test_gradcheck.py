@@ -72,10 +72,13 @@ def test_gate_check_covers_the_feature_gradient(monkeypatch):
     # maps it to d/dx itself, and a wrong map must fail the audit.
     kwargs = dict(ops=["gate"], n_seeds=1, shapes=((3, 3, 4),))
     assert run_suite(**kwargs)[0].passed
-    input_grad = gradcheck.conv1x1_input_grad
-    monkeypatch.setattr(
-        gradcheck, "conv1x1_input_grad", lambda p, g: 2.0 * input_grad(p, g)
-    )
+    backward = gradcheck.conv1x1_backward
+
+    def doubled_input_grad(x, p, g):
+        grad_x, *param_grads = backward(x, p, g)
+        return 2.0 * grad_x, *param_grads
+
+    monkeypatch.setattr(gradcheck, "conv1x1_backward", doubled_input_grad)
     assert not run_suite(**kwargs)[0].passed
 
 

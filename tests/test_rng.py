@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from probanet import SplitMix64, derive_seed, mix64
-from probanet.rng import _BLOCK
+from probanet import SplitMix64, derive_seed
+from probanet.rng import _BLOCK, mix64
 
 MASK = (1 << 64) - 1
 

@@ -228,6 +228,23 @@ def test_worker_exiting_without_reply_names_seed_and_status(monkeypatch, offset)
     assert_no_child_left()
 
 
+def test_reply_that_does_not_pickle_names_seed_and_cause(monkeypatch):
+    # In-process the reply is never pickled, so only a worker fails.
+    def unpicklable(scene):
+        return lambda: scene.seed
+
+    use_workers(monkeypatch, forked=False)
+    run_experiment((GATED,), 2, SIM, on_pool=unpicklable)
+    use_workers(monkeypatch, forked=True)
+    match = (
+        f"^the reply of the worker training seed {GATED.seed} does not pickle: "
+        r"\w+: Can't pickle .*lambda"
+    )
+    with time_limit(60), pytest.raises(ProbanetError, match=match):
+        run_experiment((GATED,), 2, SIM, on_pool=unpicklable)
+    assert_no_child_left()
+
+
 def record_variants(monkeypatch, path) -> None:
     """Spy on run_training, appending each run's variant and the calling
     process's pid to path, as record_calls does."""

@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from probanet import (
-    Conv1x1Params,
     DimensionError,
     DomainError,
     NumericError,
     SplitMix64,
-    conv1x1_backward,
-    conv1x1_forward,
     dump_feature_map,
     finite_diff_gradient,
-    hadamard,
     mean_and_variance,
     relu,
     sigmoid,
@@ -23,7 +19,11 @@ from probanet import (
 from probanet.tensor import (
     _SIG_HI,
     _SIG_LO,
+    Conv1x1Params,
     _logistic,
+    conv1x1_backward,
+    conv1x1_forward,
+    hadamard,
     hadamard_backward,
     relu_backward,
     sigmoid_backward,
@@ -62,7 +62,6 @@ def test_conv1x1_params_validation():
         Conv1x1Params(weight=np.zeros((3, 2)), bias=np.zeros(2))
     params = Conv1x1Params(weight=np.zeros((3, 2)), bias=np.zeros(3))
     assert params.out_channels == 3
-    assert params.in_channels == 2
 
 
 def test_conv1x1_forward_matches_loop_oracle():
@@ -80,6 +79,10 @@ def test_conv1x1_forward_channel_mismatch():
     params = Conv1x1Params(weight=np.ones((2, 5)), bias=np.zeros(2))
     with pytest.raises(DimensionError):
         conv1x1_forward(np.zeros((2, 2, 4)), params)
+    with pytest.raises(DimensionError):
+        conv1x1_backward(np.zeros((2, 2, 4)), params, np.zeros((2, 2, 2)))
+    with pytest.raises(DimensionError):
+        conv1x1_backward(np.zeros((2, 2, 5)), params, np.zeros((2, 2, 3)))
 
 
 def test_conv1x1_backward_matches_finite_differences():

@@ -11,7 +11,6 @@ from spies import use_workers
 
 from probanet import (
     ConfigError,
-    Conv1x1Params,
     DimensionError,
     EmptyPoolError,
     ExperimentReport,
@@ -22,8 +21,6 @@ from probanet import (
     SplitMix64,
     TrainConfig,
     build_scene_pool,
-    conv1x1_backward,
-    conv1x1_forward,
     derive_seed,
     finite_diff_gradient,
     gate_forward,
@@ -45,7 +42,13 @@ from probanet.training import (
     tail_mean_hard_ratio,
 )
 from probanet.sim import BG, FG, LabelArrays
-from probanet.tensor import relu_backward, sigmoid_backward
+from probanet.tensor import (
+    Conv1x1Params,
+    conv1x1_backward,
+    conv1x1_forward,
+    relu_backward,
+    sigmoid_backward,
+)
 
 
 TINY_SIM = SimConfig(
@@ -223,7 +226,7 @@ def test_single_step_matches_finite_difference_oracle():
     def loss_with(p):
         head = Conv1x1Params(weight=p["head_weight"], bias=zero_bias)
         a = conv1x1_forward(x, head)
-        t2 = gate_forward(x, p).t2
+        t2 = gate_forward(x, p)[1]
         values = truncate(a * t2, t2, config.th).ravel()[batch.indices]
         logits = p["scale"] * values + p["shift"]
         targets = (labels.category[batch.indices] == FG).astype(np.float64)
@@ -270,9 +273,9 @@ def _dense_step(state, x, labels, config):
         b_flat = a.ravel()
         mask = np.ones(b_flat.size, dtype=bool)
     else:
-        out = gate_forward(x, gate)
-        b_flat = truncate(a * out.t2, out.t2, config.th).ravel()
-        t2_flat = out.t2.ravel()
+        t1, t2 = gate_forward(x, gate)
+        b_flat = truncate(a * t2, t2, config.th).ravel()
+        t2_flat = t2.ravel()
         mask = t2_flat > config.th
     rng = SplitMix64(derive_seed(config.seed, "sampler", state.step))
     batch = sample_minibatch(labels, mask, rng)
@@ -291,16 +294,16 @@ def _dense_step(state, x, labels, config):
         _, _, coeff = probanet_loss(
             variance, binary_cross_entropy(logits, targets), config.alpha
         )
-        grad_a_prime = np.where(out.t2 > config.th, grad_b, 0.0)
-        grad_a = grad_a_prime * out.t2
+        grad_a_prime = np.where(t2 > config.th, grad_b, 0.0)
+        grad_a = grad_a_prime * t2
         grad_t2 = grad_a_prime * a + coeff * grad_v.reshape(a.shape)
-        grad_z2 = sigmoid_backward(out.t2, grad_t2)
+        grad_z2 = sigmoid_backward(t2, grad_t2)
         expand_conv = Conv1x1Params(gate["expand_weight"], gate["expand_bias"])
         reduce_conv = Conv1x1Params(gate["reduce_weight"], gate["reduce_bias"])
         grad_t1, grads["expand_weight"], grads["expand_bias"] = conv1x1_backward(
-            out.t1, expand_conv, grad_z2
+            t1, expand_conv, grad_z2
         )
-        grad_z1 = relu_backward(out.t1, grad_t1)
+        grad_z1 = relu_backward(t1, grad_t1)
         _, grads["reduce_weight"], grads["reduce_bias"] = conv1x1_backward(
             x, reduce_conv, grad_z1
         )
