@@ -17,11 +17,13 @@ so the composed functional is smooth on the differencing neighborhood.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, ProbanetError
 from .gate import gate_backward, gate_forward, variance_constraint
 from .rng import SplitMix64, derive_seed
 from .sim import BG, FG, IGNORE, LabelArrays
@@ -39,8 +41,11 @@ from .tensor import (
     sigmoid_backward,
 )
 from .training import (
+    _SEED_END,
     TrainConfig,
     TrainState,
+    _fork_map,
+    _worker_count,
     binary_cross_entropy,
     head_backward,
     loss_and_grads,
@@ -83,7 +88,10 @@ def _worst_error(f, inputs: dict, grads: dict, h: float, include=None) -> float:
     grads under the same name, over include[name] only where given."""
     worst = 0.0
     for name, array in inputs.items():
-        fd = finite_diff_gradient(lambda _: f(), array, h)
+        try:
+            fd = finite_diff_gradient(lambda _: f(), array, h)
+        except ProbanetError as exc:
+            raise type(exc)(f"input {name}: {exc}") from exc
         worst = max(worst, relative_error(grads[name], fd, (include or {}).get(name)))
     return worst
 
@@ -311,11 +319,20 @@ def run_suite(
     ops=None,
     n_seeds: int = 5,
 ) -> list[CheckResult]:
-    """Worst relative error per op over n_seeds seeds and all shapes."""
+    """Worst relative error per op over n_seeds seeds and all shapes.
+
+    The (op, seed, shape) checks are dealt round-robin into one chunk per
+    process of training's budget (training._worker_count): this process
+    runs the first chunk, forked children the others.  The results, and
+    the first failing check's error, naming its op, seed and shape, are
+    as with one process."""
     if h <= 0:
         raise DomainError(f"step must be positive, got {h}")
     if n_seeds < 1:
         raise DomainError(f"n_seeds must be >= 1, got {n_seeds}")
+    if not 0 <= seed <= _SEED_END - n_seeds:  # derive_seed reads seeds mod 2**64
+        last = seed + n_seeds - 1
+        raise DomainError(f"seeds {seed} to {last} must lie in [0, 2**64)")
     for shape in shapes:
         if len(shape) != 3 or any(d < 1 for d in shape):
             raise DomainError(f"bad shape {shape}")
@@ -325,12 +342,35 @@ def run_suite(
             raise DomainError(f"unknown op {name!r}")
         if name in ("gate", "end_to_end") and any(s[2] < _R for s in shapes):
             raise DomainError(f"op {name!r} needs shapes of at least {_R} channels")
-    results = []
-    for name in names:
-        worst = 0.0
-        for s in range(n_seeds):
-            for shape in shapes:
-                rng = SplitMix64(derive_seed(seed + s, "gradcheck", name, *shape))
-                worst = max(worst, CHECKS[name](rng, tuple(shape), h))
-        results.append(CheckResult(op=name, worst=worst))
-    return results
+    seeds = range(seed, seed + n_seeds)
+    jobs = list(enumerate(itertools.product(names, seeds, map(tuple, shapes))))
+    width = min(_worker_count(), len(jobs))
+    run = functools.partial(_run_chunk, h)
+    rest = ((f"gradcheck chunk {i}", jobs[i::width]) for i in range(1, width))
+    with _fork_map(run, rest, width - 1) as replies:
+        chunks = [run(jobs[::width]), *replies]
+    failures = [failure for _, failure in chunks if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [
+        CheckResult(op=name, worst=max(worst.get(name, 0.0) for worst, _ in chunks))
+        for name in names
+    ]
+
+
+def _run_chunk(h: float, jobs) -> tuple[dict, tuple[int, Exception] | None]:
+    """The worst error per op over jobs, (index, (op, seed, shape)) each,
+    run in order, and the index and error of the first job that raises,
+    which ends the chunk, or None."""
+    worst = {}
+    for index, (name, seed, shape) in jobs:
+        rng = SplitMix64(derive_seed(seed, "gradcheck", name, *shape))
+        try:
+            error = CHECKS[name](rng, shape, h)
+        except ProbanetError as exc:
+            where = f"{name} check, seed {seed}, shape {'x'.join(map(str, shape))}"
+            return worst, (index, type(exc)(f"{where}: {exc}"))
+        except Exception as exc:
+            return worst, (index, exc)
+        worst[name] = max(worst.get(name, 0.0), error)
+    return worst, None

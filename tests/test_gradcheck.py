@@ -1,12 +1,14 @@
 """Tests for the finite-difference gradient audit."""
 
+import os
 import runpy
 from pathlib import Path
 
 import numpy as np
 import pytest
+from spies import read_calls, record_calls, use_workers
 
-from probanet import DomainError, gradcheck
+from probanet import DomainError, NumericError, gradcheck
 from probanet.cli import main
 from probanet.gradcheck import CHECKS, DEFAULT_SHAPES, REL_TOL, relative_error, run_suite
 
@@ -58,6 +60,23 @@ def test_suite_validation():
         run_suite(shapes=((2, 0, 3),))
     with pytest.raises(DomainError):
         run_suite(ops=["warp"])
+
+
+@pytest.mark.parametrize(
+    "seed, n_seeds", [(-1, 1), (2**64, 1), (2**64 - 1, 2), (2**64 - 5, 6)]
+)
+def test_seeds_outside_the_derivation_range_are_rejected(seed, n_seeds):
+    # derive_seed reads a seed mod 2**64, so -1 would audit the same
+    # instances as 2**64 - 1 and report them under another seed.
+    with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
+        run_suite(seed=seed, n_seeds=n_seeds, ops=["relu"])
+    argv = ["gradcheck", "--op", "relu", "--seed", str(seed), "--seeds", str(n_seeds)]
+    assert main(argv) == 2
+
+
+def test_last_seed_of_the_range_is_audited():
+    result = run_suite(seed=2**64 - 1, ops=["relu"], n_seeds=1, shapes=((2, 2, 2),))
+    assert result[0].passed
 
 
 def test_single_op_selection():
@@ -150,3 +169,69 @@ def test_benchmark_audit_ops_are_checks(capsys):
         assert code == 0, out
         matches = [grad_line.match(line) for line in out.splitlines()]
         assert [m.group(1, 3) for m in matches if m] == [(op, "PASS")], out
+
+
+forking = pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="forked gradcheck chunks need os.fork and two or more cores",
+)
+
+
+@forking
+def test_forked_chunks_equal_the_in_process_loop(monkeypatch, tmp_path):
+    # Every op, end_to_end included, at two seeds: the results must not
+    # depend on how many processes ran the checks, and the forked run
+    # must really spread them over more than this one.
+    calls = tmp_path / "calls"
+    record_calls(monkeypatch, calls, gradcheck.finite_diff_gradient)
+    kwargs = dict(seed=11, n_seeds=2, shapes=((2, 3, 4), (3, 2, 6)))
+    results, pids = {}, {}
+    for forked in (True, False):
+        use_workers(monkeypatch, forked)
+        results[forked] = run_suite(**kwargs)
+        pids[forked] = {pid for _, pid in read_calls(calls)}
+    assert [r.op for r in results[True]] == list(CHECKS)
+    assert results[True] == results[False]
+    assert os.getpid() in pids[True] and len(pids[True]) >= 2
+    assert pids[False] == {os.getpid()}
+
+
+@forking
+@pytest.mark.parametrize("forked", [True, False])
+@pytest.mark.parametrize("failing, named", [((1, 2), "3x3x4"), ((2, 3), "4x3x4")])
+def test_first_failing_check_is_raised_however_chunks_run(
+    monkeypatch, forked, failing, named
+):
+    # Four jobs, one per shape, in two chunks when forked: jobs 0 and 2
+    # here, 1 and 3 in a child.  Two jobs in different chunks fail, and
+    # the one the serial loop meets first is raised either way.
+    shapes = ((2, 3, 4), (3, 3, 4), (4, 3, 4), (5, 3, 4))
+    sigmoid = CHECKS["sigmoid"]
+
+    def check(rng, shape, h):
+        if shapes.index(shape) in failing:
+            raise NumericError("injected")
+        return sigmoid(rng, shape, h)
+
+    monkeypatch.setitem(CHECKS, "sigmoid", check)
+    use_workers(monkeypatch, forked)
+    expected = f"^sigmoid check, seed 5, shape {named}: injected$"
+    with pytest.raises(NumericError, match=expected):
+        run_suite(seed=5, ops=["sigmoid"], n_seeds=1, shapes=shapes)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("forked", [True, False])
+def test_gradcheck_error_names_the_check_and_input(monkeypatch, capsys, forked):
+    # A step so large that differencing overflows used to report only
+    # the element; the error names the op, seed, shape and input too,
+    # the same from a forked chunk as in-process.
+    use_workers(monkeypatch, forked)
+    argv = ["gradcheck", "--op", "conv1x1", "--eps", "1e308", "--seeds", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: conv1x1 check, seed 0, shape 2x3x4: input weight: "
+        "non-finite function value while differencing element 0\n"
+    )
