@@ -78,7 +78,9 @@ def gate_backward(
     A caller that weights and truncates the proposal map sums every
     path into grad_t2: the weighted map's gradient times a at the kept
     entries (zero where truncation dropped them) plus any loss on t2
-    itself, such as the variance loss.
+    itself, such as the variance loss.  Cells are independent and the
+    gradients linear in grad_t2, so an (n, 1, C) stack of cells' rows is a
+    valid map, a cell in several rows each carrying part of its gradient.
     """
     h, w, c = x.shape
     _, rb, ew, _ = _arrays(params, c)

@@ -5,7 +5,8 @@ Every check runs one differencing loop: a scalar functional is
 differenced in each named input, the others held fixed, and compared
 with the analytic gradient under the same name.  Relative error is
 measured per element as |analytic - numeric| divided by
-max(1, |numeric|), and the worst element must stay below 1e-4.
+max(1, |numeric|), and the worst element must stay below 1e-4; a NaN
+error counts as infinite, so it fails.
 
 Two ops are only piecewise smooth.  The ReLU check compares away from
 the kink (elements within 10h of zero are skipped, matching the
@@ -78,7 +79,7 @@ def relative_error(
     err = np.abs(a - n) / np.maximum(1.0, np.abs(n))
     if include is not None:
         err = err[include]
-    return float(err.max(initial=0.0))
+    return float(np.where(np.isnan(err), np.inf, err).max(initial=0.0))
 
 
 def _worst_error(f, inputs: dict, grads: dict, h: float, include=None) -> float:
@@ -248,10 +249,12 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     intermediate overflows for small variances.  The labels are redrawn
     until a background anchor survives truncation, since the sampler
     needs one.
+
+    It runs at two variance floors: 1e-9, and 1, above any variance in
+    (0, 1), where training's gate backward reads the batch's rows only.
     """
     hh, ww, c = shape
     k = max(2, c // 2)
-    eps = 1e-9
     x, gate, th = _gate_instance(rng, shape, k, r=_R, n=2)
     head_weight = rng.uniform_range(-1.0, 1.0, (k, c)) / np.sqrt(c)
     scale = 1.0 + rng.uniform()
@@ -271,33 +274,37 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
         raise NumericError("could not label a kept background anchor")
     params = {"head_weight": head_weight, "scale": scale, "shift": shift, **gate}
     state = TrainState(params)
-    config = TrainConfig(epsilon=eps, th=th, r=_R, seed=rng.next_u64())
+    seed = rng.next_u64()
     labels = LabelArrays(
         category=category, hard=np.zeros(n, dtype=bool), iou=np.zeros(n)
     )
-    _, grads, batch, _ = loss_and_grads(state, x, labels, config)
-    targets = (category[batch.indices] == FG).astype(np.float64)
+    worst = 0.0
+    for eps in (1e-9, 1.0):
+        config = TrainConfig(epsilon=eps, th=th, r=_R, seed=seed)
+        _, grads, batch, _ = loss_and_grads(state, x, labels, config)
+        targets = (category[batch.indices] == FG).astype(np.float64)
 
-    # A copy of every parameter to difference in place; a float becomes
-    # a 0-d array.  head holds point's head_weight itself.
-    point = {name: np.array(value) for name, value in params.items()}
-    head = Conv1x1Params(weight=point["head_weight"], bias=np.zeros(k))
+        # A copy of every parameter to difference in place; a float
+        # becomes a 0-d array.  head holds point's head_weight itself.
+        point = {name: np.array(value) for name, value in params.items()}
+        head = Conv1x1Params(weight=point["head_weight"], bias=np.zeros(k))
 
-    def parts() -> tuple[float, float]:
-        """Classification loss and gate-weight variance, over both maps."""
-        a = conv1x1_forward(x, head)
-        t2 = gate_forward(x, point)[1]
-        z = point["scale"] * (a * t2).ravel()[batch.indices] + point["shift"]
-        return binary_cross_entropy(z, targets), variance_constraint(t2, eps)[0]
+        def parts() -> tuple[float, float]:
+            """Classification loss and gate-weight variance, over both maps."""
+            a = conv1x1_forward(x, head)
+            t2 = gate_forward(x, point)[1]
+            z = point["scale"] * (a * t2).ravel()[batch.indices] + point["shift"]
+            return binary_cross_entropy(z, targets), variance_constraint(t2, eps)[0]
 
-    cls0, v0 = parts()
-    log_beta0 = np.log(config.alpha * cls0) - 1.0 / v0
+        cls0, v0 = parts()
+        log_beta0 = np.log(config.alpha * cls0) - 1.0 / v0
 
-    def total() -> float:
-        cls, v = parts()
-        return cls + float(np.exp(log_beta0 + 1.0 / v))
+        def total() -> float:
+            cls, v = parts()
+            return cls if v == eps else cls + float(np.exp(log_beta0 + 1.0 / v))
 
-    return _worst_error(total, point, grads, h)
+        worst = max(worst, _worst_error(total, point, grads, h))
+    return worst
 
 
 CHECKS = {

@@ -11,7 +11,8 @@ parameters: their gradient is never formed.
 A step's loss reads only the sampled mini-batch (at most 256 anchors),
 and the gate's truncation mask reads only the gate weights.  So a step
 runs the gate network over the whole grid, samples, and evaluates the
-head only at the sampled anchors' feature rows.
+head only at the sampled anchors' feature rows, as it does the gate's
+backward while the variance loss has no gradient.
 """
 
 from __future__ import annotations
@@ -415,11 +416,18 @@ def loss_and_grads(
     grad_a[picked, anchor] = grad_values * t2_sel if gate is not None else grad_values
     grads["head_weight"] = grad_a.T @ rows
     if gate is not None:
-        grad_t2 = grad_v_coeff * grad_v if grad_v_coeff else np.zeros(t2_flat.size)
         # Every sampled anchor was kept, so its weighted value a * t2
         # passes grad_values * a to t2; dropped entries pass nothing.
-        grad_t2[batch.indices] += grad_values * a_sel
-        _, gate_grads = gate_backward(t1, t2, x, gate, grad_t2.reshape(t2.shape))
+        # Only the variance gradient reaches other cells, so without it
+        # the backward reads the head's rows, a cell once per anchor.
+        if grad_v_coeff and variance > config.epsilon:
+            maps, grad_t2, slots = (t1, t2, x), grad_v_coeff * grad_v, batch.indices
+        else:
+            t1_rows = t1.reshape(-1, 1, t1.shape[2])[cell]
+            maps = t1_rows, t2.reshape(-1, 1, k)[cell], rows[:, None]
+            grad_t2, slots = np.zeros(batch.size * k), picked * k + anchor
+        grad_t2[slots] += grad_values * a_sel
+        _, gate_grads = gate_backward(*maps, gate, grad_t2.reshape(maps[1].shape))
         grads.update(gate_grads)
     return record, grads, batch, logits
 

@@ -204,10 +204,19 @@ def train_step(params, velocity, step, x, labels, config):
     grad_a = np.zeros((n, 1, k))
     grad_a[np.arange(n), 0, anchor] = grad_values * t2_flat[idx] if gated else grad_values
     grads["head_weight"] = conv1x1_backward(rows, head, grad_a)[1]
-    if gated:
-        grad_t2 = coeff * grad_v if coeff != 0.0 else np.zeros(t2_flat.size)
+    if gated and coeff != 0.0 and variance > config.epsilon:
+        grad_t2 = coeff * grad_v
         grad_t2[idx] += grad_values * a_sel
         grads.update(gate_backward(t1, t2, x, params, grad_t2.reshape(t2.shape))[1])
+    elif gated:
+        # No variance gradient (at its floor, or alpha = 0): only the
+        # sampled anchors get a gradient at t2, so the backward runs over
+        # their cells' rows alone, one (1, .) row per anchor in batch
+        # order, each carrying the gradient of its own anchor slot only.
+        grad_t2 = np.zeros((n, 1, k))
+        grad_t2[np.arange(n), 0, anchor] = grad_values * a_sel
+        t1_rows, t2_rows = (m.reshape(-1, 1, m.shape[2])[cell] for m in (t1, t2))
+        grads.update(gate_backward(t1_rows, t2_rows, rows, params, grad_t2)[1])
 
     lr = config.learning_rate_at(step)
     new_params, new_velocity = {}, {}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from spies import read_calls, record_calls, use_workers
 
-from probanet import DomainError, NumericError, gradcheck
+from probanet import DomainError, NumericError, gradcheck, training
 from probanet.cli import main
 from probanet.gradcheck import CHECKS, DEFAULT_SHAPES, REL_TOL, relative_error, run_suite
 
@@ -18,6 +18,8 @@ def test_relative_error_definition():
     assert relative_error(np.array([1.0]), np.array([1.0])) == 0.0
     assert relative_error(np.array([0.5]), np.array([0.0])) == 0.5
     assert abs(relative_error(np.array([200.0]), np.array([100.0])) - 1.0) < 1e-15
+    # A NaN counts as infinite, where max(0.0, nan) would keep 0.0.
+    assert relative_error(np.array([np.nan, 1.0]), np.array([1.0, 1.0])) == np.inf
 
 
 def test_relative_error_include_mask():
@@ -124,6 +126,8 @@ NAMED_INPUTS = {
     "head": {"values", "scale", "shift"},
     "end_to_end": {"head_weight", "scale", "shift"} | _GATE,
 }
+# end_to_end differences its inputs twice: above the variance floor and at it.
+PASSES = {"end_to_end": 2}
 
 
 @pytest.mark.parametrize("op", sorted(NAMED_INPUTS))
@@ -142,7 +146,7 @@ def test_every_check_fails_on_a_wrong_gradient_of_any_input(op, monkeypatch):
 
     monkeypatch.setattr(gradcheck, "_worst_error", record)
     assert run_suite(**kwargs)[0].passed
-    assert sorted(seen) == sorted(NAMED_INPUTS[op])
+    assert sorted(seen) == sorted(list(NAMED_INPUTS[op]) * PASSES.get(op, 1))
     for name in NAMED_INPUTS[op]:
 
         def off(f, inputs, grads, h, include=None, name=name):
@@ -152,6 +156,45 @@ def test_every_check_fails_on_a_wrong_gradient_of_any_input(op, monkeypatch):
 
         monkeypatch.setattr(gradcheck, "_worst_error", off)
         assert not run_suite(**kwargs)[0].passed, name
+
+
+def test_end_to_end_audits_the_backward_over_the_batch_rows(monkeypatch):
+    # At the floor the step runs the gate's backward over the sampled
+    # anchors' rows only, as an (n, 1, C) map.  Scattering the t2
+    # gradient into the wrong anchor slots there must fail the audit.
+    kwargs = dict(ops=["end_to_end"], n_seeds=2, shapes=((3, 3, 4), (2, 4, 6)))
+    assert run_suite(**kwargs)[0].passed
+    backward, widths = training.gate_backward, []
+
+    def swapped_slots(t1, t2, x, params, grad_t2):
+        widths.append(x.shape[1])
+        if x.shape[1] == 1:
+            grad_t2 = grad_t2[:, :, ::-1]
+        return backward(t1, t2, x, params, grad_t2)
+
+    monkeypatch.setattr(training, "gate_backward", swapped_slots)
+    assert not run_suite(**kwargs)[0].passed
+    assert sorted(set(widths)) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_a_nan_gradient_fails_the_audit(monkeypatch, capsys, forked):
+    # max(0.0, nan) is 0.0: a NaN error must count as infinite, not pass
+    # as 0.0.  The NaN appears in the second shape's check only, which a
+    # forked run hands to a child.
+    use_workers(monkeypatch, forked)
+    backward = gradcheck.relu_backward
+
+    def nan_on_3x2x2(x, g):
+        grad = backward(x, g)
+        return np.full_like(grad, np.nan) if x.shape == (3, 2, 2) else grad
+
+    monkeypatch.setattr(gradcheck, "relu_backward", nan_on_3x2x2)
+    result = run_suite(ops=["relu"], n_seeds=1, shapes=((2, 2, 2), (3, 2, 2)))[0]
+    assert result.worst == float("inf") and not result.passed
+    argv = ["gradcheck", "--op", "relu", "--seeds", "1", "--shapes", "2x2x2,3x2x2"]
+    assert main(argv) == 1
+    assert "relu: worst relative error inf [FAIL]" in capsys.readouterr().out
 
 
 def test_benchmark_audit_ops_are_checks(capsys):

@@ -38,10 +38,13 @@ SMALL_SIM = SimConfig(
 @pytest.mark.parametrize("th", [0.0, 0.5])
 @pytest.mark.parametrize("gated", [True, False], ids=["gated", "baseline"])
 def test_training_steps_equal_the_reference_bit_for_bit(monkeypatch, sim, th, gated):
-    # A variance floor low enough that the variance gradient flows.  At
-    # th = 0.5 seed 0 trains all 40 steps on both grids, where on the tiny
-    # grid several other seeds truncate every background anchor within a
-    # few steps (the EmptyPoolError fault), leaving nothing to compare.
+    # A variance floor low enough that the variance gradient flows on
+    # the small grid; the tiny grid's gate weights sink to it after one
+    # step, so its gated cases also run the floor's backward over the
+    # sampled anchors' rows only.  At th = 0.5 seed 0 trains all 40
+    # steps on both grids, where on the tiny grid several other seeds
+    # truncate every background anchor within a few steps (the
+    # EmptyPoolError fault), leaving nothing to compare.
     config = TrainConfig(
         epochs=1, steps_per_epoch=40, alpha=0.5, epsilon=1e-6, th=th, r=2,
         seed=0, probanet_enabled=gated,
@@ -72,8 +75,11 @@ def test_training_steps_equal_the_reference_bit_for_bit(monkeypatch, sim, th, ga
             assert np.array_equal(state.velocity[name], velocity[name]), (step, name)
     # Truncation dropped anchors wherever the threshold is above 0, and
     # the variance loss was above its floor, so its gradient was formed.
+    # Every gated case on the tiny grid also ran steps at the floor.
     assert (min(r.kept_fraction for r in records) < 1.0) == (gated and th > 0)
     assert any(r.variance > config.epsilon for r in records) == gated
+    at_floor = any(r.variance == config.epsilon for r in records)
+    assert at_floor == (gated and sim is TINY_SIM)
 
 
 def test_sampler_draws_each_candidate_key_once_in_one_block():

@@ -23,6 +23,7 @@ from probanet import (
     build_scene_pool,
     derive_seed,
     finite_diff_gradient,
+    gate_backward,
     gate_forward,
     init_state,
     probanet_loss,
@@ -33,6 +34,7 @@ from probanet import (
     train_step,
     variance_constraint,
 )
+from probanet import training
 from probanet.artifacts import METRICS_HEADER, metrics_csv
 from probanet.config import parse_config
 from probanet.training import (
@@ -346,6 +348,75 @@ def test_train_step_param_grads_equal_full_backward(gated):
     else:
         assert record.kept_fraction == 1.0
         assert len(ref) == 3
+
+
+def _record(monkeypatch, name, log, pick):
+    """Replace training's name by a spy appending pick(args, result) to log."""
+    original = getattr(training, name)
+
+    def spy(*args):
+        result = original(*args)
+        log.append(pick(args, result))
+        return result
+
+    monkeypatch.setattr(training, name, spy)
+
+
+@pytest.mark.parametrize(
+    "overrides", [dict(alpha=0.5, epsilon=1.0), dict(alpha=0.0, epsilon=1e-9)],
+    ids=["floor", "alpha-0"],
+)
+def test_batch_row_gate_grads_equal_a_full_map_backward(monkeypatch, overrides):
+    # With no variance gradient (epsilon above any variance of weights in
+    # (0, 1), or alpha = 0 above the floor) only the sampled anchors get a
+    # gradient at t2, and the gate's backward runs over their rows alone,
+    # one per anchor, so a cell with two sampled anchors has two rows.
+    # That must equal gate_backward over the whole map of a grad_t2 that
+    # is zero off the batch.
+    config = tiny_config(th=0.5, **overrides)
+    pool = build_scene_pool(config, WIDE_SIM)
+    state = init_state(config, WIDE_SIM)
+    x, labels = pool.step_inputs(0, 2)
+    shapes = []
+    _record(monkeypatch, "gate_backward", shapes, lambda args, _: args[2].shape)
+    record, grads, batch, logits = loss_and_grads(state, x, labels, config)
+    cells = np.unique(batch.indices // len(WIDE_SIM.anchor_shapes))
+    assert cells.size < batch.size  # a cell holds two sampled anchors
+    assert shapes == [(batch.size, 1, x.shape[2])]
+    assert (record.variance == config.epsilon) == (config.alpha > 0)
+
+    gate, scale = state.gate, state.params["scale"]
+    t1, t2 = gate_forward(x, gate)
+    a = (x.reshape(-1, x.shape[2]) @ state.params["head_weight"].T).ravel()
+    targets = (labels.category[batch.indices] == FG).astype(np.float64)
+    grad_t2 = np.zeros(t2.size)
+    grad_values = scale * binary_cross_entropy_grad(logits, targets)
+    grad_t2[batch.indices] = grad_values * a[batch.indices]
+    ref = gate_backward(t1, t2, x, gate, grad_t2.reshape(t2.shape))[1]
+    assert len(ref) == 4
+    for name, value in ref.items():
+        _assert_close(grads[name], value)
+
+
+def test_gate_backward_reads_the_batch_rows_only_at_the_floor(monkeypatch):
+    # Per step, gate_backward gets one row per sampled anchor, as an
+    # (n, 1, C) map, when the variance sits at its floor, and the whole
+    # stacked map when it is above it.
+    batches, shapes = [], []
+    _record(monkeypatch, "sample_minibatch", batches, lambda _, batch: batch)
+    _record(monkeypatch, "gate_backward", shapes, lambda args, _: args[2].shape)
+    floors = set()
+    for epsilon in (1e-9, 1.0):
+        config = tiny_config(alpha=0.5, th=0.5, epsilon=epsilon, steps_per_epoch=3)
+        _, pool, records = run_partial(config, WIDE_SIM, config.total_steps)
+        for record, batch, shape in zip(records, batches, shapes, strict=True):
+            x = pool.step_inputs(record.step, 2)[0]
+            at_floor = record.variance == epsilon
+            assert shape == ((batch.size, 1, x.shape[2]) if at_floor else x.shape)
+            floors.add(at_floor)
+        batches.clear()
+        shapes.clear()
+    assert floors == {True, False}
 
 
 def test_empty_pool_error_names_step_seed_and_kept_fraction():
