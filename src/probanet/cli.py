@@ -123,14 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_count(args) -> int:
-    try:
-        params = param_count(args.channels, args.anchors, args.reduction)
-        macs = mac_count(
-            args.height, args.width, args.channels, args.anchors, args.reduction
-        )
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = param_count(args.channels, args.anchors, args.reduction)
+    macs = mac_count(
+        args.height, args.width, args.channels, args.anchors, args.reduction
+    )
     mb = param_megabytes(params)
     giga = macs / 1e9
     print(
@@ -143,13 +139,9 @@ def cmd_count(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     ops = [args.op] if args.op else None
-    try:
-        results = run_suite(
-            seed=args.seed, h=args.eps, shapes=args.shapes, ops=ops, n_seeds=args.seeds
-        )
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_suite(
+        seed=args.seed, h=args.eps, shapes=args.shapes, ops=ops, n_seeds=args.seeds
+    )
     failed = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -252,7 +244,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -73,7 +73,7 @@ def gate_backward(
     Returns (grad_z1, the four parameter gradients keyed as in params),
     where grad_z1 is the gradient at the reduce conv's output.  The
     features x are data to training, so their gradient is not formed
-    here; conv1x1_backward(x, reduce conv, grad_z1)[0] gives it.
+    here; grad_z1 @ params["reduce_weight"] gives it.
 
     A caller that weights and truncates the proposal map sums every
     path into grad_t2: the weighted map's gradient times a at the kept

@@ -8,6 +8,11 @@ measured per element as |analytic - numeric| divided by
 max(1, |numeric|), and the worst element must stay below 1e-4; a NaN
 error counts as infinite, so it fails.
 
+Each check differences the forward that training runs: the gate's own
+ReLU, np.maximum(x, 0); variance_constraint's value; gate_forward; and
+the head as one plain product over the map's rows.  Only the conv1x1
+and hadamard checks difference tensor ops that training does not call.
+
 Two ops are only piecewise smooth.  The ReLU check compares away from
 the kink (elements within 10h of zero are skipped, matching the
 subgradient convention).  The gate and end-to-end checks instead build
@@ -35,8 +40,6 @@ from .tensor import (
     finite_diff_gradient,
     hadamard,
     hadamard_backward,
-    mean_and_variance,
-    relu,
     relu_backward,
     sigmoid,
     sigmoid_backward,
@@ -117,7 +120,9 @@ def check_relu(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     x = rng.uniform_range(-1.0, 1.0, shape)
     g = rng.uniform_range(-1.0, 1.0, shape)
     grads, include = {"x": relu_backward(x, g)}, {"x": np.abs(x) > 10 * h}
-    return _worst_error(lambda: float((relu(x) * g).sum()), {"x": x}, grads, h, include)
+    return _worst_error(
+        lambda: float((np.maximum(x, 0.0) * g).sum()), {"x": x}, grads, h, include
+    )
 
 
 def check_sigmoid(rng: SplitMix64, shape, h: float = 1e-5) -> float:
@@ -138,12 +143,12 @@ def check_hadamard(rng: SplitMix64, shape, h: float = 1e-5) -> float:
 
 
 def check_variance(rng: SplitMix64, shape, h: float = 1e-5) -> float:
-    """The variance gradient training uses, variance_constraint's, with a
-    floor far below the variance of x, against differencing of the
-    population variance."""
+    """variance_constraint's gradient against differencing of its value,
+    the gate-weight variance training logs, with a floor far below the
+    variance of x."""
     x = rng.uniform_range(-1.0, 1.0, shape)
-    grads = {"x": variance_constraint(x, epsilon=1e-12)[1]}
-    return _worst_error(lambda: mean_and_variance(x)[1], {"x": x}, grads, h)
+    grads = {"x": variance_constraint(x, 1e-12)[1]}
+    return _worst_error(lambda: variance_constraint(x, 1e-12)[0], {"x": x}, grads, h)
 
 
 def _safe_threshold(t2: np.ndarray) -> tuple[float, float]:
@@ -184,14 +189,13 @@ def _gate_instance(rng: SplitMix64, shape, k: int, r: int, n: int = 1):
             "expand_weight": rng.uniform_range(-s2, s2, (k, mid)),
             "expand_bias": rng.uniform_range(-0.5, 0.5, k),
         }
-        reduce_conv = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
-        z1 = conv1x1_forward(x, reduce_conv)
+        z1 = x.reshape(-1, c) @ params["reduce_weight"].T + params["reduce_bias"]
         t2 = gate_forward(x, params)[1]
         th, margin = _safe_threshold(t2)
         if (
             np.abs(z1).min() > _MARGIN
             and margin > _MARGIN
-            and mean_and_variance(t2)[1] > _MIN_VARIANCE
+            and variance_constraint(t2, _MIN_VARIANCE)[0] > _MIN_VARIANCE
         ):
             return x, params, th
     raise NumericError("could not place a gate instance away from its kinks")
@@ -206,8 +210,7 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     g_t2 = rng.uniform_range(-1.0, 1.0, (hh, ww, k))
 
     grad_z1, grads = gate_backward(*gate_forward(x, params), x, params, g_t2)
-    reduce_conv = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
-    grads["x"] = conv1x1_backward(x, reduce_conv, grad_z1)[0]
+    grads["x"] = grad_z1 @ params["reduce_weight"]
     return _worst_error(
         lambda: float((gate_forward(x, params)[1] * g_t2).sum()),
         {"x": x, **params},
@@ -285,15 +288,14 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
         targets = (category[batch.indices] == FG).astype(np.float64)
 
         # A copy of every parameter to difference in place; a float
-        # becomes a 0-d array.  head holds point's head_weight itself.
+        # becomes a 0-d array.
         point = {name: np.array(value) for name, value in params.items()}
-        head = Conv1x1Params(weight=point["head_weight"], bias=np.zeros(k))
 
         def parts() -> tuple[float, float]:
             """Classification loss and gate-weight variance, over both maps."""
-            a = conv1x1_forward(x, head)
+            a = (x.reshape(-1, c) @ point["head_weight"].T).ravel()
             t2 = gate_forward(x, point)[1]
-            z = point["scale"] * (a * t2).ravel()[batch.indices] + point["shift"]
+            z = point["scale"] * (a * t2.ravel())[batch.indices] + point["shift"]
             return binary_cross_entropy(z, targets), variance_constraint(t2, eps)[0]
 
         cls0, v0 = parts()

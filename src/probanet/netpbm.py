@@ -32,16 +32,21 @@ def _as_uint8(pixels: np.ndarray, ndim: int) -> np.ndarray:
     return arr
 
 
-def write_pgm(pixels: np.ndarray, raw: bool = True, comments=()) -> bytes:
-    """Grayscale image; pixels is (height, width) with values in 0..255."""
-    arr = _as_uint8(pixels, 2)
-    h, w = arr.shape
-    head = [("P5" if raw else "P2"), *_check_comments(comments), f"{w} {h}", "255"]
+def _write(arr: np.ndarray, raw_magic: str, plain_magic: str, raw: bool, comments):
+    """Header, then the raw bytes or one text line of samples per row."""
+    h, w = arr.shape[:2]
+    magic = raw_magic if raw else plain_magic
+    head = [magic, *_check_comments(comments), f"{w} {h}", "255"]
     header = ("\n".join(head) + "\n").encode("ascii")
     if raw:
         return header + arr.tobytes()
-    body = "\n".join(" ".join(str(v) for v in row) for row in arr)
+    body = "\n".join(" ".join(str(v) for v in row.reshape(-1)) for row in arr)
     return header + (body + "\n").encode("ascii")
+
+
+def write_pgm(pixels: np.ndarray, raw: bool = True, comments=()) -> bytes:
+    """Grayscale image; pixels is (height, width) with values in 0..255."""
+    return _write(_as_uint8(pixels, 2), "P5", "P2", raw, comments)
 
 
 def write_ppm(pixels: np.ndarray, raw: bool = True, comments=()) -> bytes:
@@ -49,12 +54,4 @@ def write_ppm(pixels: np.ndarray, raw: bool = True, comments=()) -> bytes:
     arr = _as_uint8(pixels, 3)
     if arr.shape[2] != 3:
         raise DimensionError(f"PPM needs 3 channels, got {arr.shape[2]}")
-    h, w = arr.shape[:2]
-    head = [("P6" if raw else "P3"), *_check_comments(comments), f"{w} {h}", "255"]
-    header = ("\n".join(head) + "\n").encode("ascii")
-    if raw:
-        return header + arr.tobytes()
-    body = "\n".join(
-        " ".join(str(v) for v in row.reshape(-1)) for row in arr
-    )
-    return header + (body + "\n").encode("ascii")
+    return _write(arr, "P6", "P3", raw, comments)

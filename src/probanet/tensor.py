@@ -75,10 +75,6 @@ def conv1x1_backward(
     return (g @ p.weight).reshape(h, w, c), g.T @ x.reshape(h * w, c), g.sum(axis=0)
 
 
-def relu(x: FeatureMap) -> FeatureMap:
-    return np.maximum(x, 0.0)
-
-
 def relu_backward(x: FeatureMap, grad_out: FeatureMap) -> FeatureMap:
     """Pass gradient where x > 0; subgradient 0 at exactly 0.  Bit for bit
     np.where(x > 0, grad_out, 0.0), without a branch on the mask."""
@@ -127,14 +123,6 @@ def hadamard_backward(
     _check_same_shape(a, b)
     _check_same_shape(a, grad_out)
     return b * grad_out, a * grad_out
-
-
-def mean_and_variance(x: np.ndarray) -> tuple[float, float]:
-    """Mean and population variance (divisor N) over all elements."""
-    if x.size == 0:
-        raise DimensionError("mean_and_variance of an empty tensor")
-    mean = float(_mean(x))
-    return mean, float(_mean((x - mean) ** 2))
 
 
 def _mean(x: np.ndarray) -> np.float64:

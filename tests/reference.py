@@ -11,7 +11,6 @@ from probanet import (
     derive_seed,
     gate_backward,
     probanet_loss,
-    relu,
 )
 from probanet.tensor import Conv1x1Params, conv1x1_backward, conv1x1_forward
 from probanet.sim import BATCH_SIZE, BG, FG, FG_QUOTA
@@ -159,7 +158,7 @@ def train_step(params, velocity, step, x, labels, config):
     if gated:
         reduce = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
         expand = Conv1x1Params(params["expand_weight"], params["expand_bias"])
-        t1 = relu(conv1x1_forward(x, reduce))
+        t1 = np.maximum(conv1x1_forward(x, reduce), 0.0)
         t2 = np.clip(
             _logistic(conv1x1_forward(t1, expand)),
             np.nextafter(0.0, 1.0),

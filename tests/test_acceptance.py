@@ -28,7 +28,6 @@ from probanet import (
     derive_seed,
     gate_backward,
     gate_forward,
-    generate_scene,
     label_arrays,
     probanet_loss,
     run_experiment,
@@ -38,6 +37,7 @@ from probanet import (
 from probanet.artifacts import export_scene, write_seed_dirs
 from probanet.cli import main
 from probanet.gradcheck import DEFAULT_SHAPES, REL_TOL, run_suite
+from probanet.sim import generate_scene
 from probanet.training import loss_and_grads
 
 N_SEEDS = 10

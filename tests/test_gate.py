@@ -25,7 +25,6 @@ from probanet import (
     param_count,
     param_megabytes,
     probanet_loss,
-    relu,
     sigmoid,
     variance_constraint,
 )
@@ -80,7 +79,7 @@ def test_gate_forward_matches_manual_composition():
 
     reduce_conv = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
     expand_conv = Conv1x1Params(params["expand_weight"], params["expand_bias"])
-    want_t1 = relu(conv1x1_forward(x, reduce_conv))
+    want_t1 = np.maximum(conv1x1_forward(x, reduce_conv), 0.0)
     want_t2 = sigmoid(conv1x1_forward(want_t1, expand_conv))
     assert np.array_equal(t1, want_t1)
     assert np.array_equal(t2, want_t2)
@@ -200,6 +199,8 @@ def test_variance_floor_clamps_with_zero_gradient():
     assert np.all(grad == 0.0)
     with pytest.raises(DomainError):
         variance_constraint(flat, epsilon=0.0)
+    with pytest.raises(DimensionError):
+        variance_constraint(np.zeros(0), epsilon=1e-3)
 
 
 def test_variance_above_floor_matches_numpy_and_fd():

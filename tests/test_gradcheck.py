@@ -90,16 +90,17 @@ def test_single_op_selection():
 
 def test_gate_check_covers_the_feature_gradient(monkeypatch):
     # gate_backward stops at the reduce conv's output gradient; the check
-    # maps it to d/dx itself, and a wrong map must fail the audit.
+    # maps it to d/dx itself.  A wrong grad_z1, the parameter gradients
+    # left right, must fail the audit through d/dx alone.
     kwargs = dict(ops=["gate"], n_seeds=1, shapes=((3, 3, 4),))
     assert run_suite(**kwargs)[0].passed
-    backward = gradcheck.conv1x1_backward
+    backward = gradcheck.gate_backward
 
-    def doubled_input_grad(x, p, g):
-        grad_x, *param_grads = backward(x, p, g)
-        return 2.0 * grad_x, *param_grads
+    def doubled_feature_grad(*args):
+        grad_z1, grads = backward(*args)
+        return 2.0 * grad_z1, grads
 
-    monkeypatch.setattr(gradcheck, "conv1x1_backward", doubled_input_grad)
+    monkeypatch.setattr(gradcheck, "gate_backward", doubled_feature_grad)
     assert not run_suite(**kwargs)[0].passed
 
 
@@ -161,7 +162,9 @@ def test_every_check_fails_on_a_wrong_gradient_of_any_input(op, monkeypatch):
 def test_end_to_end_audits_the_backward_over_the_batch_rows(monkeypatch):
     # At the floor the step runs the gate's backward over the sampled
     # anchors' rows only, as an (n, 1, C) map.  Scattering the t2
-    # gradient into the wrong anchor slots there must fail the audit.
+    # gradient into the wrong anchor slots there must fail the audit.  The
+    # spy records widths in this process only, so every check runs here.
+    use_workers(monkeypatch, forked=False)
     kwargs = dict(ops=["end_to_end"], n_seeds=2, shapes=((3, 3, 4), (2, 4, 6)))
     assert run_suite(**kwargs)[0].passed
     backward, widths = training.gate_backward, []

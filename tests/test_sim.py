@@ -25,12 +25,16 @@ from probanet import (
     TrainConfig,
     build_scene_pool,
     derive_seed,
-    generate_scene,
     hard_ratio,
     label_arrays,
     sample_minibatch,
 )
-from probanet.sim import _draw_without_replacement, anchor_boxes, boxes_csv
+from probanet.sim import (
+    _draw_without_replacement,
+    anchor_boxes,
+    boxes_csv,
+    generate_scene,
+)
 
 
 def brute_force_labels(scene, config, fg_iou=0.7, bg_iou=0.3, lo=0.1, hi=0.75):

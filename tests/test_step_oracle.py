@@ -14,13 +14,13 @@ from probanet import (
     SplitMix64,
     TrainConfig,
     build_scene_pool,
-    generate_scene,
     init_state,
     label_arrays,
     sample_minibatch,
     train_step,
     training,
 )
+from probanet.sim import generate_scene
 
 TINY_SIM = SimConfig(
     height=4, width=4, channels=4, n_objects_min=1, n_objects_max=1,
