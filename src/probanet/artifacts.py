@@ -131,10 +131,13 @@ def _outline(img: np.ndarray, boxes: np.ndarray, color) -> None:
 def gate_weights_for(
     state: TrainState, scene: Scene, sim_config: SimConfig
 ) -> np.ndarray:
-    """Final gate weights for one scene, untruncated; all ones without a gate."""
+    """Final gate weights for one scene as an (H, W, K) grid, untruncated;
+    all ones without a gate."""
+    grid = scene.features.shape[:2] + (sim_config.anchors_per_cell,)
     if state.gate is None:
-        return np.ones(scene.features.shape[:2] + (sim_config.anchors_per_cell,))
-    return gate_forward(scene.features, state.gate)[1]
+        return np.ones(grid)
+    rows = scene.features.reshape(-1, scene.features.shape[2])
+    return gate_forward(rows, state.gate)[1].reshape(grid)
 
 
 def heatmap_files(

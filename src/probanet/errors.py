@@ -68,5 +68,13 @@ def require_field_kinds(config) -> None:
             )
 
 
+def require_field(config, name: str, ok: bool, rule: str) -> None:
+    """Reject the value of config's field name unless ok, with an error
+    that names the field: "<name>: must <rule>, got <value>"."""
+    if not ok:
+        value = getattr(config, name)
+        raise ConfigError(f"{name}: must {rule}, got {value!r}", field=name)
+
+
 class EmptyPoolError(ProbanetError, RuntimeError):
     """The sampler was given no surviving candidates to draw from."""

@@ -20,55 +20,58 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .rng import SplitMix64
-from .tensor import FeatureMap, _mean, relu_backward, sigmoid, sigmoid_backward
+from .tensor import _mean, relu_backward, sigmoid, sigmoid_backward
 
 _KEYS = ("reduce_weight", "reduce_bias", "expand_weight", "expand_bias")
 
 
-def _arrays(params: Mapping[str, np.ndarray], c: int) -> list[np.ndarray]:
-    """params' gate arrays, checked to map c channels to a hidden layer and back."""
+def _arrays(params: Mapping[str, np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+    """params' gate arrays, checked to map the C channels of the (N, C)
+    rows x to a hidden layer and back."""
     rw, rb, ew, eb = arrays = [params[key] for key in _KEYS]
     shapes = rw.shape[1:], rb.shape, ew.shape[1:], eb.shape
-    if shapes != ((c,), rw.shape[:1], rb.shape, ew.shape[:1]):
-        raise DimensionError(f"gate arrays of shapes {shapes} do not fit {c} channels")
+    if x.ndim != 2 or shapes != (x.shape[1:], rw.shape[:1], rb.shape, ew.shape[:1]):
+        raise DimensionError(
+            f"gate arrays of shapes {shapes} do not fit rows of shape {x.shape}"
+        )
     return arrays
 
 
 def gate_forward(
-    x: FeatureMap, params: Mapping[str, np.ndarray]
-) -> tuple[FeatureMap, FeatureMap]:
-    """Score every proposal channel from the features: (t1, t2), the hidden
-    map after ReLU and the per-proposal weights, strictly inside (0, 1).
+    x: np.ndarray, params: Mapping[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every proposal cell from its feature row: (t1, t2), the
+    (N, C/r) hidden rows after ReLU and the (N, C') per-proposal weights,
+    strictly inside (0, 1), of the (N, C) rows x.
 
     params maps reduce_weight, reduce_bias, expand_weight and
-    expand_bias to the arrays of the two convolutions: reduce maps the C
-    feature channels down to C/r, expand maps them up to one weight per
-    proposal channel (C').  Other keys are ignored.
+    expand_bias to the arrays of the two 1x1 convolutions, each one
+    product over the rows: reduce maps the C feature channels down to
+    C/r, expand maps them up to one weight per proposal channel (C').
+    Other keys are ignored.
 
     t1 = relu(reduce(x)); t2 = sigmoid(expand(t1)).  The weighted map is
     a * t2, and truncation keeps the entries with t2 strictly above the
     threshold.
     """
-    h, w, c = x.shape
-    rw, rb, ew, eb = _arrays(params, c)
-    # Each 1x1 convolution is one product over the map's (H*W, C) rows.
-    t1 = x.reshape(h * w, c) @ rw.T
+    rw, rb, ew, eb = _arrays(params, x)
+    t1 = x @ rw.T
     t1 += rb
     np.maximum(t1, 0.0, out=t1)
     z2 = t1 @ ew.T
     z2 += eb
-    return t1.reshape(h, w, len(rb)), sigmoid(z2).reshape(h, w, len(eb))
+    return t1, sigmoid(z2)
 
 
 def gate_backward(
-    t1: FeatureMap,
-    t2: FeatureMap,
-    x: FeatureMap,
+    t1: np.ndarray,
+    t2: np.ndarray,
+    x: np.ndarray,
     params: Mapping[str, np.ndarray],
-    grad_t2: FeatureMap,
-) -> tuple[FeatureMap, dict[str, np.ndarray]]:
-    """Reverse pass through the gate network, whose forward pass on x
-    gave t1 and t2, from the gradient at t2.
+    grad_t2: np.ndarray,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Reverse pass through the gate network, whose forward pass on the
+    rows x gave t1 and t2, from the gradient at t2.
 
     Returns (grad_z1, the four parameter gradients keyed as in params),
     where grad_z1 is the gradient at the reduce conv's output.  The
@@ -78,26 +81,24 @@ def gate_backward(
     A caller that weights and truncates the proposal map sums every
     path into grad_t2: the weighted map's gradient times a at the kept
     entries (zero where truncation dropped them) plus any loss on t2
-    itself, such as the variance loss.  Cells are independent and the
-    gradients linear in grad_t2, so an (n, 1, C) stack of cells' rows is a
-    valid map, a cell in several rows each carrying part of its gradient.
+    itself, such as the variance loss.  Rows are independent and the
+    gradients linear in grad_t2, so x may hold any cells' rows, a cell
+    in several rows each carrying part of its gradient.
     """
-    h, w, c = x.shape
-    _, rb, ew, _ = _arrays(params, c)
-    grad_z2 = sigmoid_backward(t2, grad_t2).reshape(h * w, len(ew))
-    t1 = t1.reshape(h * w, len(rb))
+    _, _, ew, _ = _arrays(params, x)
+    grad_z2 = sigmoid_backward(t2, grad_t2)
     # t1 > 0 exactly where the pre-activation was > 0, so t1 doubles as
     # the ReLU mask carrier.
     grad_z1 = relu_backward(t1, grad_z2 @ ew)
-    return grad_z1.reshape(h, w, len(rb)), {
-        "reduce_weight": grad_z1.T @ x.reshape(h * w, c),
+    return grad_z1, {
+        "reduce_weight": grad_z1.T @ x,
         "reduce_bias": grad_z1.sum(axis=0),
         "expand_weight": grad_z2.T @ t1,
         "expand_bias": grad_z2.sum(axis=0),
     }
 
 
-def variance_constraint(t2: FeatureMap, epsilon: float) -> tuple[float, np.ndarray]:
+def variance_constraint(t2: np.ndarray, epsilon: float) -> tuple[float, np.ndarray]:
     """Floor-clamped population variance of the gate weights, with gradient.
 
     Returns (v, dv/dt2).  When the raw variance sits at or below the

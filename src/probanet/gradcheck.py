@@ -10,7 +10,7 @@ error counts as infinite, so it fails.
 
 Each check differences the forward that training runs: the gate's own
 ReLU, np.maximum(x, 0); variance_constraint's value; gate_forward; and
-the head as one plain product over the map's rows.  Only the conv1x1
+the head as one plain product over the feature rows.  Only the conv1x1
 and hadamard checks difference tensor ops that training does not call.
 
 Two ops are only piecewise smooth.  The ReLU check compares away from
@@ -153,22 +153,20 @@ def check_variance(rng: SplitMix64, shape, h: float = 1e-5) -> float:
 
 def _safe_threshold(t2: np.ndarray) -> tuple[float, float]:
     """A cutoff in the interior of the sorted gate weights, placed at the
-    widest spacing so differencing never flips a keep decision."""
+    widest spacing so differencing never flips a keep decision, and its
+    margin.  As the midpoint of two weights, it lies in (0, 1)."""
     flat = np.sort(t2.ravel())
     lo, hi = flat.size // 4, max(flat.size // 4 + 1, 3 * flat.size // 4)
     gaps = flat[lo + 1 : hi + 1] - flat[lo:hi]
     best = int(np.argmax(gaps))
     th = float((flat[lo + best] + flat[lo + best + 1]) / 2)
-    margin = float(gaps[best] / 2)
-    if not 0.0 < th < 1.0:
-        return 0.5, 0.0
-    return th, margin
+    return th, float(gaps[best] / 2)
 
 
 def _gate_instance(rng: SplitMix64, shape, k: int, r: int, n: int = 1):
     """Random gate instance with every kink a safe margin away: the
-    features of n scenes stacked along the rows as one (n*H, W, C) map,
-    the gate arrays by name and one truncation threshold.
+    (n*H*W, C) feature rows of n scenes, the gate arrays by name and one
+    truncation threshold.
 
     Weights are drawn wide so the gate outputs spread; the truncation
     threshold lands at the widest spacing of the resulting weights over
@@ -182,14 +180,14 @@ def _gate_instance(rng: SplitMix64, shape, k: int, r: int, n: int = 1):
     mid = c // r
     s1, s2 = 3.0 / np.sqrt(c), 3.0 / np.sqrt(mid)
     for _ in range(64):
-        x = rng.uniform_range(-1.0, 1.0, (n * hh, ww, c))
+        x = rng.uniform_range(-1.0, 1.0, (n * hh * ww, c))
         params = {
             "reduce_weight": rng.uniform_range(-s1, s1, (mid, c)),
             "reduce_bias": rng.uniform_range(-0.5, 0.5, mid),
             "expand_weight": rng.uniform_range(-s2, s2, (k, mid)),
             "expand_bias": rng.uniform_range(-0.5, 0.5, k),
         }
-        z1 = x.reshape(-1, c) @ params["reduce_weight"].T + params["reduce_bias"]
+        z1 = x @ params["reduce_weight"].T + params["reduce_bias"]
         t2 = gate_forward(x, params)[1]
         th, margin = _safe_threshold(t2)
         if (
@@ -207,7 +205,7 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     hh, ww, c = shape
     k = max(2, c // 2)
     x, params, _ = _gate_instance(rng, shape, k, r=_R)
-    g_t2 = rng.uniform_range(-1.0, 1.0, (hh, ww, k))
+    g_t2 = rng.uniform_range(-1.0, 1.0, (hh * ww, k))
 
     grad_z1, grads = gate_backward(*gate_forward(x, params), x, params, g_t2)
     grads["x"] = grad_z1 @ params["reduce_weight"]
@@ -243,9 +241,9 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     pass over both scenes, parameter by parameter, with the step's
     mini-batch and auxiliary coefficient frozen at the base point.
 
-    The two scenes are stacked into one map, as training stacks a
-    step's scenes, so the step gathers head rows from both and sums the
-    gate gradients over both.  The functional is
+    The step reads both scenes' feature rows, as training reads a step's
+    scenes, so it gathers head rows from both and sums the gate
+    gradients over both.  The functional is
     cls(p) + exp(ln(alpha*cls0) - 1/v0 + 1/v(p)); at the base point its
     gradient equals the training gradient, in which the coefficient is a
     detached constant.  The exponential is kept in log form so no
@@ -263,7 +261,7 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     scale = 1.0 + rng.uniform()
     shift = rng.uniform() - 0.5
 
-    # The stacked map's raveled anchors are the step's, scene by scene.
+    # The rows' anchors are the step's, scene by scene.
     n = 2 * hh * ww * k
     kept = gate_forward(x, gate)[1].ravel() > th
     for _ in range(64):
@@ -292,8 +290,8 @@ def check_end_to_end(rng: SplitMix64, shape, h: float = 1e-5) -> float:
         point = {name: np.array(value) for name, value in params.items()}
 
         def parts() -> tuple[float, float]:
-            """Classification loss and gate-weight variance, over both maps."""
-            a = (x.reshape(-1, c) @ point["head_weight"].T).ravel()
+            """Classification loss and gate-weight variance, over both scenes."""
+            a = (x @ point["head_weight"].T).ravel()
             t2 = gate_forward(x, point)[1]
             z = point["scale"] * (a * t2.ravel())[batch.indices] + point["shift"]
             return binary_cross_entropy(z, targets), variance_constraint(t2, eps)[0]

@@ -9,7 +9,7 @@ labels, and sampling are all reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import (
     DimensionError,
     DomainError,
     EmptyPoolError,
+    require_field,
     require_field_kinds,
 )
 from .rng import _BLOCK, SplitMix64
@@ -59,16 +60,12 @@ class SimConfig:
 
     def __post_init__(self):
         require_field_kinds(self)
-        if self.height < 1 or self.width < 1 or self.channels < 1:
-            raise ConfigError(
-                f"grid must be positive, got {self.height}x{self.width}"
-                f"x{self.channels}"
-            )
-        if not self.anchor_shapes:
-            raise ConfigError("at least one anchor shape is required")
-        for h, w in self.anchor_shapes:
-            if h < 1 or w < 1:
-                raise ConfigError(f"bad anchor shape ({h}, {w})")
+        check = partial(require_field, self)
+        for name in ("height", "width", "channels"):
+            check(name, getattr(self, name) >= 1, "be >= 1")
+        shapes = self.anchor_shapes
+        check("anchor_shapes", bool(shapes), "hold at least one shape")
+        check("anchor_shapes", min(map(min, shapes)) >= 1, "hold positive sizes")
         if not 0 <= self.n_objects_min <= self.n_objects_max:
             raise ConfigError(
                 f"bad object count range [{self.n_objects_min}, "
@@ -84,12 +81,11 @@ class SimConfig:
                 f"objects up to {self.object_max_size} cells do not fit a "
                 f"{self.height}x{self.width} grid"
             )
-        if self.noise_level < 0 or self.bump_amplitude < 0 or self.core_amplitude < 0:
-            raise ConfigError("noise, bump and core amplitudes must be >= 0")
+        for name in ("noise_level", "bump_amplitude", "core_amplitude"):
+            check(name, getattr(self, name) >= 0, "be >= 0")
         if not self.gain_min <= self.gain_max:
             raise ConfigError(f"bad gain range [{self.gain_min}, {self.gain_max}]")
-        if not 0 < self.bg_iou:  # background is an overlap below it
-            raise ConfigError(f"bg_iou: must be > 0, got {self.bg_iou}", field="bg_iou")
+        check("bg_iou", self.bg_iou > 0, "be > 0")  # background is an overlap below it
         if not self.bg_iou <= self.fg_iou <= 1:
             raise ConfigError(
                 f"need bg_iou <= fg_iou <= 1, got {self.bg_iou}, {self.fg_iou}"
@@ -98,8 +94,7 @@ class SimConfig:
             raise ConfigError(f"bad hard background band floor {self.hard_bg_lo}")
         if not self.fg_iou <= self.hard_fg_hi <= 1:
             raise ConfigError(f"bad hard foreground band ceiling {self.hard_fg_hi}")
-        if self.scene_pool_size < 1:
-            raise ConfigError("scene_pool_size must be >= 1")
+        check("scene_pool_size", self.scene_pool_size >= 1, "be >= 1")
 
     @property
     def anchors_per_cell(self) -> int:
@@ -245,13 +240,6 @@ def label_arrays(scene: Scene, sim_config: SimConfig) -> LabelArrays:
     sc = sim_config
     ax0, ay0, ax1, ay1 = anchor_boxes(sc)
     n = ax0.size
-    if not scene.objects.size:
-        return LabelArrays(
-            category=np.full(n, BG, dtype=np.int8),
-            hard=np.zeros(n, dtype=bool),
-            iou=np.zeros(n, dtype=np.float64),
-        )
-
     a_area = (ax1 - ax0) * (ay1 - ay0)
     ox0, oy0, ox1, oy1 = scene.objects
     o_area = (ox1 - ox0) * (oy1 - oy0)
@@ -261,7 +249,7 @@ def label_arrays(scene: Scene, sim_config: SimConfig) -> LabelArrays:
     inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
     overlap = inter / (a_area[:, None] + o_area[None, :] - inter)
 
-    best = overlap.max(axis=1)
+    best = overlap.max(axis=1, initial=0.0)  # 0.0 in a scene without objects
     category = np.full(n, IGNORE, dtype=np.int8)
     category[best < sc.bg_iou] = BG
     category[best >= sc.fg_iou] = FG

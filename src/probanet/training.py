@@ -8,10 +8,11 @@ when the gate is enabled, and a scalar affine (scale, shift) that turns
 gathered proposal values into logits.  Scene features are data, never
 parameters: their gradient is never formed.
 
-A step's loss reads only the sampled mini-batch (at most 256 anchors),
-and the gate's truncation mask reads only the gate weights.  So a step
-runs the gate network over the whole grid, samples, and evaluates the
-head only at the sampled anchors' feature rows, as it does the gate's
+A step reads its scenes as one (N, C) array of feature rows, a row per
+grid cell.  Its loss reads only the sampled mini-batch (at most 256
+anchors), and the gate's truncation mask reads only the gate weights.
+So a step runs the gate network over every row, samples, and evaluates
+the head only at the sampled anchors' rows, as it does the gate's
 backward while the variance loss has no gradient.
 """
 
@@ -37,9 +38,11 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionError,
+    DomainError,
     EmptyPoolError,
     NumericError,
     ProbanetError,
+    require_field,
     require_field_kinds,
 )
 from .gate import (
@@ -63,7 +66,7 @@ from .sim import (
     label_arrays,
     sample_minibatch,
 )
-from .tensor import FeatureMap, _logistic, _mean
+from .tensor import _logistic, _mean
 
 # derive_seed reads a root seed mod 2**64, so a seed outside [0, 2**64)
 # would train the same run as one inside it.
@@ -91,34 +94,20 @@ class TrainConfig:
 
     def __post_init__(self):
         require_field_kinds(self)
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.epochs < 0 or self.steps_per_epoch < 0:
-            raise ConfigError("epochs and steps_per_epoch must be >= 0")
-        if not 0 <= self.alpha < 1:
-            raise ConfigError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0 <= self.th < 1:
-            raise ConfigError(f"th must lie in [0, 1), got {self.th}")
-        if self.r < 1:
-            raise ConfigError(f"r must be >= 1, got {self.r}")
-        if self.lr_decay_every < 0:
-            raise ConfigError("lr_decay_every must be >= 0 (0 disables decay)")
-        if not 0 < self.lr_decay_factor <= 1:
-            raise ConfigError(
-                f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}"
-            )
-        if self.scenes_per_batch < 1:
-            raise ConfigError("scenes_per_batch must be >= 1")
-        if not 0 <= self.seed < _SEED_END:
-            raise ConfigError(
-                f"seed: must lie in [0, 2**64), got {self.seed}", field="seed"
-            )
+        check = functools.partial(require_field, self)
+        check("learning_rate", self.learning_rate >= 0, "be >= 0")
+        check("momentum", 0 <= self.momentum < 1, "lie in [0, 1)")
+        check("weight_decay", self.weight_decay >= 0, "be >= 0")
+        check("epochs", self.epochs >= 0, "be >= 0")
+        check("steps_per_epoch", self.steps_per_epoch >= 0, "be >= 0")
+        check("alpha", 0 <= self.alpha < 1, "lie in [0, 1)")
+        check("epsilon", self.epsilon > 0, "be positive")
+        check("th", 0 <= self.th < 1, "lie in [0, 1)")
+        check("r", self.r >= 1, "be >= 1")
+        check("lr_decay_every", self.lr_decay_every >= 0, "be >= 0 (0 disables decay)")
+        check("lr_decay_factor", 0 < self.lr_decay_factor <= 1, "lie in (0, 1]")
+        check("scenes_per_batch", self.scenes_per_batch >= 1, "be >= 1")
+        check("seed", 0 <= self.seed < _SEED_END, "lie in [0, 2**64)")
 
     @property
     def total_steps(self) -> int:
@@ -176,20 +165,21 @@ class ScenePool:
     scenes: tuple[Scene, ...]
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def step_inputs(self, step: int, count: int) -> tuple[FeatureMap, LabelArrays]:
-        """The stacked (count*H, W, C) map of scenes (count*step + j) % P
-        for j < count, and their labels.  Both are views of the pool
-        unless the range wraps past its last scene.  Every step of a
-        window (the same first scene and count) gets the same read-only
-        arrays, so what derives from them alone is derived once."""
-        p, h, w, c = self.features.shape
+    def step_inputs(self, step: int, count: int) -> tuple[np.ndarray, LabelArrays]:
+        """The (count*H*W, C) feature rows of scenes (count*step + j) % P
+        for j < count, scene by scene, and their labels.  Both are views
+        of the pool unless the range wraps past its last scene.  Every
+        step of a window (the same first scene and count) gets the same
+        read-only arrays, so what derives from them alone is derived
+        once."""
+        p, c = len(self.features), self.features.shape[-1]
         first = count * step % p
         if (first, count) not in self._windows:
             if first + count <= p:
                 sel = slice(first, first + count)
             else:  # at most count - 1 windows wrap, so the memo stays small
                 sel = (first + np.arange(count)) % p
-            x = _read_only(self.features[sel].reshape(count * h, w, c))
+            x = _read_only(self.features[sel].reshape(-1, c))
             self._windows[first, count] = x, LabelArrays(*(
                 _read_only(col.reshape(p, -1)[sel].ravel())
                 for col in (self.labels.category, self.labels.hard, self.labels.iou)
@@ -312,9 +302,9 @@ def head_backward(values, logits, targets, scale) -> tuple[np.ndarray, dict]:
 
 
 def train_step(
-    state: TrainState, x: FeatureMap, labels: LabelArrays, config: TrainConfig
+    state: TrainState, x: np.ndarray, labels: LabelArrays, config: TrainConfig
 ) -> tuple[TrainState, MetricsRecord]:
-    """One SGD step over a stacked map of one or more scenes sharing a
+    """One SGD step over the feature rows of one or more scenes sharing a
     single mini-batch: loss_and_grads, then the momentum update of every
     parameter."""
     record, grads, _, _ = loss_and_grads(state, x, labels, config)
@@ -324,13 +314,13 @@ def train_step(
 
 
 def loss_and_grads(
-    state: TrainState, x: FeatureMap, labels: LabelArrays, config: TrainConfig
+    state: TrainState, x: np.ndarray, labels: LabelArrays, config: TrainConfig
 ) -> tuple[MetricsRecord, dict, MiniBatch, np.ndarray]:
     """Forward and backward pass of one step, without the update.
 
-    x is the step's scenes stacked along the rows, (S*H, W, C), and
-    labels covers its anchors in raveled order, K per cell.  Forward:
-    the gate network over the map (when enabled), truncation,
+    x holds the (N, C) feature rows of the step's scenes, one per cell,
+    and labels covers their anchors in row order, K per row.  Forward:
+    the gate network over the rows (when enabled), truncation,
     fixed-ratio sampling over the surviving anchors, the head at the
     sampled anchors, scalar-affine logits, mean BCE.  The auxiliary
     variance loss feeds its gradient into the gate weights; its
@@ -344,10 +334,10 @@ def loss_and_grads(
     step = state.step
     params, gate = state.params, state.gate
     k, c = params["head_weight"].shape
-    if x.ndim != 3 or x.shape[2] != c or len(labels) != x.shape[0] * x.shape[1] * k:
+    if x.ndim != 2 or x.shape[1] != c or len(labels) != len(x) * k:
         raise DimensionError(
-            f"a map of shape {x.shape} with {k} anchors per cell does not "
-            f"match {len(labels)} labels and {c} channels"
+            f"the feature rows' shape {x.shape}, with {k} anchors per row, "
+            f"does not match {len(labels)} labels and {c} channels"
         )
 
     mask = None
@@ -365,13 +355,13 @@ def loss_and_grads(
         raise EmptyPoolError(f"{exc} at {_where(step, config, kept_fraction)}") from exc
 
     # The head at the sampled anchors only: flat anchor index i sits at
-    # anchor slot i % k of cell i // k of the map.  The head has no
+    # anchor slot i % k of row i // k.  The head has no
     # bias: the scalar affine's shift already models a batch-wide offset,
     # and a trainable per-map bias feeds every cell the same constant,
     # drowning per-cell contrast.
     picked = np.arange(batch.size)
     cell, anchor = np.divmod(batch.indices, k)
-    rows = x.reshape(-1, c).take(cell, axis=0)
+    rows = x.take(cell, axis=0)
     a_sel = (rows @ params["head_weight"].T)[picked, anchor]
     if gate is not None:
         t2_sel = t2_flat[batch.indices]
@@ -421,13 +411,12 @@ def loss_and_grads(
         # Only the variance gradient reaches other cells, so without it
         # the backward reads the head's rows, a cell once per anchor.
         if grad_v_coeff and variance > config.epsilon:
-            maps, grad_t2, slots = (t1, t2, x), grad_v_coeff * grad_v, batch.indices
+            inputs, grad_t2, slots = (t1, t2, x), grad_v_coeff * grad_v, batch.indices
         else:
-            t1_rows = t1.reshape(-1, 1, t1.shape[2])[cell]
-            maps = t1_rows, t2.reshape(-1, 1, k)[cell], rows[:, None]
+            inputs = t1[cell], t2[cell], rows
             grad_t2, slots = np.zeros(batch.size * k), picked * k + anchor
         grad_t2[slots] += grad_values * a_sel
-        _, gate_grads = gate_backward(*maps, gate, grad_t2.reshape(maps[1].shape))
+        _, gate_grads = gate_backward(*inputs, gate, grad_t2.reshape(-1, k))
         grads.update(gate_grads)
     return record, grads, batch, logits
 
@@ -523,9 +512,8 @@ def _finalize_run(
     metrics: tuple[MetricsRecord, ...],
 ) -> RunResult:
     # Evaluation truncates nothing: every anchor of the pool gets a logit.
-    p, h, w, c = pool.features.shape
-    x = pool.features.reshape(p * h, w, c)
-    a = (x.reshape(-1, c) @ state.params["head_weight"].T).ravel()
+    x = pool.features.reshape(-1, pool.features.shape[-1])
+    a = (x @ state.params["head_weight"].T).ravel()
     gate = state.gate
     t2_flat = np.ones(a.size) if gate is None else gate_forward(x, gate)[1].ravel()
     z = state.params["scale"] * (a * t2_flat) + state.params["shift"]  # a * 1.0 is a
@@ -569,6 +557,10 @@ class ExperimentReport:
     runs: tuple[tuple[RunResult, ...], ...]
 
     def uplifts(self) -> list[float]:
+        if len(self.configs) < 2:
+            raise DomainError(
+                f"an uplift compares two variants; this report has {len(self.configs)}"
+            )
         return [r[1].tail_hard_ratio - r[0].tail_hard_ratio for r in self.runs]
 
     def mean_uplift(self) -> float:

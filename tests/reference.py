@@ -1,18 +1,15 @@
 """Plain references the tests compare the program against: dense
 truncation, the scalar box overlap, readers for the images the program
 writes, scene synthesis over whole arrays, and a training step written
-out call by call."""
+out product by product.
+
+From the package they take only the random streams, the sampler's error
+and the label constants, so a change to the arithmetic of the program
+cannot move them with it."""
 
 import numpy as np
 
-from probanet import (
-    EmptyPoolError,
-    SplitMix64,
-    derive_seed,
-    gate_backward,
-    probanet_loss,
-)
-from probanet.tensor import Conv1x1Params, conv1x1_backward, conv1x1_forward
+from probanet import EmptyPoolError, SplitMix64, derive_seed
 from probanet.sim import BATCH_SIZE, BG, FG, FG_QUOTA
 
 
@@ -147,20 +144,31 @@ def two_draw_sample(labels, keep_mask, rng):
     return np.concatenate(picks), fg_take
 
 
+def gate_backward(t1, t2, x, params, grad_t2):
+    """The gate's parameter gradients over the rows x, whose forward pass
+    gave t1 and t2, from the gradient at t2."""
+    grad_z2 = t2 * (1.0 - t2) * grad_t2
+    grad_z1 = np.where(t1 > 0.0, grad_z2 @ params["expand_weight"], 0.0)
+    return {
+        "reduce_weight": grad_z1.T @ x,
+        "reduce_bias": grad_z1.sum(axis=0),
+        "expand_weight": grad_z2.T @ t1,
+        "expand_bias": grad_z2.sum(axis=0),
+    }
+
+
 def train_step(params, velocity, step, x, labels, config):
-    """One training step with np.mean reductions, a per-name momentum
-    update and nothing fused: the metric values in metrics.csv order, the
-    gradients by name, and the updated parameters and velocities as new
-    dicts."""
-    k, c = params["head_weight"].shape
+    """One training step over the feature rows x with np.mean reductions,
+    a per-name momentum update and nothing fused: the metric values in
+    metrics.csv order, the gradients by name, and the updated parameters
+    and velocities as new dicts."""
+    k = params["head_weight"].shape[0]
     gated = "reduce_weight" in params
     mask, kept = None, 1.0
     if gated:
-        reduce = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
-        expand = Conv1x1Params(params["expand_weight"], params["expand_bias"])
-        t1 = np.maximum(conv1x1_forward(x, reduce), 0.0)
+        t1 = np.maximum(x @ params["reduce_weight"].T + params["reduce_bias"], 0.0)
         t2 = np.clip(
-            _logistic(conv1x1_forward(t1, expand)),
+            _logistic(t1 @ params["expand_weight"].T + params["expand_bias"]),
             np.nextafter(0.0, 1.0),
             np.nextafter(1.0, 0.0),
         )
@@ -171,10 +179,9 @@ def train_step(params, velocity, step, x, labels, config):
     idx, _ = two_draw_sample(labels, mask, rng)
     n = idx.size
 
-    head = Conv1x1Params(params["head_weight"], np.zeros(k))
     cell, anchor = np.divmod(idx, k)
-    rows = x.reshape(-1, 1, c)[cell]
-    a_sel = conv1x1_forward(rows, head).reshape(n, k)[np.arange(n), anchor]
+    rows = x[cell]
+    a_sel = (rows @ params["head_weight"].T)[np.arange(n), anchor]
     values = a_sel * t2_flat[idx] if gated else a_sel
     logits = params["scale"] * values + params["shift"]
     targets = (labels.category[idx] == FG).astype(np.float64)
@@ -189,7 +196,9 @@ def train_step(params, velocity, step, x, labels, config):
         else:
             variance, grad_v = raw, 2.0 * (t2_flat - t2_flat.mean()) / t2_flat.size
         if config.alpha > 0.0:
-            aux, beta, coeff = probanet_loss(variance, cls_loss, config.alpha)
+            aux = config.alpha * cls_loss
+            beta = float(config.alpha * cls_loss * np.exp(-1.0 / variance))
+            coeff = -config.alpha * cls_loss / (variance * variance)
         fg_mean, bg_mean = (
             float(t2_flat[sel].mean()) if sel.any() else 0.0
             for sel in (labels.category == FG, labels.category == BG)
@@ -200,22 +209,21 @@ def train_step(params, velocity, step, x, labels, config):
     dz = (_logistic(logits) - targets) / n
     grads = {"scale": float(np.dot(dz, values)), "shift": float(dz.sum())}
     grad_values = params["scale"] * dz
-    grad_a = np.zeros((n, 1, k))
-    grad_a[np.arange(n), 0, anchor] = grad_values * t2_flat[idx] if gated else grad_values
-    grads["head_weight"] = conv1x1_backward(rows, head, grad_a)[1]
+    grad_a = np.zeros((n, k))
+    grad_a[np.arange(n), anchor] = grad_values * t2_flat[idx] if gated else grad_values
+    grads["head_weight"] = grad_a.T @ rows
     if gated and coeff != 0.0 and variance > config.epsilon:
         grad_t2 = coeff * grad_v
         grad_t2[idx] += grad_values * a_sel
-        grads.update(gate_backward(t1, t2, x, params, grad_t2.reshape(t2.shape))[1])
+        grads.update(gate_backward(t1, t2, x, params, grad_t2.reshape(t2.shape)))
     elif gated:
         # No variance gradient (at its floor, or alpha = 0): only the
         # sampled anchors get a gradient at t2, so the backward runs over
-        # their cells' rows alone, one (1, .) row per anchor in batch
-        # order, each carrying the gradient of its own anchor slot only.
-        grad_t2 = np.zeros((n, 1, k))
-        grad_t2[np.arange(n), 0, anchor] = grad_values * a_sel
-        t1_rows, t2_rows = (m.reshape(-1, 1, m.shape[2])[cell] for m in (t1, t2))
-        grads.update(gate_backward(t1_rows, t2_rows, rows, params, grad_t2)[1])
+        # their cells' rows alone, one row per anchor in batch order,
+        # each carrying the gradient of its own anchor slot only.
+        grad_t2 = np.zeros((n, k))
+        grad_t2[np.arange(n), anchor] = grad_values * a_sel
+        grads.update(gate_backward(t1[cell], t2[cell], rows, params, grad_t2))
 
     lr = config.learning_rate_at(step)
     new_params, new_velocity = {}, {}

@@ -181,7 +181,7 @@ def test_variant_and_run_dir_names():
     )
 
 
-def test_write_run_dir_emits_expected_files(tmp_path):
+def test_write_seed_dirs_emits_expected_files(tmp_path):
     pool = build_scene_pool(CONFIG, SIM)
     result = run_training(CONFIG, SIM, pool)
     [run_dir] = write_seed_dirs(
@@ -218,7 +218,7 @@ def test_write_seed_dirs_rejects_results_sharing_a_run_dir(tmp_path):
     assert not out_dir.exists()
 
 
-def test_write_run_dir_is_byte_reproducible(tmp_path):
+def test_write_seed_dirs_is_byte_reproducible(tmp_path):
     dirs = []
     for name in ("a", "b"):
         pool = build_scene_pool(CONFIG, SIM)

@@ -217,6 +217,23 @@ def test_semantic_validation_still_applies():
         parse_config("height = 4\nobject_max_size = 9\n")
 
 
+def test_range_errors_name_the_field_and_its_line():
+    # One out-of-range value for each field that a range check reads alone.
+    bad = dict(
+        learning_rate="-0.001", momentum="1.5", weight_decay="-1.0", epochs="-1",
+        steps_per_epoch="-1", alpha="1.0", epsilon="0.0", th="1.0", r="0",
+        lr_decay_every="-1", lr_decay_factor="1.5", scenes_per_batch="0", seed="-1",
+        height="0", width="0", channels="0", anchor_shapes="3x0", noise_level="-1.0",
+        bump_amplitude="-1.0", core_amplitude="-1.0", bg_iou="0.0",
+        scene_pool_size="0",
+    )
+    for key, text in bad.items():
+        match = f"^line 2: bad value for {key}: must .*, got "
+        with pytest.raises(ConfigError, match=match) as exc:
+            parse_config(f"# one bad value\n{key} = {text}\n")
+        assert exc.value.field == key
+
+
 def test_whitespace_around_separator_is_tolerated():
     train, _ = parse_config("seed=3")
     assert train.seed == 3

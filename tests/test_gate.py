@@ -29,7 +29,6 @@ from probanet import (
     variance_constraint,
 )
 from probanet.artifacts import gate_weights_for
-from probanet.tensor import Conv1x1Params, conv1x1_forward
 from probanet.training import loss_and_grads
 
 
@@ -38,7 +37,7 @@ def small_gate(seed=0, c=4, c_prime=2, r=2):
     return init_gate_params(c, c_prime, r, rng)
 
 
-def random_map(seed, shape):
+def random_rows(seed, shape):
     return SplitMix64(seed).uniform_range(-1.5, 1.5, shape=shape)
 
 
@@ -74,16 +73,14 @@ def test_init_geometry_errors():
 
 def test_gate_forward_matches_manual_composition():
     params = small_gate(seed=3)
-    x = random_map(4, (2, 3, 4))
+    x = random_rows(4, (6, 4))
     t1, t2 = gate_forward(x, params)
 
-    reduce_conv = Conv1x1Params(params["reduce_weight"], params["reduce_bias"])
-    expand_conv = Conv1x1Params(params["expand_weight"], params["expand_bias"])
-    want_t1 = np.maximum(conv1x1_forward(x, reduce_conv), 0.0)
-    want_t2 = sigmoid(conv1x1_forward(want_t1, expand_conv))
+    want_t1 = np.maximum(x @ params["reduce_weight"].T + params["reduce_bias"], 0.0)
+    want_t2 = sigmoid(want_t1 @ params["expand_weight"].T + params["expand_bias"])
     assert np.array_equal(t1, want_t1)
     assert np.array_equal(t2, want_t2)
-    assert t2.shape == (2, 3, 2)
+    assert t1.shape == t2.shape == (6, 2)
     assert np.all(t2 > 0.0)
     assert np.all(t2 < 1.0)
 
@@ -91,13 +88,16 @@ def test_gate_forward_matches_manual_composition():
 def test_gate_forward_shape_errors():
     params = small_gate()
     with pytest.raises(DimensionError):
-        gate_forward(random_map(0, (2, 2, 3)), params)
+        gate_forward(random_rows(0, (4, 3)), params)
     with pytest.raises(DimensionError):
-        gate_forward(random_map(0, (2, 2, 5)), params)
+        gate_forward(random_rows(0, (4, 5)), params)
+    # The gate reads rows, not an (H, W, C) map.
+    with pytest.raises(DimensionError):
+        gate_forward(random_rows(0, (2, 2, 4)), params)
     # The expand conv must read as many channels as the reduce conv emits.
     wrong_mid = {**params, "expand_weight": np.zeros((2, 3))}
     with pytest.raises(DimensionError):
-        gate_forward(random_map(0, (2, 2, 4)), wrong_mid)
+        gate_forward(random_rows(0, (4, 4)), wrong_mid)
 
 
 def test_truncate_train_strict_and_test_keeps_all():
@@ -122,7 +122,7 @@ def test_truncate_train_strict_and_test_keeps_all():
 
 def test_gate_test_mode_keeps_everything():
     params, th = small_gate(), 0.9
-    x = random_map(6, (3, 3, 4))
+    x = random_rows(6, (9, 4))
     t2 = gate_forward(x, params)[1]
     assert not (t2 > th).any()
     sim = SimConfig(
@@ -130,8 +130,8 @@ def test_gate_test_mode_keeps_everything():
         object_max_size=3,
     )
     state = TrainState(params={"head_weight": np.zeros((2, 4)), **params}, velocity={})
-    scene = Scene(objects=(), features=x, seed=0)
-    assert np.array_equal(gate_weights_for(state, scene, sim), t2)
+    scene = Scene(objects=(), features=x.reshape(3, 3, 4), seed=0)
+    assert np.array_equal(gate_weights_for(state, scene, sim), t2.reshape(3, 3, 2))
 
 
 def _truncated_map_grad_t2(params, th, x, a, g):
@@ -144,9 +144,9 @@ def _truncated_map_grad_t2(params, th, x, a, g):
 def test_gate_backward_blocks_dropped_positions():
     # High threshold so a healthy share of positions is dropped.
     params, th = small_gate(seed=8), 0.52
-    x = random_map(9, (3, 4, 4))
-    a = random_map(10, (3, 4, 2))
-    g = random_map(11, (3, 4, 2))
+    x = random_rows(9, (12, 4))
+    a = random_rows(10, (12, 2))
+    g = random_rows(11, (12, 2))
     t1, t2 = gate_forward(x, params)
     keep = t2 > th
     assert keep.any() and not keep.all()
@@ -164,7 +164,7 @@ def test_gate_backward_blocks_dropped_positions():
     fd = finite_diff_gradient(f, params["expand_bias"].copy(), h=1e-6)
     assert np.allclose(grads["expand_bias"], fd, rtol=1e-6, atol=1e-9)
     # Only the kept entries feed the expand bias gradient.
-    kept_only = (t2 * (1 - t2) * np.where(keep, g * a, 0.0)).sum(axis=(0, 1))
+    kept_only = (t2 * (1 - t2) * np.where(keep, g * a, 0.0)).sum(axis=0)
     assert np.allclose(grads["expand_bias"], kept_only, rtol=0, atol=1e-15)
 
 
@@ -172,8 +172,8 @@ def test_gate_backward_t2_hook_reaches_dropped_cells():
     # The variance gradient enters through grad_t2 and must flow into the
     # gate convolutions even where truncation zeroed the cls path.
     params = small_gate(seed=13)
-    x = random_map(14, (2, 2, 4))
-    a = random_map(15, (2, 2, 2))
+    x = random_rows(14, (4, 4))
+    a = random_rows(15, (4, 2))
     t1, t2 = gate_forward(x, params)
     cls_path = _truncated_map_grad_t2(params, 0.9, x, a, np.ones_like(a))
     assert not cls_path.any()
@@ -186,10 +186,10 @@ def test_gate_backward_t2_hook_reaches_dropped_cells():
 
 def test_gate_backward_shape_check():
     params = small_gate()
-    x = random_map(1, (2, 2, 4))
+    x = random_rows(1, (4, 4))
     t1, t2 = gate_forward(x, params)
     with pytest.raises(DimensionError):
-        gate_backward(t1, t2, x, params, np.zeros((2, 2, 3)))
+        gate_backward(t1, t2, x, params, np.zeros((4, 3)))
 
 
 def test_variance_floor_clamps_with_zero_gradient():

@@ -161,23 +161,27 @@ def test_every_check_fails_on_a_wrong_gradient_of_any_input(op, monkeypatch):
 
 def test_end_to_end_audits_the_backward_over_the_batch_rows(monkeypatch):
     # At the floor the step runs the gate's backward over the sampled
-    # anchors' rows only, as an (n, 1, C) map.  Scattering the t2
-    # gradient into the wrong anchor slots there must fail the audit.  The
-    # spy records widths in this process only, so every check runs here.
+    # anchors' rows only, one per anchor, whose t2 gradient sits in that
+    # anchor's slot alone; above it, over every row of both scenes, whose
+    # t2 gradient the variance loss fills.  Scattering the t2 gradient
+    # into the wrong anchor slots at the floor must fail the audit.  The
+    # spy records calls in this process only, so every check runs here.
     use_workers(monkeypatch, forked=False)
     kwargs = dict(ops=["end_to_end"], n_seeds=2, shapes=((3, 3, 4), (2, 4, 6)))
     assert run_suite(**kwargs)[0].passed
-    backward, widths = training.gate_backward, []
+    backward, calls = training.gate_backward, []
 
     def swapped_slots(t1, t2, x, params, grad_t2):
-        widths.append(x.shape[1])
-        if x.shape[1] == 1:
-            grad_t2 = grad_t2[:, :, ::-1]
+        floor = (np.count_nonzero(grad_t2, axis=1) <= 1).all()
+        calls.append("floor" if floor else len(x))
+        if floor:
+            grad_t2 = grad_t2[:, ::-1]
         return backward(t1, t2, x, params, grad_t2)
 
     monkeypatch.setattr(training, "gate_backward", swapped_slots)
     assert not run_suite(**kwargs)[0].passed
-    assert sorted(set(widths)) == [1, 3, 4]
+    # Both branches ran, the full one over both scenes' 2*H*W rows.
+    assert set(calls) == {"floor", 2 * 3 * 3, 2 * 2 * 4}
 
 
 @pytest.mark.parametrize("forked", [True, False])

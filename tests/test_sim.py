@@ -257,13 +257,19 @@ def test_labeling_matches_brute_force_oracle():
         object_min_size=2,
         object_max_size=4,
     )
-    for seed in range(12):
-        scene = generate_scene(config, seed)
-        got = label_arrays(scene, config)
-        category, hard, best = brute_force_labels(scene, config)
-        assert np.array_equal(got.category, category), f"seed {seed}"
-        assert np.array_equal(got.hard, hard), f"seed {seed}"
-        assert np.allclose(got.iou, best, atol=1e-12), f"seed {seed}"
+    # A scene without objects too, and a hard band from IoU 0, where a
+    # background anchor of IoU 0 is hard whether the scene has objects
+    # or not.
+    empty = generate_scene(replace(config, n_objects_min=0, n_objects_max=0), 0)
+    scenes = [generate_scene(config, seed) for seed in range(12)] + [empty]
+    for lo in (0.1, 0.0):
+        sim = replace(config, hard_bg_lo=lo)
+        for i, scene in enumerate(scenes):
+            got = label_arrays(scene, sim)
+            category, hard, best = brute_force_labels(scene, sim, lo=lo)
+            assert np.array_equal(got.category, category), f"scene {i}, lo {lo}"
+            assert np.array_equal(got.hard, hard), f"scene {i}, lo {lo}"
+            assert np.allclose(got.iou, best, atol=1e-12), f"scene {i}, lo {lo}"
 
 
 def test_every_object_owns_a_foreground_anchor():

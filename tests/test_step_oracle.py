@@ -1,8 +1,10 @@
 """The training step against tests/reference.py's transcription of it,
 bit for bit: metrics, gradients, parameters and velocities."""
 
+import ast
 import copy
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,3 +98,20 @@ def test_sampler_draws_each_candidate_key_once_in_one_block():
         candidates = np.count_nonzero(kept & (labels.category != IGNORE))
         assert rng.counter == rng_ref.counter == candidates
         assert batch.bg_count < candidates - batch.fg_count  # partial selection ran
+
+
+def test_reference_takes_no_arithmetic_from_the_package():
+    # An op the reference imported would move with the program, and the
+    # bit-for-bit comparisons above could not see a change to it.
+    allowed = {
+        "SplitMix64", "derive_seed", "EmptyPoolError",
+        "BG", "FG", "IGNORE", "BATCH_SIZE", "FG_QUOTA",
+    }
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # the whole package, or a module
+            taken += [a.name for a in node.names if a.name.startswith("probanet")]
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("probanet"):
+            taken += [a.name for a in node.names]
+    assert taken and set(taken) <= allowed, sorted(set(taken) - allowed)

@@ -12,6 +12,7 @@ from spies import use_workers
 from probanet import (
     ConfigError,
     DimensionError,
+    DomainError,
     EmptyPoolError,
     ExperimentReport,
     MetricsRecord,
@@ -35,7 +36,7 @@ from probanet import (
     variance_constraint,
 )
 from probanet import training
-from probanet.artifacts import METRICS_HEADER, metrics_csv
+from probanet.artifacts import METRICS_HEADER, metrics_csv, summary_csv
 from probanet.config import parse_config
 from probanet.training import (
     binary_cross_entropy,
@@ -44,13 +45,7 @@ from probanet.training import (
     tail_mean_hard_ratio,
 )
 from probanet.sim import BG, FG, LabelArrays
-from probanet.tensor import (
-    Conv1x1Params,
-    conv1x1_backward,
-    conv1x1_forward,
-    relu_backward,
-    sigmoid_backward,
-)
+from probanet.tensor import relu_backward, sigmoid_backward
 
 
 TINY_SIM = SimConfig(
@@ -223,11 +218,9 @@ def test_single_step_matches_finite_difference_oracle():
     # A copy of the parameters to difference in place; the floats
     # become 0-d arrays.
     p0 = {name: np.array(value) for name, value in state.params.items()}
-    zero_bias = np.zeros(1)
 
     def loss_with(p):
-        head = Conv1x1Params(weight=p["head_weight"], bias=zero_bias)
-        a = conv1x1_forward(x, head)
+        a = x @ p["head_weight"].T
         t2 = gate_forward(x, p)[1]
         values = truncate(a * t2, t2, config.th).ravel()[batch.indices]
         logits = p["scale"] * values + p["shift"]
@@ -265,12 +258,11 @@ WIDE_SIM = replace(
 
 def _dense_step(state, x, labels, config):
     """One step's logits and loss gradients by the dense path, the
-    reference for loss_and_grads: the head conv and the gate over every
-    anchor, truncation as a mask over the whole map, and full
-    conv1x1_backward VJPs, input gradients included."""
+    reference for loss_and_grads: the head and the gate over every
+    anchor, truncation as a mask over every row, and the backward of
+    each 1x1 conv as products over every row."""
     head_weight, gate = state.params["head_weight"], state.gate
-    head = Conv1x1Params(head_weight, np.zeros(head_weight.shape[0]))
-    a = conv1x1_forward(x, head)
+    a = x @ head_weight.T
     if gate is None:
         b_flat = a.ravel()
         mask = np.ones(b_flat.size, dtype=bool)
@@ -300,16 +292,12 @@ def _dense_step(state, x, labels, config):
         grad_a = grad_a_prime * t2
         grad_t2 = grad_a_prime * a + coeff * grad_v.reshape(a.shape)
         grad_z2 = sigmoid_backward(t2, grad_t2)
-        expand_conv = Conv1x1Params(gate["expand_weight"], gate["expand_bias"])
-        reduce_conv = Conv1x1Params(gate["reduce_weight"], gate["reduce_bias"])
-        grad_t1, grads["expand_weight"], grads["expand_bias"] = conv1x1_backward(
-            t1, expand_conv, grad_z2
-        )
-        grad_z1 = relu_backward(t1, grad_t1)
-        _, grads["reduce_weight"], grads["reduce_bias"] = conv1x1_backward(
-            x, reduce_conv, grad_z1
-        )
-    _, grads["head_weight"], _ = conv1x1_backward(x, head, grad_a)
+        grads["expand_weight"] = grad_z2.T @ t1
+        grads["expand_bias"] = grad_z2.sum(axis=0)
+        grad_z1 = relu_backward(t1, grad_z2 @ gate["expand_weight"])
+        grads["reduce_weight"] = grad_z1.T @ x
+        grads["reduce_bias"] = grad_z1.sum(axis=0)
+    grads["head_weight"] = grad_a.T @ x
     return batch, logits, grads
 
 
@@ -371,8 +359,8 @@ def test_batch_row_gate_grads_equal_a_full_map_backward(monkeypatch, overrides):
     # (0, 1), or alpha = 0 above the floor) only the sampled anchors get a
     # gradient at t2, and the gate's backward runs over their rows alone,
     # one per anchor, so a cell with two sampled anchors has two rows.
-    # That must equal gate_backward over the whole map of a grad_t2 that
-    # is zero off the batch.
+    # That must equal gate_backward over every row of a grad_t2 that is
+    # zero off the batch.
     config = tiny_config(th=0.5, **overrides)
     pool = build_scene_pool(config, WIDE_SIM)
     state = init_state(config, WIDE_SIM)
@@ -382,12 +370,12 @@ def test_batch_row_gate_grads_equal_a_full_map_backward(monkeypatch, overrides):
     record, grads, batch, logits = loss_and_grads(state, x, labels, config)
     cells = np.unique(batch.indices // len(WIDE_SIM.anchor_shapes))
     assert cells.size < batch.size  # a cell holds two sampled anchors
-    assert shapes == [(batch.size, 1, x.shape[2])]
+    assert shapes == [(batch.size, x.shape[1])]
     assert (record.variance == config.epsilon) == (config.alpha > 0)
 
     gate, scale = state.gate, state.params["scale"]
     t1, t2 = gate_forward(x, gate)
-    a = (x.reshape(-1, x.shape[2]) @ state.params["head_weight"].T).ravel()
+    a = (x @ state.params["head_weight"].T).ravel()
     targets = (labels.category[batch.indices] == FG).astype(np.float64)
     grad_t2 = np.zeros(t2.size)
     grad_values = scale * binary_cross_entropy_grad(logits, targets)
@@ -399,9 +387,9 @@ def test_batch_row_gate_grads_equal_a_full_map_backward(monkeypatch, overrides):
 
 
 def test_gate_backward_reads_the_batch_rows_only_at_the_floor(monkeypatch):
-    # Per step, gate_backward gets one row per sampled anchor, as an
-    # (n, 1, C) map, when the variance sits at its floor, and the whole
-    # stacked map when it is above it.
+    # Per step, gate_backward gets one row per sampled anchor when the
+    # variance sits at its floor, and every row of the step's scenes when
+    # it is above it.
     batches, shapes = [], []
     _record(monkeypatch, "sample_minibatch", batches, lambda _, batch: batch)
     _record(monkeypatch, "gate_backward", shapes, lambda args, _: args[2].shape)
@@ -412,7 +400,7 @@ def test_gate_backward_reads_the_batch_rows_only_at_the_floor(monkeypatch):
         for record, batch, shape in zip(records, batches, shapes, strict=True):
             x = pool.step_inputs(record.step, 2)[0]
             at_floor = record.variance == epsilon
-            assert shape == ((batch.size, 1, x.shape[2]) if at_floor else x.shape)
+            assert shape == ((batch.size, x.shape[1]) if at_floor else x.shape)
             floors.add(at_floor)
         batches.clear()
         shapes.clear()
@@ -549,9 +537,10 @@ def test_loss_and_grads_rejects_labels_that_miss_the_map():
     with pytest.raises(DimensionError, match="does not match 16 labels"):
         loss_and_grads(state, x, one_scene, config)
     with pytest.raises(DimensionError):
-        train_step(state, x[:, :, :2], labels, config)
+        train_step(state, x[:, :2], labels, config)
+    # The step reads rows, not the scenes' (H, W, C) maps stacked.
     with pytest.raises(DimensionError):
-        train_step(state, x.reshape(-1, 4), labels, config)
+        train_step(state, x.reshape(-1, 4, 4), labels, config)
     assert state.step == 0
 
 
@@ -562,13 +551,14 @@ def test_step_inputs_are_views_unless_the_range_wraps():
     assert np.shares_memory(x, pool.features)
     assert np.shares_memory(labels.category, pool.labels.category)
     assert np.shares_memory(labels.iou, pool.labels.iou)
-    assert np.array_equal(x[:4], pool.scenes[0].features)
-    assert np.array_equal(x[4:], pool.scenes[1].features)
+    assert x.shape == (32, 4)
+    assert np.array_equal(x[:16], pool.scenes[0].features.reshape(16, 4))
+    assert np.array_equal(x[16:], pool.scenes[1].features.reshape(16, 4))
     # Step 1 takes scenes 2 and 0: a copy, in that order.
     x, labels = pool.step_inputs(1, 2)
     assert not np.shares_memory(x, pool.features)
-    assert np.array_equal(x[:4], pool.scenes[2].features)
-    assert np.array_equal(x[4:], pool.scenes[0].features)
+    assert np.array_equal(x[:16], pool.scenes[2].features.reshape(16, 4))
+    assert np.array_equal(x[16:], pool.scenes[0].features.reshape(16, 4))
     assert np.array_equal(labels.category[16:], pool.labels.category[:16])
     for i, scene in enumerate(pool.scenes):
         assert np.shares_memory(scene.features, pool.features[i])
@@ -609,7 +599,7 @@ def test_run_partial_matches_explicitly_concatenated_steps(pool_size):
     ref_records = []
     for step in range(5):
         picks = [(2 * step + j) % pool_size for j in range(2)]
-        x = np.concatenate([pool.scenes[i].features for i in picks])
+        x = np.concatenate([pool.scenes[i].features for i in picks]).reshape(-1, 4)
         n = len(pool.labels) // pool_size
         labels = LabelArrays(*(
             np.concatenate([col[i * n : (i + 1) * n] for i in picks])
@@ -642,7 +632,7 @@ def test_gated_step_runs_the_gate_once_each_way(monkeypatch):
     assert calls == {"gate_forward": 1, "gate_backward": 1}
 
 
-def test_metrics_log_csv_and_tail():
+def test_metrics_csv_and_tail_mean_hard_ratio():
     log = tuple(
         MetricsRecord(
             step=i, cls_loss=0.5, probanet_loss=0.25, variance=0.01,
@@ -668,7 +658,7 @@ def test_metrics_log_csv_and_tail():
     assert tail_mean_hard_ratio(()) == 0.0
 
 
-def test_metrics_log_rejects_non_finite():
+def test_metrics_record_rejects_non_finite():
     with pytest.raises(NumericError):
         MetricsRecord(
             step=0, cls_loss=float("nan"), probanet_loss=0.0, variance=0.01,
@@ -902,6 +892,14 @@ def test_experiment_report_arithmetic():
     assert report.uplifts() == pytest.approx([0.3, -0.1])
     assert report.mean_uplift() == pytest.approx(0.1)
     assert report.uplift_wins() == 1
+
+
+def test_one_variant_report_says_why_it_has_no_uplift():
+    report = run_experiment((tiny_config(epochs=0),), 1, TINY_SIM)
+    stats = (report.uplifts, report.mean_uplift, report.uplift_wins)
+    for stat in (*stats, lambda: summary_csv(report)):
+        with pytest.raises(DomainError, match="two variants; this report has 1$"):
+            stat()
 
 
 @pytest.mark.parametrize("text", ["²", "0", " 1", "abc"])
