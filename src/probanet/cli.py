@@ -159,8 +159,11 @@ def _load_configs(path: str | None) -> tuple[TrainConfig, SimConfig, dict]:
     """The file's configs, else the defaults, and the entries it sets."""
     if path is None:
         return TrainConfig(), SimConfig(), {}
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:  # utf-8-sig: a leading byte-order mark is not part of the first key
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     return (*parse_config(text), parse_entries(text))
 
 
@@ -206,9 +209,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    config_path = os.path.join(args.run, "resolved-config.txt")
-    with open(config_path, "r", encoding="utf-8") as fh:
-        train_cfg, sim_cfg = parse_config(fh.read())
+    train_cfg, sim_cfg, _ = _load_configs(os.path.join(args.run, "resolved-config.txt"))
     if not 0 <= args.channel < sim_cfg.anchors_per_cell:
         raise ConfigError(
             f"channel must lie in [0, {sim_cfg.anchors_per_cell}), "

@@ -344,6 +344,9 @@ def run_suite(
         if len(shape) != 3 or any(d < 1 for d in shape):
             raise DomainError(f"bad shape {shape}")
     names = list(CHECKS if ops is None else ops)
+    for argument, given in (("shapes", shapes), ("ops", names)):
+        if len(given) == 0:
+            raise DomainError(f"{argument} is empty, so the suite would check nothing")
     for name in names:
         if name not in CHECKS:
             raise DomainError(f"unknown op {name!r}")

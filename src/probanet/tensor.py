@@ -1,9 +1,12 @@
-"""Dense rank-3 tensor ops with hand-written backward passes.
+"""Activations, the 1x1 conv and hadamard ops, and their hand-written
+backward passes; a finite-difference oracle; the feature-map text dump.
 
-A feature map is a C-contiguous float64 ndarray of shape (height, width,
-channels); ``ravel()`` gives the canonical row-major (h, w, c) element
-order used by the text dump format and by every flattened view in the
-package.  All ops are pure: inputs are never written to.
+The activations act elementwise, in the gate on (N, C) feature rows.  A
+feature map, as the conv, hadamard and dump take it, is a C-contiguous
+float64 (height, width, channels) ndarray whose ``ravel()`` gives the
+row-major (h, w, c) order of the dump format and of every flattened view
+in the package.  No op writes into its inputs; finite_diff_gradient
+writes into x while it differences, restoring each element it moved.
 
 Gradients are explicit per-op vector-Jacobian products rather than a
 general tape; the network that uses them is small and fixed, and the

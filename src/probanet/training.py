@@ -320,12 +320,13 @@ def loss_and_grads(
 
     x holds the (N, C) feature rows of the step's scenes, one per cell,
     and labels covers their anchors in row order, K per row.  Forward:
-    the gate network over the rows (when enabled), truncation,
-    fixed-ratio sampling over the surviving anchors, the head at the
-    sampled anchors, scalar-affine logits, mean BCE.  The auxiliary
-    variance loss feeds its gradient into the gate weights; its
-    coefficient is recomputed from the current classification loss and
-    treated as a constant.
+    the gate network over the rows (when enabled) with every statistic
+    of its weights t2, fixed-ratio sampling over the surviving anchors,
+    the head at the sampled anchors weighted by their t2 (1.0 without
+    the gate), scalar-affine logits, mean BCE, and the auxiliary
+    variance loss, whose coefficient is recomputed from the
+    classification loss and treated as a constant.  Backward: the head,
+    then the gate, which the variance loss's gradient also reaches.
 
     Returns the step's metrics, the gradient of every trainable
     parameter by name, the mini-batch (indices into labels) and its
@@ -340,14 +341,17 @@ def loss_and_grads(
             f"does not match {len(labels)} labels and {c} channels"
         )
 
-    mask = None
-    kept_fraction = 1.0
+    mask, t2_sel, kept_fraction = None, 1.0, 1.0  # x * 1.0 is x, bit for bit
+    aux_loss, beta, variance, grad_v_coeff = 0.0, 0.0, 0.0, 0.0
+    fg_gate_mean, bg_gate_mean = 1.0, 1.0
     if gate is not None:
         t1, t2 = gate_forward(x, gate)
         t2_flat = t2.ravel()
         # Truncation keeps the entries weighted strictly above the threshold.
         mask = t2_flat > config.th
         kept_fraction = np.count_nonzero(mask) / mask.size
+        variance, grad_v = variance_constraint(t2_flat, config.epsilon)
+        fg_gate_mean, bg_gate_mean = _class_means(t2_flat, labels.is_fg, labels.is_bg)
     rng = SplitMix64(derive_seed(_sampler_root(config.seed), step))
     try:
         batch = sample_minibatch(labels, mask, rng)
@@ -365,24 +369,13 @@ def loss_and_grads(
     a_sel = (rows @ params["head_weight"].T)[picked, anchor]
     if gate is not None:
         t2_sel = t2_flat[batch.indices]
-        values = a_sel * t2_sel
-    else:
-        values = a_sel
+    values = a_sel * t2_sel
     logits = params["scale"] * values + params["shift"]
     targets = np.zeros(batch.size)
     targets[: batch.fg_count] = 1.0  # the batch holds its foreground first
     cls_loss = binary_cross_entropy(logits, targets)
-
-    # Auxiliary loss bookkeeping (the gradient enters through grad_t2).
-    aux_loss, beta, variance, grad_v_coeff = 0.0, 0.0, 0.0, 0.0
-    fg_gate_mean, bg_gate_mean = 1.0, 1.0
-    if gate is not None:
-        variance, grad_v = variance_constraint(t2_flat, config.epsilon)
-        if config.alpha > 0.0:
-            aux_loss, beta, grad_v_coeff = probanet_loss(
-                variance, cls_loss, config.alpha
-            )
-        fg_gate_mean, bg_gate_mean = _class_means(t2_flat, labels.is_fg, labels.is_bg)
+    if gate is not None and config.alpha > 0.0:
+        aux_loss, beta, grad_v_coeff = probanet_loss(variance, cls_loss, config.alpha)
     try:
         record = MetricsRecord(
             step=step,
@@ -403,7 +396,7 @@ def loss_and_grads(
     # Backward.
     grad_values, grads = head_backward(values, logits, targets, params["scale"])
     grad_a = np.zeros((batch.size, k))
-    grad_a[picked, anchor] = grad_values * t2_sel if gate is not None else grad_values
+    grad_a[picked, anchor] = grad_values * t2_sel
     grads["head_weight"] = grad_a.T @ rows
     if gate is not None:
         # Every sampled anchor was kept, so its weighted value a * t2

@@ -312,6 +312,27 @@ def test_train_missing_config_file(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_train_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"th = 0.3  # caf\xe9, Latin-1\n")
+    code = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert f"{bad} is not UTF-8" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "r")
+
+
+def test_train_reads_a_config_behind_a_byte_order_mark(
+    tmp_path, tiny_config_path, capsys
+):
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(tiny_config_path).read_bytes())
+    argv = ["train", "--probanet", "--seeds", "1", "--config"]
+    for config, out in ((tiny_config_path, "plain"), (str(marked), "marked")):
+        assert main(argv + [config, "--out", str(tmp_path / out)]) == 0
+    assert _tree_bytes(tmp_path / "marked") == _tree_bytes(tmp_path / "plain")
+    capsys.readouterr()
+
+
 def test_heatmap_renders_for_existing_run(tmp_path, tiny_config_path, capsys):
     out_dir = str(tmp_path / "runs")
     assert (
@@ -425,6 +446,22 @@ def test_heatmap_missing_run_dir(tmp_path, capsys):
     )
     assert code == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_heatmap_rejects_a_resolved_config_that_is_not_utf8(
+    tmp_path, tiny_config_path, capsys
+):
+    argv = ["train", "--probanet", "--seeds", "1", "--config", tiny_config_path]
+    assert main(argv + ["--out", str(tmp_path / "runs")]) == 0
+    run_dir = tmp_path / "runs" / "probanet_seed3"
+    resolved = run_dir / "resolved-config.txt"
+    resolved.write_bytes(b"# r\xe9solu\n" + resolved.read_bytes())
+    before = _tree_bytes(run_dir)
+    capsys.readouterr()
+    code = main(["heatmap", "--run", str(run_dir), "--channel", "0", "--step", "1"])
+    assert code == 2
+    assert f"{resolved} is not UTF-8" in capsys.readouterr().err
+    assert _tree_bytes(run_dir) == before
 
 
 def test_train_rejects_non_finite_config_value(tmp_path, capsys):

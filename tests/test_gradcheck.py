@@ -62,6 +62,9 @@ def test_suite_validation():
         run_suite(shapes=((2, 0, 3),))
     with pytest.raises(DomainError):
         run_suite(ops=["warp"])
+    for empty in ("ops", "shapes"):
+        with pytest.raises(DomainError, match=f"^{empty} is empty"):
+            run_suite(**{empty: ()})
 
 
 @pytest.mark.parametrize(
