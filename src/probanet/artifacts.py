@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import format_config
 from .errors import DomainError
-from .gate import gate_forward
 from .netpbm import write_pgm, write_ppm
 from .sim import Scene, SimConfig, anchor_boxes, boxes_csv
 from .tensor import dump_feature_map
@@ -29,8 +28,14 @@ from .training import (
     RunResult,
     TrainConfig,
     TrainState,
+    gate_weights,
     variant_name,
 )
+
+# File names read or written outside this module: a run directory's
+# config, and the experiment's summary beside the run directories.
+RESOLVED_CONFIG = "resolved-config.txt"
+SUMMARY_CSV = "summary.csv"
 
 # metrics.csv's columns: the fields of MetricsRecord, in order.
 METRICS_HEADER = ",".join(_METRIC_NAMES)
@@ -128,16 +133,10 @@ def _outline(img: np.ndarray, boxes: np.ndarray, color) -> None:
         img[y0 : y1 + 1, x1] = color
 
 
-def gate_weights_for(
-    state: TrainState, scene: Scene, sim_config: SimConfig
-) -> np.ndarray:
-    """Final gate weights for one scene as an (H, W, K) grid, untruncated;
-    all ones without a gate."""
-    grid = scene.features.shape[:2] + (sim_config.anchors_per_cell,)
-    if state.gate is None:
-        return np.ones(grid)
+def gate_weights_for(state: TrainState, scene: Scene) -> np.ndarray:
+    """training.gate_weights of one scene's cells as an (H, W, K) grid."""
     rows = scene.features.reshape(-1, scene.features.shape[2])
-    return gate_forward(rows, state.gate)[1].reshape(grid)
+    return gate_weights(state, rows).reshape(scene.features.shape[:2] + (-1,))
 
 
 def heatmap_files(
@@ -153,16 +152,14 @@ def heatmap_files(
     k = sim_config.anchors_per_cell
     if not 0 <= channel < k:
         raise DomainError(f"channel must lie in [0, {k}), got {channel}")
-    weights = gate_weights_for(state, scene, sim_config)
-    pgm = render_gate_pgm(
-        weights[:, :, channel], channel, step, scale=scale, raw=raw
-    )
-    ppm = render_overlay_ppm(
-        scene, anchor_boxes(sim_config), weights, step, scale=scale, raw=raw
-    )
+    weights = gate_weights_for(state, scene)
     return {
-        f"gate_step{step}_ch{channel}.pgm": pgm,
-        f"overlay_step{step}_ch{channel}.ppm": ppm,
+        f"gate_step{step}_ch{channel}.pgm": render_gate_pgm(
+            weights[:, :, channel], channel, step, scale=scale, raw=raw
+        ),
+        f"overlay_step{step}_ch{channel}.ppm": render_overlay_ppm(
+            scene, anchor_boxes(sim_config), weights, step, scale=scale, raw=raw
+        ),
     }
 
 
@@ -199,28 +196,31 @@ def write_seed_dirs(
     shared = sorted({name for name in names if names.count(name) > 1})
     if shared:
         raise DomainError(f"results share a run directory: {', '.join(shared)}")
-    run_dirs = []
-    for result, name in zip(results, names):
-        run_dir = os.path.join(out_dir, name)
+    run_dirs = [os.path.join(out_dir, name) for name in names]
+    for result, run_dir in zip(results, run_dirs):
         os.makedirs(run_dir, exist_ok=True)
-        _write_text(os.path.join(run_dir, "metrics.csv"), metrics_csv(result.metrics))
-        _write_text(
-            os.path.join(run_dir, "resolved-config.txt"),
-            format_config(result.config, sim_config),
-        )
-        _write_bytes(os.path.join(run_dir, "scene0_features.txt"), export.features)
-        _write_text(os.path.join(run_dir, "scene0_boxes.csv"), export.boxes)
-        files = heatmap_files(
-            result.final_state,
-            export.scene,
-            sim_config,
-            channel=0,
-            step=result.config.total_steps,
-        )
-        for name, payload in files.items():
-            _write_bytes(os.path.join(run_dir, name), payload)
-        run_dirs.append(run_dir)
+        files = {
+            "metrics.csv": metrics_csv(result.metrics),
+            RESOLVED_CONFIG: format_config(result.config, sim_config),
+            "scene0_features.txt": export.features,
+            "scene0_boxes.csv": export.boxes,
+            **heatmap_files(
+                result.final_state, export.scene, sim_config, channel=0,
+                step=result.config.total_steps,
+            ),
+        }
+        write_files(run_dir, files)
     return run_dirs
+
+
+def write_files(directory: str, files: dict[str, str | bytes]) -> list[str]:
+    """Write each payload to directory/name, in order, text encoded in
+    ASCII; the paths written."""
+    paths = [os.path.join(directory, name) for name in files]
+    for path, payload in zip(paths, files.values()):
+        with open(path, "wb") as fh:
+            fh.write(payload.encode("ascii") if isinstance(payload, str) else payload)
+    return paths
 
 
 def metrics_csv(metrics: tuple[MetricsRecord, ...]) -> str:
@@ -247,13 +247,3 @@ def _csv_table(header: str, rows) -> str:
     read back exactly, and a trailing newline."""
     lines = [header, *(",".join(map(repr, row)) for row in rows)]
     return "\n".join(lines) + "\n"
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_bytes(path: str, payload: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(payload)

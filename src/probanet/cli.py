@@ -17,10 +17,13 @@ import sys
 from dataclasses import replace
 
 from .artifacts import (
+    RESOLVED_CONFIG,
+    SUMMARY_CSV,
     export_scene,
     heatmap_files,
     summary_csv,
     variant_name,
+    write_files,
     write_seed_dirs,
 )
 from .config import parse_config, parse_entries
@@ -162,9 +165,11 @@ def _load_configs(path: str | None) -> tuple[TrainConfig, SimConfig, dict]:
     try:  # utf-8-sig: a leading byte-order mark is not part of the first key
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
+        return (*parse_config(text), parse_entries(text))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
-    return (*parse_config(text), parse_entries(text))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}", field=exc.field) from exc
 
 
 def cmd_train(args) -> int:
@@ -174,7 +179,9 @@ def cmd_train(args) -> int:
         lineno, enabled = entries["probanet_enabled"]
         if len(gated) == 1 and gated != (enabled,):
             flag = "--probanet" if args.probanet else "--baseline"
-            raise ConfigError(f"line {lineno}: probanet_enabled contradicts {flag}")
+            raise ConfigError(
+                f"{args.config}: line {lineno}: probanet_enabled contradicts {flag}"
+            )
         gated = (enabled,)
     configs = tuple(replace(train_cfg, probanet_enabled=g) for g in gated)
 
@@ -198,9 +205,7 @@ def cmd_train(args) -> int:
     report = run_experiment(configs, args.seeds, sim_cfg, write_seed, export_scene)
     if len(configs) == 1:
         return 0
-    summary_path = os.path.join(args.out, "summary.csv")
-    with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(summary_csv(report))
+    [summary_path] = write_files(args.out, {SUMMARY_CSV: summary_csv(report)})
     print(
         f"mean uplift {report.mean_uplift():+.4f} over {len(report.runs)} seeds "
         f"({report.uplift_wins()} wins) -> {summary_path}"
@@ -209,7 +214,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    train_cfg, sim_cfg, _ = _load_configs(os.path.join(args.run, "resolved-config.txt"))
+    train_cfg, sim_cfg, _ = _load_configs(os.path.join(args.run, RESOLVED_CONFIG))
     if not 0 <= args.channel < sim_cfg.anchors_per_cell:
         raise ConfigError(
             f"channel must lie in [0, {sim_cfg.anchors_per_cell}), "
@@ -218,18 +223,10 @@ def cmd_heatmap(args) -> int:
     # Scene 0, as train renders it, so the final step reproduces its files.
     state, pool, _ = run_partial(train_cfg, sim_cfg, args.step)
     files = heatmap_files(
-        state,
-        pool.scenes[0],
-        sim_cfg,
-        channel=args.channel,
-        step=args.step,
-        scale=args.scale,
-        raw=not args.plain,
+        state, pool.scenes[0], sim_cfg, channel=args.channel, step=args.step,
+        scale=args.scale, raw=not args.plain,
     )
-    for name, payload in files.items():
-        path = os.path.join(args.run, name)
-        with open(path, "wb") as fh:
-            fh.write(payload)
+    for path in write_files(args.run, files):
         print(path)
     return 0
 

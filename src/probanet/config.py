@@ -86,8 +86,6 @@ def parse_config(text: str) -> tuple[TrainConfig, SimConfig]:
                 f"line {entries[exc.field][0]}: bad value for {exc}", field=exc.field
             ) from exc
         raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def format_config(train: TrainConfig, sim: SimConfig) -> str:

@@ -333,8 +333,8 @@ def run_suite(
     runs the first chunk, forked children the others.  The results, and
     the first failing check's error, naming its op, seed and shape, are
     as with one process."""
-    if h <= 0:
-        raise DomainError(f"step must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise DomainError(f"step must be finite and positive, got {h}")
     if n_seeds < 1:
         raise DomainError(f"n_seeds must be >= 1, got {n_seeds}")
     if not 0 <= seed <= _SEED_END - n_seeds:  # derive_seed reads seeds mod 2**64

@@ -6,7 +6,9 @@ feature map, as the conv, hadamard and dump take it, is a C-contiguous
 float64 (height, width, channels) ndarray whose ``ravel()`` gives the
 row-major (h, w, c) order of the dump format and of every flattened view
 in the package.  No op writes into its inputs; finite_diff_gradient
-writes into x while it differences, restoring each element it moved.
+perturbs its x in place, so it takes only a writable C-contiguous
+float64 ndarray, and restores each element it moved, even when the
+differenced function raises.
 
 Gradients are explicit per-op vector-Jacobian products rather than a
 general tape; the network that uses them is small and fixed, and the
@@ -136,20 +138,24 @@ def _mean(x: np.ndarray) -> np.float64:
 def finite_diff_gradient(
     f: Callable[[FeatureMap], float], x: FeatureMap, h: float = 1e-5
 ) -> FeatureMap:
-    """Central-difference gradient estimate of a scalar function, per element."""
-    if h <= 0:
-        raise DomainError(f"finite-difference step must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
+    """Central-difference gradient estimate of a scalar function, per
+    element.  x, a writable C-contiguous float64 ndarray, is perturbed in
+    place, so f may read it through a closure, and restored if f raises."""
+    if not 0 < h < np.inf:
+        raise DomainError(f"difference step must be finite and positive, got {h}")
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.carray):
+        raise DimensionError("x must be a writable C-contiguous float64 ndarray")
     grad = np.zeros_like(x)
-    flat_x = x.ravel()
-    flat_g = grad.ravel()
+    flat_x, flat_g = x.reshape(-1), grad.reshape(-1)
     for k in range(flat_x.size):
         orig = flat_x[k]
-        flat_x[k] = orig + h
-        f_plus = float(f(x))
-        flat_x[k] = orig - h
-        f_minus = float(f(x))
-        flat_x[k] = orig
+        try:
+            flat_x[k] = orig + h
+            f_plus = float(f(x))
+            flat_x[k] = orig - h
+            f_minus = float(f(x))
+        finally:
+            flat_x[k] = orig
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise NumericError(
                 f"non-finite function value while differencing element {k}"

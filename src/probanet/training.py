@@ -54,8 +54,6 @@ from .gate import (
 )
 from .rng import SplitMix64, derive_seed
 from .sim import (
-    BG,
-    FG,
     LabelArrays,
     MiniBatch,
     Scene,
@@ -498,6 +496,14 @@ def run_training(
     return _finalize_run(config, state, pool, metrics)
 
 
+def gate_weights(state: TrainState, rows: np.ndarray) -> np.ndarray:
+    """The gate's (N, C') weights of the (N, C) feature rows, untruncated;
+    all ones without a gate."""
+    if state.gate is None:
+        return np.ones((len(rows), state.params["head_weight"].shape[0]))
+    return gate_forward(rows, state.gate)[1]
+
+
 def _finalize_run(
     config: TrainConfig,
     state: TrainState,
@@ -507,16 +513,12 @@ def _finalize_run(
     # Evaluation truncates nothing: every anchor of the pool gets a logit.
     x = pool.features.reshape(-1, pool.features.shape[-1])
     a = (x @ state.params["head_weight"].T).ravel()
-    gate = state.gate
-    t2_flat = np.ones(a.size) if gate is None else gate_forward(x, gate)[1].ravel()
+    t2_flat = gate_weights(state, x).ravel()
     z = state.params["scale"] * (a * t2_flat) + state.params["shift"]  # a * 1.0 is a
-    # Masks of its own: cached on pool.labels, they would outlive the run.
-    is_fg, is_bg = pool.labels.category == FG, pool.labels.category == BG
+    is_fg, is_bg = pool.labels.is_fg, pool.labels.is_bg
     fg_gate_mean, bg_gate_mean = _class_means(t2_flat, is_fg, is_bg)
-    fg_z, bg_z = z[is_fg], z[is_bg]
-    logit_gap = (
-        float(fg_z.mean() - bg_z.mean()) if fg_z.size and bg_z.size else 0.0
-    )
+    fg_logit_mean, bg_logit_mean = _class_means(z, is_fg, is_bg)
+    logit_gap = fg_logit_mean - bg_logit_mean if is_fg.any() and is_bg.any() else 0.0
     return RunResult(
         config=config,
         metrics=metrics,

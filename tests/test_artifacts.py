@@ -156,7 +156,7 @@ def test_gate_weights_for_baseline_is_all_ones():
     config = replace(CONFIG, probanet_enabled=False)
     state = init_state(config, SIM)
     pool = build_scene_pool(config, SIM)
-    weights = gate_weights_for(state, pool.scenes[0], SIM)
+    weights = gate_weights_for(state, pool.scenes[0])
     assert weights.shape == (4, 4, 1)
     assert np.all(weights == 1.0)
 

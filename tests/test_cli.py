@@ -12,7 +12,8 @@ from reference import read_pgm, read_ppm
 from spies import read_calls, record_calls, use_workers
 
 import probanet
-from probanet.cli import main
+from probanet import ConfigError
+from probanet.cli import _load_configs, main
 
 TINY_CONFIG = """\
 learning_rate = 0.001
@@ -301,6 +302,30 @@ def test_train_bad_config_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message, field",
+    [
+        ("made_up_knob = 7\n", "line 1: unknown key made_up_knob", None),
+        (
+            "seed = 1\nmomentum = 1\n",
+            "line 2: bad value for momentum: must lie in",
+            "momentum",
+        ),
+    ],
+    ids=["key", "value"],
+)
+def test_train_config_errors_name_the_file(tmp_path, capsys, text, message, field):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text, encoding="ascii")
+    code = main(["train", "--config", str(bad), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    assert not (tmp_path / "r").exists()
+    with pytest.raises(ConfigError) as exc:
+        _load_configs(str(bad))
+    assert exc.value.field == field
+
+
 def test_train_missing_config_file(tmp_path, capsys):
     code = main(
         [
@@ -366,9 +391,11 @@ def test_heatmap_renders_for_existing_run(tmp_path, tiny_config_path, capsys):
     assert overlay.shape == (16, 16, 3)
 
 
-def test_heatmap_at_the_final_step_reproduces_train_images(tmp_path, capsys):
+@pytest.mark.parametrize("variant", ["baseline", "probanet"])
+def test_heatmap_at_the_final_step_reproduces_train_images(tmp_path, capsys, variant):
     # One scene per batch over an odd number of steps on a two-scene pool,
     # so the last step's scene is not scene 0, the scene train renders.
+    # The baseline's images are of its unit weights.
     config = tmp_path / "odd.cfg"
     config.write_text(
         TINY_CONFIG.replace("scenes_per_batch = 2", "scenes_per_batch = 1"),
@@ -376,8 +403,8 @@ def test_heatmap_at_the_final_step_reproduces_train_images(tmp_path, capsys):
     )
     out_dir = str(tmp_path / "runs")
     argv = ["train", "--config", str(config), "--out", out_dir, "--seeds", "1"]
-    assert main(argv + ["--probanet"]) == 0
-    run_dir = os.path.join(out_dir, "probanet_seed3")
+    assert main(argv + [f"--{variant}"]) == 0
+    run_dir = os.path.join(out_dir, f"{variant}_seed3")
     names = ("gate_step3_ch0.pgm", "overlay_step3_ch0.ppm")
     trained = {}
     for name in names:
@@ -461,6 +488,24 @@ def test_heatmap_rejects_a_resolved_config_that_is_not_utf8(
     code = main(["heatmap", "--run", str(run_dir), "--channel", "0", "--step", "1"])
     assert code == 2
     assert f"{resolved} is not UTF-8" in capsys.readouterr().err
+    assert _tree_bytes(run_dir) == before
+
+
+def test_heatmap_names_the_resolved_config_it_cannot_parse(
+    tmp_path, tiny_config_path, capsys
+):
+    argv = ["train", "--probanet", "--seeds", "1", "--config", tiny_config_path]
+    assert main(argv + ["--out", str(tmp_path / "runs")]) == 0
+    run_dir = tmp_path / "runs" / "probanet_seed3"
+    resolved = run_dir / "resolved-config.txt"
+    resolved.write_bytes(b"variance_target = 1\n" + resolved.read_bytes())
+    before = _tree_bytes(run_dir)
+    capsys.readouterr()
+    code = main(["heatmap", "--run", str(run_dir), "--channel", "0", "--step", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {resolved}: line 1: unknown key variance_target\n"
+    )
     assert _tree_bytes(run_dir) == before
 
 

@@ -117,7 +117,7 @@ def test_truncate_train_strict_and_test_keeps_all():
     below = replace(config, th=float(np.nextafter(0.5, 0.0)))
     assert loss_and_grads(state, x, labels, below)[0].kept_fraction == 1.0
     # Evaluation truncates nothing.
-    assert np.all(gate_weights_for(state, pool.scenes[0], sim) == 0.5)
+    assert np.all(gate_weights_for(state, pool.scenes[0]) == 0.5)
 
 
 def test_gate_test_mode_keeps_everything():
@@ -125,13 +125,9 @@ def test_gate_test_mode_keeps_everything():
     x = random_rows(6, (9, 4))
     t2 = gate_forward(x, params)[1]
     assert not (t2 > th).any()
-    sim = SimConfig(
-        height=3, width=3, channels=4, anchor_shapes=((3, 3), (2, 2)),
-        object_max_size=3,
-    )
     state = TrainState(params={"head_weight": np.zeros((2, 4)), **params}, velocity={})
     scene = Scene(objects=(), features=x.reshape(3, 3, 4), seed=0)
-    assert np.array_equal(gate_weights_for(state, scene, sim), t2.reshape(3, 3, 2))
+    assert np.array_equal(gate_weights_for(state, scene), t2.reshape(3, 3, 2))
 
 
 def _truncated_map_grad_t2(params, th, x, a, g):

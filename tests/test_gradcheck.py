@@ -1,5 +1,6 @@
 """Tests for the finite-difference gradient audit."""
 
+import math
 import os
 import runpy
 from pathlib import Path
@@ -52,8 +53,9 @@ def test_coarse_step_is_reported_honestly():
 
 
 def test_suite_validation():
-    with pytest.raises(DomainError):
-        run_suite(h=0.0)
+    for h in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="step must be finite and positive"):
+            run_suite(h=h, ops=["sigmoid"], n_seeds=1, shapes=((2, 2, 2),))
     with pytest.raises(DomainError):
         run_suite(n_seeds=0)
     with pytest.raises(DomainError):

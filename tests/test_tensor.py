@@ -190,14 +190,58 @@ def test_finite_diff_gradient_validation():
     x = np.ones((2, 2))
     g = finite_diff_gradient(f, x)
     assert np.allclose(g, 2.0 * x, atol=1e-6)
-    with pytest.raises(DomainError):
-        finite_diff_gradient(f, x, h=0.0)
+    for h in (0.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError):
+            finite_diff_gradient(f, x, h=h)
 
     def bad(v):
         return float("nan")
 
     with pytest.raises(NumericError):
         finite_diff_gradient(bad, x)
+
+
+def _read_only_copy(x):
+    x = x.copy()
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.arange(12.0).reshape(3, 4)[:, ::2],
+        lambda: np.arange(12.0).reshape(3, 4).T,
+        lambda: np.arange(6).reshape(2, 3),
+        lambda: np.arange(6, dtype=np.float32).reshape(2, 3),
+        lambda: _read_only_copy(np.arange(6.0)),
+        lambda: [[0.0, 1.0], [2.0, 3.0]],
+    ],
+    ids=["strided", "transposed", "int", "float32", "read-only", "list"],
+)
+def test_finite_diff_gradient_refuses_what_it_cannot_perturb_in_place(make):
+    # A copy would be differenced in place of x, so a functional that
+    # reads x through its closure, as the audit's do, would see it fixed;
+    # a read-only x cannot be perturbed at all.
+    x = make()
+    with pytest.raises(DimensionError, match="C-contiguous float64"):
+        finite_diff_gradient(lambda _: float(np.sum(np.square(x))), x)
+
+
+def test_finite_diff_gradient_restores_x_when_f_raises():
+    x = np.arange(4.0)
+    calls = []
+
+    def f(v):
+        calls.append(v.copy())
+        if len(calls) == 4:  # the second element's minus side
+            raise RuntimeError("boom")
+        return float(np.sum(v))
+
+    with pytest.raises(RuntimeError, match="boom"):
+        finite_diff_gradient(f, x)
+    assert np.array_equal(x, np.arange(4.0))
+    assert calls[3][1] == 1.0 - 1e-5
 
 
 def test_dump_and_load_roundtrip_is_exact(tmp_path):

@@ -15,7 +15,9 @@ end_to_end checks alone at seeds 7-16; `train` on the two training
 workloads of bench/workloads.py, `paired-default` at seed 77 (forked with
 one BLAS thread per process, then in-process with no BLAS variable set)
 and `paired-wide` at seed 4099; and `heatmap` at the final step of the
-forked `paired-default` run's gated variant.
+forked `paired-default` run's gated variant, `heatmap --plain` at step
+1000 of its gated variant and `heatmap` at the final step of its
+baseline, these two on a one-seed run.
 It runs one command at a time, under a minute on two cores.
 """
 
@@ -58,6 +60,21 @@ CASES = {
              "--step", "2000"],
         ],
     ),
+    **{
+        f"train paired-default seed 77, forked, then {name}": (
+            DEFAULT_CONFIG + "seed = 77\n",
+            FORKED,
+            [
+                TRAIN + ["--seeds", "1"],
+                ["heatmap", "--run", f"out/{variant}_seed77", "--channel", "0",
+                 "--step", step, *plain],
+            ],
+        )
+        for name, variant, step, plain in (
+            ("heatmap --plain at step 1000", "probanet", "1000", ["--plain"]),
+            ("baseline heatmap", "baseline", "2000", []),
+        )
+    },
     "train paired-default seed 77, in-process": (
         DEFAULT_CONFIG + "seed = 77\n", IN_PROCESS, [TRAIN + ["--seeds", "2"]]
     ),
@@ -105,7 +122,8 @@ def main(argv=None) -> int:
             outputs = [run_case(src, work, *case) for src, work in
                        ((other, theirs), (this, ours))]
             diff = subprocess.run(
-                ["diff", "-r", str(theirs), str(ours)], capture_output=True, text=True
+                ["diff", "-r", str(theirs), str(ours)],
+                capture_output=True, text=True, errors="replace",  # binary images
             )
             faults = []
             if outputs[0] != outputs[1]:
