@@ -26,7 +26,7 @@ from .artifacts import (
     write_files,
     write_seed_dirs,
 )
-from .config import parse_config, parse_entries
+from .config import build_configs, parse_entries
 from .errors import ConfigError, DomainError, ProbanetError
 from .gate import mac_count, param_count, param_megabytes
 from .gradcheck import CHECKS, DEFAULT_SHAPES, REL_TOL, run_suite
@@ -165,7 +165,8 @@ def _load_configs(path: str | None) -> tuple[TrainConfig, SimConfig, dict]:
     try:  # utf-8-sig: a leading byte-order mark is not part of the first key
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-        return (*parse_config(text), parse_entries(text))
+        entries = parse_entries(text)
+        return (*build_configs(entries), entries)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     except ConfigError as exc:

@@ -75,7 +75,12 @@ def parse_entries(text: str) -> dict[str, tuple[int, object]]:
 
 def parse_config(text: str) -> tuple[TrainConfig, SimConfig]:
     """Parse the flat key = value format into the two config objects."""
-    entries = parse_entries(text)
+    return build_configs(parse_entries(text))
+
+
+def build_configs(entries: dict) -> tuple[TrainConfig, SimConfig]:
+    """The two config objects that parse_entries' result sets; a rejected
+    value set by the text is named with its line."""
     train_kv = {k: v for k, (_, v) in entries.items() if k in _TRAIN_FIELDS}
     sim_kv = {k: v for k, (_, v) in entries.items() if k in _SIM_FIELDS}
     try:

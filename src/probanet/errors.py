@@ -25,7 +25,8 @@ class ConfigError(ProbanetError, ValueError):
     """A configuration file or value could not be validated.
 
     field names the config field at fault, when the error is about one
-    field's value alone.
+    field: a value outside its own range, or, for a rule between two
+    fields, the field the rule bounds (the message names the other).
     """
 
     def __init__(self, message: str, field: str | None = None):

@@ -14,7 +14,6 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionError,
     DomainError,
     EmptyPoolError,
@@ -61,39 +60,30 @@ class SimConfig:
     def __post_init__(self):
         require_field_kinds(self)
         check = partial(require_field, self)
+
+        def at_least(name: str, other: str) -> None:
+            low = getattr(self, other)
+            check(name, getattr(self, name) >= low, f"be >= {other} = {low}")
+
         for name in ("height", "width", "channels"):
             check(name, getattr(self, name) >= 1, "be >= 1")
         shapes = self.anchor_shapes
         check("anchor_shapes", bool(shapes), "hold at least one shape")
         check("anchor_shapes", min(map(min, shapes)) >= 1, "hold positive sizes")
-        if not 0 <= self.n_objects_min <= self.n_objects_max:
-            raise ConfigError(
-                f"bad object count range [{self.n_objects_min}, "
-                f"{self.n_objects_max}]"
-            )
-        if not 1 <= self.object_min_size <= self.object_max_size:
-            raise ConfigError(
-                f"bad object size range [{self.object_min_size}, "
-                f"{self.object_max_size}]"
-            )
-        if self.object_max_size > min(self.height, self.width):
-            raise ConfigError(
-                f"objects up to {self.object_max_size} cells do not fit a "
-                f"{self.height}x{self.width} grid"
-            )
+        check("n_objects_min", self.n_objects_min >= 0, "be >= 0")
+        at_least("n_objects_max", "n_objects_min")
+        check("object_min_size", self.object_min_size >= 1, "be >= 1")
+        at_least("object_max_size", "object_min_size")
+        size_max, side = self.object_max_size, min(self.height, self.width)
+        check("object_max_size", size_max <= side, f"be <= min(height, width) = {side}")
         for name in ("noise_level", "bump_amplitude", "core_amplitude"):
             check(name, getattr(self, name) >= 0, "be >= 0")
-        if not self.gain_min <= self.gain_max:
-            raise ConfigError(f"bad gain range [{self.gain_min}, {self.gain_max}]")
-        check("bg_iou", self.bg_iou > 0, "be > 0")  # background is an overlap below it
-        if not self.bg_iou <= self.fg_iou <= 1:
-            raise ConfigError(
-                f"need bg_iou <= fg_iou <= 1, got {self.bg_iou}, {self.fg_iou}"
-            )
-        if not 0 <= self.hard_bg_lo <= self.bg_iou:
-            raise ConfigError(f"bad hard background band floor {self.hard_bg_lo}")
-        if not self.fg_iou <= self.hard_fg_hi <= 1:
-            raise ConfigError(f"bad hard foreground band ceiling {self.hard_fg_hi}")
+        at_least("gain_max", "gain_min")
+        bg, fg = self.bg_iou, self.fg_iou
+        check("bg_iou", bg > 0, "be > 0")  # background is an overlap below it
+        check("fg_iou", bg <= fg <= 1, f"lie in [bg_iou = {bg}, 1]")
+        check("hard_bg_lo", 0 <= self.hard_bg_lo <= bg, f"lie in [0, bg_iou = {bg}]")
+        check("hard_fg_hi", fg <= self.hard_fg_hi <= 1, f"lie in [fg_iou = {fg}, 1]")
         check("scene_pool_size", self.scene_pool_size >= 1, "be >= 1")
 
     @property

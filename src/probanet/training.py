@@ -274,9 +274,9 @@ def init_state(config: TrainConfig, sim_config: SimConfig) -> TrainState:
 def _check_gate_geometry(config: TrainConfig, sim_config: SimConfig) -> None:
     """Raise ConfigError if config trains a gate whose reduction r does not
     divide the channels of sim_config's maps."""
-    c = sim_config.channels
-    if config.probanet_enabled and c % config.r != 0:
-        raise ConfigError(f"channels {c} not divisible by reduction {config.r}")
+    c, r = sim_config.channels, config.r
+    if config.probanet_enabled and c % r != 0:
+        raise ConfigError(f"channels {c} not divisible by reduction {r}", field="r")
 
 
 def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:

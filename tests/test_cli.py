@@ -311,8 +311,23 @@ def test_train_bad_config_key(tmp_path, capsys):
             "line 2: bad value for momentum: must lie in",
             "momentum",
         ),
+        *(
+            (f"seed = 1\n{key} = {text}\n", f"line 2: bad value for {key}: {rule}", key)
+            for key, text, rule in [
+                ("n_objects_min", "-1", "must be >= 0, got -1"),
+                ("object_min_size", "0", "must be >= 1, got 0"),
+                ("hard_bg_lo", "-0.1", "must lie in [0, bg_iou = 0.3], got -0.1"),
+                ("fg_iou", "1.5", "must lie in [bg_iou = 0.3, 1], got 1.5"),
+                ("hard_fg_hi", "1.5", "must lie in [fg_iou = 0.7, 1], got 1.5"),
+            ]
+        ),
+        # The file sets only the other key of the rule, so no line is named.
+        ("bg_iou = 0.8\n", "fg_iou: must lie in [bg_iou = 0.8, 1], got 0.7", "fg_iou"),
     ],
-    ids=["key", "value"],
+    ids=[
+        "key", "value", "n_objects_min", "object_min_size", "hard_bg_lo", "fg_iou",
+        "hard_fg_hi", "other-key",
+    ],
 )
 def test_train_config_errors_name_the_file(tmp_path, capsys, text, message, field):
     bad = tmp_path / "bad.cfg"
@@ -324,6 +339,24 @@ def test_train_config_errors_name_the_file(tmp_path, capsys, text, message, fiel
     with pytest.raises(ConfigError) as exc:
         _load_configs(str(bad))
     assert exc.value.field == field
+
+
+def test_train_and_heatmap_parse_their_config_once(
+    tmp_path, tiny_config_path, capsys, monkeypatch
+):
+    import probanet.config
+
+    calls = tmp_path / "calls"
+    record_calls(monkeypatch, calls, probanet.config.parse_entries)
+    out_dir = tmp_path / "r"
+    train = ["train", "--config", tiny_config_path, "--out", str(out_dir)]
+    assert main(train + ["--baseline", "--seeds", "1"]) == 0
+    assert [name for name, _ in read_calls(calls)] == ["parse_entries"]
+    run_dir = str(out_dir / "baseline_seed3")
+    heatmap = ["heatmap", "--run", run_dir, "--channel", "0", "--step", "1"]
+    assert main(heatmap + ["--scale", "4"]) == 0
+    assert [name for name, _ in read_calls(calls)] == ["parse_entries"]
+    capsys.readouterr()
 
 
 def test_train_missing_config_file(tmp_path, capsys):

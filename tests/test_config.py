@@ -1,13 +1,16 @@
 """Tests for the flat key = value configuration format."""
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probanet import ConfigError, SimConfig, TrainConfig
-from probanet.config import format_config, parse_config
+from probanet.config import format_config, format_value, parse_config
 
 
 def test_empty_text_yields_defaults():
@@ -218,20 +221,125 @@ def test_semantic_validation_still_applies():
 
 
 def test_range_errors_name_the_field_and_its_line():
-    # One out-of-range value for each field that a range check reads alone.
+    # One value outside its own range for 27 of the 32 keys: all but
+    # probanet_enabled, which has no range, and the four keys bounded only
+    # by a rule between two keys (n_objects_max, object_max_size, gain_min
+    # and gain_max; see test_rules_between_two_keys_are_closed).
     bad = dict(
         learning_rate="-0.001", momentum="1.5", weight_decay="-1.0", epochs="-1",
         steps_per_epoch="-1", alpha="1.0", epsilon="0.0", th="1.0", r="0",
         lr_decay_every="-1", lr_decay_factor="1.5", scenes_per_batch="0", seed="-1",
         height="0", width="0", channels="0", anchor_shapes="3x0", noise_level="-1.0",
         bump_amplitude="-1.0", core_amplitude="-1.0", bg_iou="0.0",
-        scene_pool_size="0",
+        scene_pool_size="0", n_objects_min="-1", object_min_size="0",
+        hard_bg_lo="-0.1", fg_iou="1.5", hard_fg_hi="1.5",
     )
+    assert len(bad) == 27
     for key, text in bad.items():
         match = f"^line 2: bad value for {key}: must .*, got "
         with pytest.raises(ConfigError, match=match) as exc:
             parse_config(f"# one bad value\n{key} = {text}\n")
         assert exc.value.field == key
+
+
+def _config_text(values: dict) -> str:
+    """values as the lines of a config file, in their order."""
+    return "".join(f"{k} = {format_value(k, v)}\n" for k, v in values.items())
+
+
+def _below(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+# key, the keys on the rule's other side, values at the rule's edge, and
+# values one step past it.
+TWO_KEY_RULES = [
+    ("n_objects_max", ["n_objects_min"],
+     dict(n_objects_min=3, n_objects_max=3), dict(n_objects_min=3, n_objects_max=2)),
+    ("object_max_size", ["object_min_size"],
+     dict(height=5, width=4, object_min_size=4, object_max_size=4),
+     dict(height=5, width=4, object_min_size=4, object_max_size=3)),
+    ("object_max_size", ["height", "width"],
+     dict(height=5, width=4, object_min_size=4, object_max_size=4),
+     dict(height=5, width=4, object_min_size=4, object_max_size=5)),
+    ("gain_max", ["gain_min"],
+     dict(gain_min=1.25, gain_max=1.25), dict(gain_min=1.25, gain_max=_below(1.25))),
+    ("fg_iou", ["bg_iou"],
+     dict(bg_iou=0.4, fg_iou=0.4), dict(bg_iou=0.4, fg_iou=_below(0.4))),
+    ("hard_bg_lo", ["bg_iou"],
+     dict(bg_iou=0.3, hard_bg_lo=0.3), dict(bg_iou=0.3, hard_bg_lo=_above(0.3))),
+    ("hard_fg_hi", ["fg_iou"],
+     dict(fg_iou=0.7, hard_fg_hi=0.7), dict(fg_iou=0.7, hard_fg_hi=_below(0.7))),
+]
+
+
+@pytest.mark.parametrize(
+    "key, others, edge, past",
+    TWO_KEY_RULES,
+    ids=[f"{key}-{others[0]}" for key, others, _, _ in TWO_KEY_RULES],
+)
+def test_rules_between_two_keys_are_closed(key, others, edge, past):
+    # Equality is accepted; one step past it is rejected naming the key it
+    # bounds as the field, the other key in the message, and the line.
+    SimConfig(**edge)
+    with pytest.raises(ConfigError, match=f"^{key}: must ") as exc:
+        SimConfig(**past)
+    assert exc.value.field == key
+    assert all(other in str(exc.value) for other in others)
+    lineno = list(past).index(key) + 1
+    with pytest.raises(ConfigError, match=f"^line {lineno}: bad value for {key}: must "):
+        parse_config(_config_text(past))
+
+
+def _values(kind):
+    """Values of a field kind, in and out of every range the configs set."""
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return st.integers(1, 8) | st.sampled_from([-1, 0, 2**64 - 1, 2**64])
+    if kind is float:
+        return st.floats(0.0, 1.0) | st.sampled_from([-0.1, 0.0, 0.3, 0.7, 1.0, 1.5])
+    # A file writes at least one anchor shape.
+    pairs = st.tuples(st.integers(0, 4), st.integers(1, 4))
+    return st.lists(pairs, min_size=1, max_size=3).map(tuple)
+
+
+def _drawn_fields(cls):
+    optional = {f.name: _values(type(f.default)) for f in fields(cls)}
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, SimConfig])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_drawn_configs_round_trip_or_name_a_field_and_its_line(cls, data):
+    # Each drawn set of values builds a config that round-trips through
+    # the text format and parses from a file that sets them, or is rejected
+    # naming one of the class's fields, and from that file with the line
+    # that sets the field, if it does.
+    kwargs = data.draw(_drawn_fields(cls))
+    text = _config_text(kwargs)
+    try:
+        config = cls(**kwargs)
+    except ConfigError as exc:
+        names = [f.name for f in fields(cls)]
+        assert exc.field in names
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(text)
+        assert parsed.value.field == exc.field
+        if exc.field in kwargs:
+            lineno = list(kwargs).index(exc.field) + 1
+            assert str(parsed.value) == f"line {lineno}: bad value for {exc}"
+        else:
+            assert str(parsed.value) == str(exc)
+        return
+    configs = (config, SimConfig()) if cls is TrainConfig else (TrainConfig(), config)
+    assert parse_config(format_config(*configs)) == configs
+    assert parse_config(text) == configs
 
 
 def test_whitespace_around_separator_is_tolerated():

@@ -754,8 +754,9 @@ def test_run_experiment_rejects_bad_gate_geometry_before_any_step(monkeypatch):
     monkeypatch.setattr(probanet.training, "train_step", spy)
     use_workers(monkeypatch, forked=False)  # so the spy sees every step
     base = tiny_config(probanet_enabled=False, r=3)
-    with pytest.raises(ConfigError, match="channels 4 not divisible by reduction 3"):
+    with pytest.raises(ConfigError, match="channels 4 not divisible by reduction 3") as exc:
         run_experiment((base, replace(base, probanet_enabled=True)), 1, TINY_SIM)
+    assert exc.value.field == "r"
     assert steps == []
     # Without a gate, r is unused.
     run_experiment((base,), 1, TINY_SIM)
