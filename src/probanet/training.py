@@ -71,6 +71,23 @@ from .tensor import _logistic, _mean
 _SEED_END = 2**64
 
 
+def _pin_blas() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread; False if numpy has none."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return False
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    set_threads(1)
+    return True
+
+
+# One BLAS thread per process, inherited by forked workers, so no product's
+# bits depend on how many threads the BLAS started with.
+_BLAS_PINNED = _pin_blas()
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run."""
@@ -651,17 +668,12 @@ def _train_seed(
 
 
 def _worker_count() -> int:
-    """Processes to run at once: the cores of this process's affinity set
-    over the BLAS threads of each (OPENBLAS_NUM_THREADS, else
-    OMP_NUM_THREADS, a positive ASCII integer, else every CPU); 1 runs
-    in-process, as does a platform without fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """Processes to run at once: the cores of this process's affinity set,
+    one BLAS thread each; 1, in-process, where the BLAS is not pinned to
+    one thread or the platform lacks fork or sched_getaffinity."""
+    if not (_BLAS_PINNED and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    env = os.environ
-    text = env.get("OPENBLAS_NUM_THREADS") or env.get("OMP_NUM_THREADS") or ""
-    valid = text.isascii() and text.isdigit() and int(text) > 0
-    blas = int(text) if valid else os.cpu_count() or 1
-    return max(1, len(os.sched_getaffinity(0)) // blas)
+    return len(os.sched_getaffinity(0))
 
 
 @contextlib.contextmanager

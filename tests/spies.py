@@ -7,11 +7,19 @@ import os
 import sys
 
 
+_AFFINITY = getattr(os, "sched_getaffinity", None)
+
+
 def use_workers(monkeypatch, forked: bool) -> None:
-    """One BLAS thread per process forks a worker per seed, given two or
-    more cores; as many as there are CPUs keeps every seed in-process."""
-    threads = 1 if forked else os.cpu_count()
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(threads))
+    """Fork a worker per seed, given two or more cores, by showing training
+    this process's real affinity set, or keep every seed in-process by
+    showing it one core."""
+    if not forked:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif _AFFINITY is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", _AFFINITY)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
 
 
 def record_calls(monkeypatch, path, original) -> None:

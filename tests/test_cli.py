@@ -102,7 +102,7 @@ def test_gradcheck_coarse_step_fails(capsys):
 def test_gradcheck_gate_ops_reject_one_channel_shapes(op):
     # The gate checks reduce C channels to C // 2, none for C = 1.
     src = str(Path(probanet.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [

@@ -1,12 +1,13 @@
 """run_experiment's forked seed workers and config children against its
 in-process loop.
 
-With OPENBLAS_NUM_THREADS=1 on two cores, each seed of a two-seed
-experiment trains in a forked worker, and a one-seed experiment trains
-configs[0] in this process and configs[1] in a child forked from it;
-with as many BLAS threads as CPUs everything trains in-process.  Spies patched into
-probanet.training are inherited by the workers through fork; what a
-worker records is written to a file, since its memory is its own.
+On two cores, each seed of a two-seed experiment trains in a forked
+worker, and a one-seed experiment trains configs[0] in this process and
+configs[1] in a child forked from it; shown one core (spies.use_workers),
+or with a BLAS it could not pin to one thread, everything trains
+in-process.  Spies patched into probanet.training are inherited by the
+workers through fork; what a worker records is written to a file, since
+its memory is its own.
 """
 
 import contextlib
@@ -148,13 +149,16 @@ def test_forked_train_writes_the_in_process_bytes(tmp_path, monkeypatch, capsys)
     record_calls(monkeypatch, calls, training.build_scene_pool)
     record_calls(monkeypatch, calls, training.run_training)
     trees, stdouts = [], []
-    for forked in (True, False):
-        use_workers(monkeypatch, forked)
-        out = tmp_path / ("forked" if forked else "in-process")
+    # A BLAS that could not be pinned to one thread keeps every seed here.
+    for mode in ("forked", "one core", "unpinned BLAS"):
+        use_workers(monkeypatch, forked=mode != "one core")
+        monkeypatch.setattr(training, "_BLAS_PINNED", mode != "unpinned BLAS")
+        assert (training._worker_count() == 1) is (mode != "forked")
+        out = tmp_path / mode
         argv = ["train", "--config", str(config), "--out", str(out), "--seeds", "2"]
         assert main(argv) == 0
         ran_in = {pid for _, pid in read_calls(calls)}
-        if forked:
+        if mode == "forked":
             assert os.getpid() not in ran_in
         else:
             assert ran_in == {os.getpid()}
@@ -162,8 +166,8 @@ def test_forked_train_writes_the_in_process_bytes(tmp_path, monkeypatch, capsys)
         stdouts.append(capsys.readouterr().out.replace(str(out), "<out>"))
     assert "summary.csv" in trees[0]
     assert sorted(trees[0]) == sorted(trees[1])
-    assert trees[0] == trees[1]
-    assert stdouts[0] == stdouts[1]
+    assert trees[0] == trees[1] == trees[2]
+    assert stdouts[0] == stdouts[1] == stdouts[2]
     assert_no_child_left()
 
 
@@ -400,7 +404,7 @@ def terminate_train(tmp_path, seeds: int, children: int) -> None:
     config = tmp_path / "long.cfg"
     config.write_text("epochs = 250\nth = 0\n", encoding="ascii")
     src = str(Path(training.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [
         sys.executable, "-m", "probanet.cli", "train", "--config", str(config),

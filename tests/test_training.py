@@ -1,8 +1,12 @@
 """Tests for the training loop: losses, SGD semantics, runs, experiments."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -903,14 +907,56 @@ def test_one_variant_report_says_why_it_has_no_uplift():
             stat()
 
 
-@pytest.mark.parametrize("text", ["²", "0", " 1", "abc"])
-def test_bad_blas_thread_count_counts_as_unset(monkeypatch, text):
-    import probanet.training
-
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    unset = probanet.training._worker_count()
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", text)
-    assert probanet.training._worker_count() == unset
+@pytest.mark.skipif(
+    not training._BLAS_PINNED
+    or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="needs numpy's OpenBLAS, os.fork and os.sched_getaffinity",
+)
+@pytest.mark.parametrize("text", ["²", "0", " 1", "abc", "1", "2"])
+def test_worker_count_is_the_affinity_set_whatever_the_blas_variables(
+    monkeypatch, text
+):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(name, text)
+    assert training._worker_count() == len(os.sched_getaffinity(0))
     report = run_experiment((tiny_config(),), 2, TINY_SIM)
     assert [r.config.seed for (r,) in report.runs] == [3, 4]
+
+
+# One gated step on bench/workloads.py's paired-wide geometry, with the
+# variance floor lowered so that the gate's dense backward runs: its
+# (3800, 32)^T @ (3800, 512) weight-gradient product takes different bits
+# from one OpenBLAS thread than from two.
+WIDE_STEP = """\
+import hashlib
+from probanet import SimConfig, TrainConfig, build_scene_pool, init_state, train_step
+
+sim = SimConfig(
+    height=38, width=50, channels=512, object_max_size=8, scene_pool_size=2,
+    anchor_shapes=(
+        (3, 3), (3, 5), (5, 3), (5, 5), (2, 4), (4, 2), (6, 6), (4, 4), (2, 2)
+    ),
+)
+config = TrainConfig(r=16, epsilon=1e-9, seed=4099)
+x, labels = build_scene_pool(config, sim).step_inputs(0, config.scenes_per_batch)
+state, record = train_step(init_state(config, sim), x, labels, config)
+digest = hashlib.sha256(state._theta.tobytes()).hexdigest()
+print(record.variance > config.epsilon, digest)
+"""
+
+
+def test_a_step_takes_the_same_bits_whatever_the_blas_threads():
+    src = str(Path(training.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", WIDE_STEP],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        above_floor, digest = proc.stdout.split()
+        assert above_floor == "True"
+        outputs.append(digest)
+    assert outputs[0] == outputs[1]

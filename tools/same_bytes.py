@@ -12,12 +12,12 @@ and exits 0 only if every case is identical.
 
 The cases: `gradcheck` at seed 0, at seeds 3-9, and for the gate and
 end_to_end checks alone at seeds 7-16; `train` on the two training
-workloads of bench/workloads.py, `paired-default` at seed 77 (forked with
-one BLAS thread per process, then in-process with no BLAS variable set)
-and `paired-wide` at seed 4099; and `heatmap` at the final step of the
-forked `paired-default` run's gated variant, `heatmap --plain` at step
-1000 of its gated variant and `heatmap` at the final step of its
-baseline, these two on a one-seed run.
+workloads of bench/workloads.py, `paired-default` at seed 77 (under
+OPENBLAS_NUM_THREADS=1, then with no BLAS variable set, then under
+OPENBLAS_NUM_THREADS=2) and `paired-wide` at seed 4099; and `heatmap` at
+the final step of the forked `paired-default` run's gated variant,
+`heatmap --plain` at step 1000 of its gated variant and `heatmap` at the
+final step of its baseline, these two on a one-seed run.
 It runs one command at a time, under a minute on two cores.
 """
 
@@ -36,7 +36,8 @@ from workloads import DEFAULT_CONFIG, WIDE_CONFIG  # noqa: E402
 
 # Environment overrides: a value sets the variable, None unsets it.
 FORKED = {"OPENBLAS_NUM_THREADS": "1"}
-IN_PROCESS = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+NO_BLAS_VARIABLE = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+TWO_BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "2"}
 TRAIN = ["train", "--config", "workload.cfg", "--out", "out"]
 
 # name: (config file text or None, environment overrides, command lines)
@@ -75,9 +76,15 @@ CASES = {
             ("baseline heatmap", "baseline", "2000", []),
         )
     },
-    "train paired-default seed 77, in-process": (
-        DEFAULT_CONFIG + "seed = 77\n", IN_PROCESS, [TRAIN + ["--seeds", "2"]]
-    ),
+    **{
+        f"train paired-default seed 77, {name}": (
+            DEFAULT_CONFIG + "seed = 77\n", overrides, [TRAIN + ["--seeds", "2"]]
+        )
+        for name, overrides in (
+            ("no BLAS variable", NO_BLAS_VARIABLE),
+            ("OPENBLAS_NUM_THREADS=2", TWO_BLAS_THREADS),
+        )
+    },
     "train paired-wide seed 4099": (
         WIDE_CONFIG + "seed = 4099\n", {}, [TRAIN + ["--seeds", "1"]]
     ),
