@@ -177,8 +177,7 @@ class SceneExport(NamedTuple):
 
 def export_scene(scene: Scene) -> SceneExport:
     """The export of a pool's scene 0 as train writes it: its on_pool."""
-    dump = dump_feature_map(scene.features).encode("ascii")
-    return SceneExport(scene, dump, boxes_csv(scene))
+    return SceneExport(scene, dump_feature_map(scene.features), boxes_csv(scene))
 
 
 def write_seed_dirs(

@@ -17,6 +17,7 @@ finite-difference oracle below checks every pair.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -164,17 +165,19 @@ def finite_diff_gradient(
     return grad
 
 
-def dump_feature_map(x: FeatureMap) -> str:
-    """Text dump: header "H W C", then H*W lines of C values, row-major.
+def dump_feature_map(x: FeatureMap) -> bytes:
+    """Text dump as ASCII bytes: header "H W C", then H*W lines of C
+    values, row-major, each line ending in a newline.
 
     Each value is printed with "%.17g", which round-trips float64.
     """
     h, w, c = x.shape
-    row_format = " ".join(["%.17g"] * c)
-    lines = [f"{h} {w} {c}"]
-    lines.extend(row_format % tuple(row.tolist()) for row in x.reshape(h * w, c))
-    lines.append("")
-    return "\n".join(lines)
+    row_format = b" ".join([b"%.17g"] * c) + b"\n"
+    out = io.BytesIO()
+    out.write(b"%d %d %d\n" % (h, w, c))
+    for row in x.reshape(h * w, c):
+        out.write(row_format % tuple(row.tolist()))
+    return out.getvalue()
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:

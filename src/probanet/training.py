@@ -27,6 +27,7 @@ import os
 import pickle
 import signal
 import sys
+import threading
 from collections import deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, replace
@@ -52,7 +53,7 @@ from .gate import (
     probanet_loss,
     variance_constraint,
 )
-from .rng import SplitMix64, derive_seed
+from .rng import _BLOCK, SplitMix64, derive_seed
 from .sim import (
     LabelArrays,
     MiniBatch,
@@ -72,14 +73,18 @@ _SEED_END = 2**64
 
 
 def _pin_blas() -> bool:
-    """Set numpy's bundled OpenBLAS to one thread; False if numpy has none."""
+    """Set numpy's bundled OpenBLAS to one thread and stop the pool threads
+    it started with; False if numpy has none."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         set_threads = lib.scipy_openblas_set_num_threads64_
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        shutdown = lib.blas_thread_shutdown_
+        shutdown.argtypes, shutdown.restype = (), ctypes.c_int
     except (AttributeError, OSError):
         return False
-    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
     set_threads(1)
+    shutdown()
     return True
 
 
@@ -202,16 +207,47 @@ class ScenePool:
         return self._windows[first, count]
 
 
-def build_scene_pool(config: TrainConfig, sim_config: SimConfig) -> ScenePool:
+def build_scene_pool(
+    config: TrainConfig, sim_config: SimConfig, cores: int | None = None
+) -> ScenePool:
     """Pre-generate the cycled pool of labeled scenes for one run seed,
-    each scene synthesized straight into its row of one array."""
+    each scene synthesized straight into its row of one array.  Scenes of
+    a synthesis block or more are dealt out in turn to up to cores threads
+    (_worker_count() by default), this one among them; each depends on the
+    seed and its index alone, so the bits are the same on any number.  The
+    first failing scene's exception is raised; no thread outlives the call."""
     sc = sim_config
-    features = np.empty((sc.scene_pool_size, sc.height, sc.width, sc.channels))
-    scenes, labels = [], []
-    for i in range(sc.scene_pool_size):
-        scene = _synthesize_into(sc, derive_seed(config.seed, "scene", i), features[i])
-        scenes.append(scene)
-        labels.append(label_arrays(scene, sc))
+    p = sc.scene_pool_size
+    features = np.empty((p, sc.height, sc.width, sc.channels))
+    cores = _worker_count() if cores is None else cores
+    if cores < 1:
+        raise DomainError(f"a pool builds on one core or more, got cores={cores}")
+    width = min(cores, p) if features[0].size >= _BLOCK else 1
+    built = [None] * p  # (scene, labels), or the exception that ended a worker
+
+    def build(first: int) -> None:
+        try:
+            for i in range(first, p, width):
+                seed = derive_seed(config.seed, "scene", i)
+                scene = _synthesize_into(sc, seed, features[i])
+                built[i] = scene, label_arrays(scene, sc)
+        except Exception as exc:  # the worker's later scenes stay None
+            built[i] = exc
+
+    helpers = []
+    try:
+        for first in range(1, width):
+            helper = threading.Thread(target=build, args=(first,))
+            helper.start()
+            helpers.append(helper)
+        build(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for outcome in built:  # a None follows its worker's failure
+        if isinstance(outcome, Exception):
+            raise outcome
+    scenes, labels = zip(*built)
     return ScenePool(
         features=features,
         labels=LabelArrays(
@@ -654,9 +690,10 @@ def _train_seed(
     configs: tuple[TrainConfig, ...], sim_config: SimConfig, cores: int, on_pool, seed
 ) -> tuple[tuple[RunResult, ...], object]:
     """One seed of run_experiment with cores processes: every config at
-    that seed, trained on one pool built here, and on_pool(scene 0)."""
+    that seed, trained on one pool built here on cores threads, and
+    on_pool(scene 0)."""
     seeded = [replace(config, seed=seed) for config in configs]
-    pool = build_scene_pool(seeded[0], sim_config)
+    pool = build_scene_pool(seeded[0], sim_config, cores)
     train = functools.partial(run_training, sim_config=sim_config, pool=pool)
     export = functools.partial(on_pool or (lambda scene: scene), pool.scenes[0])
     rest = ((f"the {variant_name(c)} variant at seed {seed}", c) for c in seeded[1:])

@@ -33,9 +33,9 @@ def random_map(seed, shape):
     return rng.uniform_range(-2.0, 2.0, shape=shape)
 
 
-def load_dump(text):
-    """The values of a feature-map dump as one row per cell."""
-    return np.loadtxt(io.StringIO(text), skiprows=1, ndmin=2)
+def load_dump(dump):
+    """The values of a feature-map dump, ASCII bytes, as one row per cell."""
+    return np.loadtxt(io.BytesIO(dump), skiprows=1, ndmin=2)
 
 
 def conv_loop_oracle(x, weight, bias):
@@ -247,17 +247,18 @@ def test_finite_diff_gradient_restores_x_when_f_raises():
 def test_dump_and_load_roundtrip_is_exact(tmp_path):
     x = random_map(10, (4, 3, 6))
     path = tmp_path / "map.txt"
-    path.write_text(dump_feature_map(x), encoding="ascii")
-    back = load_dump(path.read_text(encoding="ascii")).reshape(x.shape)
+    path.write_bytes(dump_feature_map(x))
+    back = load_dump(path.read_bytes()).reshape(x.shape)
     # repr-precision text must reproduce every bit.
     assert np.array_equal(x, back)
 
 
 def test_dump_header_and_line_count():
     x = random_map(11, (2, 3, 4))
-    text = dump_feature_map(x)
-    lines = text.strip().split("\n")
-    assert lines[0] == "2 3 4"
+    dump = dump_feature_map(x)
+    assert isinstance(dump, bytes)
+    lines = dump.strip().split(b"\n")
+    assert lines[0] == b"2 3 4"
     assert len(lines) == 1 + 2 * 3
     assert all(len(line.split()) == 4 for line in lines[1:])
 
@@ -272,9 +273,9 @@ def test_dump_matches_per_value_format_reference():
     lines = [f"{h} {w} {c}"]
     for row in x.reshape(h * w, c):
         lines.append(" ".join(format(v, ".17g") for v in row))
-    reference = "\n".join(lines) + "\n"
+    reference = ("\n".join(lines) + "\n").encode("ascii")
     assert dump_feature_map(x) == reference
-    assert "-0 0\n4.9406564584124654e-324 " in reference
+    assert b"-0 0\n4.9406564584124654e-324 " in reference
     # Bit for bit, so -0.0 and the subnormals must come back exactly.
     assert load_dump(reference).tobytes() == x.tobytes()
 

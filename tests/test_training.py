@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,7 +49,8 @@ from probanet.training import (
     loss_and_grads,
     tail_mean_hard_ratio,
 )
-from probanet.sim import BG, FG, LabelArrays
+from probanet.rng import _BLOCK
+from probanet.sim import BG, FG, LabelArrays, generate_scene, label_arrays
 from probanet.tensor import relu_backward, sigmoid_backward
 
 
@@ -593,6 +595,103 @@ def test_step_inputs_are_made_once_per_window_and_read_only():
     assert pool.features.flags.writeable and pool.labels.category.flags.writeable
 
 
+# Scenes of exactly one synthesis block (16 * 32 * 128 values): the
+# smallest a pool builds on more than one thread.
+BLOCK_SIM = replace(
+    TINY_SIM, height=16, width=32, channels=128, n_objects_max=3,
+    object_max_size=6, scene_pool_size=5,
+)
+
+
+def spy_on_thread_starts(monkeypatch) -> list:
+    """The threads started from now on, each still started."""
+    started, start = [], threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+@pytest.mark.parametrize("cores, pool_size", [(1, 5), (2, 5), (3, 5), (3, 2), (3, 1)])
+def test_threaded_pool_build_equals_the_serial_scenes_bit_for_bit(
+    monkeypatch, cores, pool_size
+):
+    sim = replace(BLOCK_SIM, scene_pool_size=pool_size)
+    assert sim.height * sim.width * sim.channels >= _BLOCK
+    config = tiny_config(seed=11)
+    started = spy_on_thread_starts(monkeypatch)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as can be
+    try:
+        pool = build_scene_pool(config, sim, cores)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert len(started) == min(cores, pool_size) - 1
+    scenes = [
+        generate_scene(sim, derive_seed(config.seed, "scene", i))
+        for i in range(pool_size)
+    ]
+    labels = [label_arrays(scene, sim) for scene in scenes]
+    assert pool.features.tobytes() == np.stack([s.features for s in scenes]).tobytes()
+    for name in ("category", "hard", "iou"):
+        column = getattr(pool.labels, name)
+        expected = np.concatenate([getattr(la, name) for la in labels])
+        assert column.dtype == expected.dtype
+        assert column.tobytes() == expected.tobytes()
+    assert len(pool.scenes) == pool_size
+    for i, (got, want) in enumerate(zip(pool.scenes, scenes)):
+        assert got.seed == want.seed
+        assert got.objects.tobytes() == want.objects.tobytes()
+        assert np.shares_memory(got.features, pool.features[i])
+
+
+def test_a_pool_of_sub_block_scenes_starts_no_thread(monkeypatch):
+    started = spy_on_thread_starts(monkeypatch)
+    sim = replace(BLOCK_SIM, channels=64, scene_pool_size=4)
+    assert sim.height * sim.width * sim.channels < _BLOCK
+    pool = build_scene_pool(tiny_config(), sim, 4)
+    assert started == [] and len(pool.scenes) == 4
+
+
+@pytest.mark.parametrize("cores", [0, -1])
+def test_build_scene_pool_rejects_fewer_than_one_core(cores):
+    with pytest.raises(DomainError, match=f"got cores={cores}"):
+        build_scene_pool(tiny_config(), TINY_SIM, cores)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_the_first_failing_scene_raises_whichever_thread_built_it(
+    monkeypatch, cores
+):
+    # With two or three cores, scene 1 is a helper's and scene 2 the
+    # caller's or another helper's, and scene 2 fails first.
+    config = tiny_config(seed=11)
+    failing = {derive_seed(config.seed, "scene", i): i for i in (1, 2)}
+    synthesize = training._synthesize_into
+    scene_2_failed = threading.Event()
+
+    def failing_synthesize(sim_config, seed, features):
+        if failing.get(seed) == 2:
+            scene_2_failed.set()
+            raise DomainError("scene 2 failed")
+        if failing.get(seed) == 1:
+            if cores > 1:
+                assert scene_2_failed.wait(60)
+            raise DomainError("scene 1 failed")
+        return synthesize(sim_config, seed, features)
+
+    monkeypatch.setattr(training, "_synthesize_into", failing_synthesize)
+    threads = threading.active_count()
+    with pytest.raises(DomainError, match="scene 1 failed"):
+        build_scene_pool(config, BLOCK_SIM, cores)
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("pool_size", [3, 1])
 def test_run_partial_matches_explicitly_concatenated_steps(pool_size):
     # Pools of 3 and 1 scenes with two scenes a step: most steps wrap.
@@ -802,21 +901,25 @@ def test_run_experiment_trains_four_variants_on_one_pool_per_seed(
     seeds = [base.seed, base.seed + 1]
     built = tmp_path / "built"
 
-    def counting_build(config, sim_config):
+    def counting_build(config, sim_config, cores=None):
         # A forked worker's memory is its own, so its builds go to a file.
         with open(built, "a", encoding="ascii") as fh:
-            fh.write(f"{config.seed}\n")
-        return build_scene_pool(config, sim_config)
+            fh.write(f"{config.seed} {cores}\n")
+        return build_scene_pool(config, sim_config, cores)
 
     monkeypatch.setattr(probanet.training, "build_scene_pool", counting_build)
     for forked in (True, False):
         use_workers(monkeypatch, forked)
+        if forked and hasattr(os, "sched_getaffinity"):  # two seeds share two cores
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         scenes = []
         report = run_experiment(
             configs, 2, TINY_SIM, on_seed=lambda results, scene0: scenes.append(scene0)
         )
-        # Forked workers build at once, in either order.
-        assert sorted(map(int, built.read_text(encoding="ascii").split())) == seeds
+        # Forked workers build at once, in either order, on one core each.
+        lines = built.read_text(encoding="ascii").splitlines()
+        builds = sorted(line.split() for line in lines)
+        assert builds == [[str(seed), "1"] for seed in seeds]
         built.unlink()
         assert [scene.seed for scene in scenes] == [
             derive_seed(seed, "scene", 0) for seed in seeds
@@ -960,3 +1063,39 @@ def test_a_step_takes_the_same_bits_whatever_the_blas_threads():
         assert above_floor == "True"
         outputs.append(digest)
     assert outputs[0] == outputs[1]
+
+
+BLAS_THREADS = """\
+import re
+import numpy as np
+
+def threads():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return re.search(r"Threads:\\s*(\\d+)", fh.read()).group(1)
+
+import probanet.training
+imported = threads()
+a = np.arange(160000.0).reshape(400, 400)
+a @ a
+print(imported, threads())
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or not training._BLAS_PINNED,
+    reason="reads /proc/self/status; needs numpy's OpenBLAS",
+)
+def test_importing_training_leaves_one_thread_with_no_blas_variable():
+    # With no variable set, OpenBLAS starts a pool thread per further core.
+    src = str(Path(training.__file__).parents[1])
+    env = dict(os.environ)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # After the import, and after a product that OpenBLAS would thread.
+    assert proc.stdout.split() == ["1", "1"]

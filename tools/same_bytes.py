@@ -17,7 +17,9 @@ OPENBLAS_NUM_THREADS=1, then with no BLAS variable set, then under
 OPENBLAS_NUM_THREADS=2) and `paired-wide` at seed 4099; and `heatmap` at
 the final step of the forked `paired-default` run's gated variant,
 `heatmap --plain` at step 1000 of its gated variant and `heatmap` at the
-final step of its baseline, these two on a one-seed run.
+final step of its baseline, these two on a one-seed run, and at the final
+step of the `paired-wide` run's gated variant, whose scene pool `heatmap`
+rebuilds on every core.
 It runs one command at a time, under a minute on two cores.
 """
 
@@ -85,8 +87,14 @@ CASES = {
             ("OPENBLAS_NUM_THREADS=2", TWO_BLAS_THREADS),
         )
     },
-    "train paired-wide seed 4099": (
-        WIDE_CONFIG + "seed = 4099\n", {}, [TRAIN + ["--seeds", "1"]]
+    "train paired-wide seed 4099, then heatmap": (
+        WIDE_CONFIG + "seed = 4099\n",
+        {},
+        [
+            TRAIN + ["--seeds", "1"],
+            ["heatmap", "--run", "out/probanet_seed4099", "--channel", "0",
+             "--step", "200"],
+        ],
     ),
 }
 
