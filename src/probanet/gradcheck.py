@@ -1,12 +1,21 @@
 """Finite-difference verification of every backward pass, one op at a
 time and end to end through the full training loss.
 
-Every check runs one differencing loop: a scalar functional is
-differenced in each named input, the others held fixed, and compared
-with the analytic gradient under the same name.  Relative error is
-measured per element as |analytic - numeric| divided by
-max(1, |numeric|), and the worst element must stay below 1e-4; a NaN
-error counts as infinite, so it fails.
+Every check differences one scalar functional in each named input, the
+others held fixed, and compares it with the analytic gradient under the
+same name (_worst_error).  An input the forward treats row by row (the
+features of relu, sigmoid, gate and conv1x1, both operands of hadamard)
+is differenced as a stack: a block of perturbed copies goes through the
+op in one call as more rows (along H for conv1x1; hadamard's other
+operand is broadcast), and each copy's value sums over its trailing
+axes.  Any other input is written into its array one copy at a time.
+Either way each difference is bit for bit that of a per-element loop
+over the scalar functional; only where OpenBLAS picks another kernel
+for the taller stack of conv1x1 rows may the last bits move.
+
+Relative error is measured per element as |analytic - numeric|
+divided by max(1, |numeric|), and the worst element must stay below
+1e-4; a NaN error counts as infinite, so it fails.
 
 Each check differences the forward that training runs: the gate's own
 ReLU, np.maximum(x, 0); variance_constraint's value; gate_forward; and
@@ -40,6 +49,7 @@ from .tensor import (
     finite_diff_gradient,
     hadamard,
     hadamard_backward,
+    in_place,
     relu_backward,
     sigmoid,
     sigmoid_backward,
@@ -85,19 +95,34 @@ def relative_error(
     return float(np.where(np.isnan(err), np.inf, err).max(initial=0.0))
 
 
-def _worst_error(f, inputs: dict, grads: dict, h: float, include=None) -> float:
+def _worst_error(
+    f, inputs: dict, grads: dict, h: float, include=None, stacked=None
+) -> float:
     """Worst relative error of the analytic gradients over every named
-    input.  Each array of inputs is differenced in place, the others
-    held fixed, for the scalar f() that reads them, and compared with
-    grads under the same name, over include[name] only where given."""
+    input.  Each array of inputs is differenced, the others held fixed,
+    for the scalar f() that reads them, and compared with grads under the
+    same name, over include[name] only where given.
+
+    An input named in stacked is differenced through stacked[name], which
+    gives f()'s values at a stack of copies of that input in one call;
+    any other is written into its array in place, one copy at a time."""
+    stacked = stacked or {}
     worst = 0.0
     for name, array in inputs.items():
         try:
-            fd = finite_diff_gradient(lambda _: f(), array, h)
+            forward = stacked.get(name) or in_place(lambda _: f(), array)
+            fd = finite_diff_gradient(forward, array, h)
         except ProbanetError as exc:
             raise type(exc)(f"input {name}: {exc}") from exc
         worst = max(worst, relative_error(grads[name], fd, (include or {}).get(name)))
     return worst
+
+
+def _sums(stack: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum(v * g) for each copy v in the stack, whose trailing axes hold
+    g.size values: float((v * g).sum()) per copy, in the same order."""
+    products = stack.reshape(-1, *g.shape) * g
+    return products.reshape(len(products), -1).sum(axis=1)
 
 
 def check_conv1x1(rng: SplitMix64, shape, h: float = 1e-5) -> float:
@@ -111,8 +136,10 @@ def check_conv1x1(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     grads = dict(zip(("x", "weight", "bias"), conv1x1_backward(x, p, g)))
     # p holds the drawn arrays themselves, so differencing them moves p.
     inputs = {"x": x, "weight": p.weight, "bias": p.bias}
+    # A stack of copies of x is one map of their rows, stacked along H.
     return _worst_error(
-        lambda: float((conv1x1_forward(x, p) * g).sum()), inputs, grads, h
+        lambda: float((conv1x1_forward(x, p) * g).sum()), inputs, grads, h,
+        stacked={"x": lambda xs: _sums(conv1x1_forward(xs.reshape(-1, ww, c), p), g)},
     )
 
 
@@ -121,7 +148,8 @@ def check_relu(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     g = rng.uniform_range(-1.0, 1.0, shape)
     grads, include = {"x": relu_backward(x, g)}, {"x": np.abs(x) > 10 * h}
     return _worst_error(
-        lambda: float((np.maximum(x, 0.0) * g).sum()), {"x": x}, grads, h, include
+        lambda: float((np.maximum(x, 0.0) * g).sum()), {"x": x}, grads, h, include,
+        stacked={"x": lambda xs: _sums(np.maximum(xs, 0.0), g)},
     )
 
 
@@ -129,7 +157,10 @@ def check_sigmoid(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     x = rng.uniform_range(-4.0, 4.0, shape)
     g = rng.uniform_range(-1.0, 1.0, shape)
     grads = {"x": sigmoid_backward(sigmoid(x), g)}
-    return _worst_error(lambda: float((sigmoid(x) * g).sum()), {"x": x}, grads, h)
+    return _worst_error(
+        lambda: float((sigmoid(x) * g).sum()), {"x": x}, grads, h,
+        stacked={"x": lambda xs: _sums(sigmoid(xs), g)},
+    )
 
 
 def check_hadamard(rng: SplitMix64, shape, h: float = 1e-5) -> float:
@@ -137,8 +168,13 @@ def check_hadamard(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     b = rng.uniform_range(-1.0, 1.0, shape)
     g = rng.uniform_range(-1.0, 1.0, shape)
     grads = dict(zip("ab", hadamard_backward(a, b, g)))
+    # The fixed operand is broadcast along the stack of the other.
     return _worst_error(
-        lambda: float((hadamard(a, b) * g).sum()), {"a": a, "b": b}, grads, h
+        lambda: float((hadamard(a, b) * g).sum()), {"a": a, "b": b}, grads, h,
+        stacked={
+            "a": lambda s: _sums(hadamard(s, np.broadcast_to(b, s.shape)), g),
+            "b": lambda s: _sums(hadamard(np.broadcast_to(a, s.shape), s), g),
+        },
     )
 
 
@@ -209,11 +245,15 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
 
     grad_z1, grads = gate_backward(*gate_forward(x, params), x, params, g_t2)
     grads["x"] = grad_z1 @ params["reduce_weight"]
+    # A stack of copies of x is one array of their rows.
     return _worst_error(
         lambda: float((gate_forward(x, params)[1] * g_t2).sum()),
         {"x": x, **params},
         grads,
         h,
+        stacked={
+            "x": lambda xs: _sums(gate_forward(xs.reshape(-1, c), params)[1], g_t2)
+        },
     )
 
 

@@ -5,10 +5,10 @@ The activations act elementwise, in the gate on (N, C) feature rows.  A
 feature map, as the conv, hadamard and dump take it, is a C-contiguous
 float64 (height, width, channels) ndarray whose ``ravel()`` gives the
 row-major (h, w, c) order of the dump format and of every flattened view
-in the package.  No op writes into its inputs; finite_diff_gradient
-perturbs its x in place, so it takes only a writable C-contiguous
-float64 ndarray, and restores each element it moved, even when the
-differenced function raises.
+in the package.  No op writes into its inputs.  finite_diff_gradient
+differences a functional of a stack of perturbed copies of x, a bounded
+block at a time; when each copy is its own rows to the functional, the
+differences are bit for bit those of a per-element loop.
 
 Gradients are explicit per-op vector-Jacobian products rather than a
 general tape; the network that uses them is small and fixed, and the
@@ -18,6 +18,7 @@ finite-difference oracle below checks every pair.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +31,9 @@ FeatureMap = np.ndarray
 # Open-interval bounds for sigmoid: the nearest float64 neighbours of 0 and 1.
 _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
+
+# Values per block of perturbed copies in finite_diff_gradient.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -137,32 +141,78 @@ def _mean(x: np.ndarray) -> np.float64:
 
 
 def finite_diff_gradient(
-    f: Callable[[FeatureMap], float], x: FeatureMap, h: float = 1e-5
+    f: Callable[[np.ndarray], np.ndarray], x: FeatureMap, h: float = 1e-5
 ) -> FeatureMap:
-    """Central-difference gradient estimate of a scalar function, per
-    element.  x, a writable C-contiguous float64 ndarray, is perturbed in
-    place, so f may read it through a closure, and restored if f raises."""
+    """Central-difference gradient estimate of a scalar functional at x,
+    per element: (f(x + h e_k) - f(x - h e_k)) / (2h).
+
+    f is stacked: it maps a block of m perturbed copies of x, shaped
+    (m, *x.shape) and read-only, to their m values.  The copies
+    x + h e_k and x - h e_k sit side by side, element by element in
+    order, and a block holds at most _BLOCK values (one pair if x is
+    larger).  in_place(f, x)
+    adapts a functional that reads x itself.  A non-finite value names
+    the lowest element whose plus or minus value is not finite."""
     if not 0 < h < np.inf:
         raise DomainError(f"difference step must be finite and positive, got {h}")
-    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.carray):
-        raise DimensionError("x must be a writable C-contiguous float64 ndarray")
-    grad = np.zeros_like(x)
-    flat_x, flat_g = x.reshape(-1), grad.reshape(-1)
-    for k in range(flat_x.size):
-        orig = flat_x[k]
-        try:
-            flat_x[k] = orig + h
-            f_plus = float(f(x))
-            flat_x[k] = orig - h
-            f_minus = float(f(x))
-        finally:
-            flat_x[k] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+    x = np.asarray(x, dtype=np.float64)
+    flat, n = x.reshape(-1), x.size
+    values = np.empty((n, 2))  # each element's plus and minus value
+    # One block, reused: per element of x a pair of copies of x.  Copy
+    # pair i of a block holds element start + i, at flat positions
+    # start + i * (2n + 1) (plus) and n after (minus), so one strided
+    # slice reaches each side.
+    per_block = max(1, min(n, _BLOCK // (2 * n or 1)))
+    block = np.empty((per_block, 2, n))
+    block[...] = flat
+    buf, stride = block.reshape(-1), 2 * n + 1
+    for start in range(0, n, per_block):
+        orig = flat[start : start + per_block]
+        plus = buf[start :: stride][: orig.size]
+        minus = buf[start + n :: stride][: orig.size]
+        plus[...] = orig + h
+        minus[...] = orig - h
+        copies = block[: orig.size].reshape(-1, *x.shape)
+        copies.flags.writeable = False  # the next block reuses it
+        got = values[start : start + orig.size]
+        got[...] = np.reshape(f(copies), got.shape)
+        plus[...] = minus[...] = orig
+        if not np.isfinite(got).all():
+            k = start + int(np.argmin(np.isfinite(got).all(axis=1)))
             raise NumericError(
                 f"non-finite function value while differencing element {k}"
             )
-        flat_g[k] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+    # As with floats: a difference past the float64 range is inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((values[:, 0] - values[:, 1]) / (2.0 * h)).reshape(x.shape)
+
+
+def in_place(
+    f: Callable[[FeatureMap], float], x: FeatureMap
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The stacked form of f, a scalar functional of x, for
+    finite_diff_gradient: each copy is written into x, a writable
+    C-contiguous float64 ndarray, and f(x) evaluated, so f may read x
+    through a closure; x is restored after the block, also if f raises.
+    Evaluation stops at the first non-finite value (the rest read NaN),
+    where differencing fails."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.carray):
+        raise DimensionError("x must be a writable C-contiguous float64 ndarray")
+
+    def stacked(copies: np.ndarray) -> np.ndarray:
+        values = np.full(len(copies), np.nan)
+        saved = x.copy()
+        try:
+            for i, copy in enumerate(copies):
+                x[...] = copy
+                values[i] = value = f(x)
+                if not math.isfinite(value):
+                    break
+        finally:
+            x[...] = saved
+        return values
+
+    return stacked
 
 
 def dump_feature_map(x: FeatureMap) -> bytes:

@@ -1,7 +1,7 @@
 """Plain references the tests compare the program against: dense
-truncation, the scalar box overlap, readers for the images the program
-writes, scene synthesis over whole arrays, and a training step written
-out product by product.
+truncation, the scalar box overlap, per-element finite differences,
+readers for the images the program writes, scene synthesis over whole
+arrays, and a training step written out product by product.
 
 From the package they take only the random streams, the sampler's error
 and the label constants, so a change to the arithmetic of the program
@@ -119,6 +119,22 @@ def _read_netpbm(data: bytes, magics, depth: int) -> np.ndarray:
         arr = np.array(rest.split()[:n], dtype=np.uint8)
     assert arr.size == n, "pixel payload shorter than header promises"
     return arr.reshape((h, w, depth) if depth > 1 else (h, w))
+
+
+def finite_differences(f, x, h):
+    """Central differences of the scalar f(), which reads x, one element
+    at a time: each element is moved by +h and -h in place and put back."""
+    grad = np.zeros_like(x)
+    flat, out = x.reshape(-1), grad.reshape(-1)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        plus = float(f())
+        flat[k] = orig - h
+        minus = float(f())
+        flat[k] = orig
+        out[k] = (plus - minus) / (2.0 * h)
+    return grad
 
 
 def _logistic(x):

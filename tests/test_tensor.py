@@ -23,6 +23,7 @@ from probanet.tensor import (
     conv1x1_forward,
     hadamard,
     hadamard_backward,
+    in_place,
     relu_backward,
     sigmoid_backward,
 )
@@ -104,9 +105,10 @@ def test_conv1x1_backward_matches_finite_differences():
         p = Conv1x1Params(weight=weight, bias=bv)
         return float(np.sum(conv1x1_forward(x, p) * grad_out))
 
-    assert np.allclose(gx, finite_diff_gradient(loss_of_x, x), atol=1e-6)
-    assert np.allclose(gw, finite_diff_gradient(loss_of_w, weight), atol=1e-6)
-    assert np.allclose(gb, finite_diff_gradient(loss_of_b, bias), atol=1e-6)
+    pairs = ((gx, loss_of_x, x), (gw, loss_of_w, weight), (gb, loss_of_b, bias))
+    for grad, loss, at in pairs:
+        fd = finite_diff_gradient(in_place(loss, at), at)
+        assert np.allclose(grad, fd, atol=1e-6)
 
 
 def test_relu_values_and_subgradient():
@@ -188,17 +190,28 @@ def test_finite_diff_gradient_validation():
         return float(np.sum(v * v))
 
     x = np.ones((2, 2))
-    g = finite_diff_gradient(f, x)
+    g = finite_diff_gradient(in_place(f, x), x)
     assert np.allclose(g, 2.0 * x, atol=1e-6)
     for h in (0.0, np.inf, -np.inf, np.nan):
         with pytest.raises(DomainError):
-            finite_diff_gradient(f, x, h=h)
+            finite_diff_gradient(in_place(f, x), x, h=h)
 
     def bad(v):
         return float("nan")
 
     with pytest.raises(NumericError):
-        finite_diff_gradient(bad, x)
+        finite_diff_gradient(in_place(bad, x), x)
+    # A scalar where the stack's values belong is refused, not broadcast,
+    # and so is a write into the copies, whose block the next one reuses.
+    with pytest.raises(ValueError):
+        finite_diff_gradient(lambda copies: 0.0, x)
+
+    def writes(copies):
+        copies += 1.0
+        return copies.reshape(len(copies), -1).sum(axis=1)
+
+    with pytest.raises(ValueError, match="read-only"):
+        finite_diff_gradient(writes, x)
 
 
 def _read_only_copy(x):
@@ -225,7 +238,7 @@ def test_finite_diff_gradient_refuses_what_it_cannot_perturb_in_place(make):
     # a read-only x cannot be perturbed at all.
     x = make()
     with pytest.raises(DimensionError, match="C-contiguous float64"):
-        finite_diff_gradient(lambda _: float(np.sum(np.square(x))), x)
+        finite_diff_gradient(in_place(lambda _: float(np.sum(np.square(x))), x), x)
 
 
 def test_finite_diff_gradient_restores_x_when_f_raises():
@@ -239,9 +252,31 @@ def test_finite_diff_gradient_restores_x_when_f_raises():
         return float(np.sum(v))
 
     with pytest.raises(RuntimeError, match="boom"):
-        finite_diff_gradient(f, x)
+        finite_diff_gradient(in_place(f, x), x)
     assert np.array_equal(x, np.arange(4.0))
     assert calls[3][1] == 1.0 - 1e-5
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "in-place"])
+def test_a_non_finite_value_names_the_lowest_element_of_either_side(stacked):
+    # Element 3's minus value and element 5's plus value are NaN, in one
+    # block.  The loop meets element 3 first, so it is named, as it is
+    # by the per-element loop; in place, evaluation stops there too.
+    x = np.arange(8.0)
+    calls = []
+
+    def f(v):
+        calls.append(v.copy())
+        return np.nan if v[3] < 3.0 or v[5] > 5.0 else float(v.sum())
+
+    def each(copies):
+        return np.array([f(v) for v in copies])
+
+    forward = each if stacked else in_place(f, x)
+    with pytest.raises(NumericError, match="differencing element 3$"):
+        finite_diff_gradient(forward, x)
+    assert np.array_equal(x, np.arange(8.0))
+    assert len(calls) == (16 if stacked else 8)
 
 
 def test_dump_and_load_roundtrip_is_exact(tmp_path):

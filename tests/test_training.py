@@ -51,7 +51,7 @@ from probanet.training import (
 )
 from probanet.rng import _BLOCK
 from probanet.sim import BG, FG, LabelArrays, generate_scene, label_arrays
-from probanet.tensor import relu_backward, sigmoid_backward
+from probanet.tensor import in_place, relu_backward, sigmoid_backward
 
 
 TINY_SIM = SimConfig(
@@ -151,7 +151,7 @@ def test_binary_cross_entropy_grad_matches_fd():
     def f(zv):
         return binary_cross_entropy(zv, y)
 
-    numeric = finite_diff_gradient(f, z)
+    numeric = finite_diff_gradient(in_place(f, z), z)
     assert np.allclose(analytic, numeric, atol=1e-8)
 
 
@@ -239,8 +239,9 @@ def test_single_step_matches_finite_difference_oracle():
     assert new_state.step == 1
     assert set(new_state.params) == set(p0) and len(p0) == 7
     for name, value in p0.items():
+        at = value.copy()
         fd = finite_diff_gradient(
-            lambda v, nm=name: loss_with({**p0, nm: v}), value.copy()
+            in_place(lambda v, nm=name: loss_with({**p0, nm: v}), at), at
         )
         expect = value - lr * (fd + wd * value)
         assert np.allclose(new_state.params[name], expect, rtol=0, atol=1e-10), name

@@ -11,15 +11,18 @@ WORK) and in every file written (`diff -r`).  Prints one line per case
 and exits 0 only if every case is identical.
 
 The cases: `gradcheck` at seed 0, at seeds 3-9, and for the gate and
-end_to_end checks alone at seeds 7-16; `train` on the two training
-workloads of bench/workloads.py, `paired-default` at seed 77 (under
-OPENBLAS_NUM_THREADS=1, then with no BLAS variable set, then under
-OPENBLAS_NUM_THREADS=2) and `paired-wide` at seed 4099; and `heatmap` at
-the final step of the forked `paired-default` run's gated variant,
-`heatmap --plain` at step 1000 of its gated variant and `heatmap` at the
-final step of its baseline, these two on a one-seed run, and at the final
-step of the `paired-wide` run's gated variant, whose scene pool `heatmap`
-rebuilds on every core.
+end_to_end checks alone at seeds 7-16; one round of the benchmark's
+audit, `gradcheck --op <op> --seed 0 --seeds 10` for each op of
+AUDIT_OPS in bench/workloads.py; the failing `gradcheck --op conv1x1
+--eps 1e308 --seeds 1`, whose error must read the same; `train` on the
+two training workloads of bench/workloads.py, `paired-default` at seed
+77 (under OPENBLAS_NUM_THREADS=1, then with no BLAS variable set, then
+under OPENBLAS_NUM_THREADS=2) and `paired-wide` at seed 4099; and
+`heatmap` at the final step of the forked `paired-default` run's gated
+variant, `heatmap --plain` at step 1000 of its gated variant and
+`heatmap` at the final step of its baseline, these two on a one-seed
+run, and at the final step of the `paired-wide` run's gated variant,
+whose scene pool `heatmap` rebuilds on every core.
 It runs one command at a time, under a minute on two cores.
 """
 
@@ -34,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
-from workloads import DEFAULT_CONFIG, WIDE_CONFIG  # noqa: E402
+from workloads import AUDIT_OPS, DEFAULT_CONFIG, WIDE_CONFIG  # noqa: E402
 
 # Environment overrides: a value sets the variable, None unsets it.
 FORKED = {"OPENBLAS_NUM_THREADS": "1"}
@@ -54,6 +57,14 @@ CASES = {
         )
         for op in ("gate", "end_to_end")
     },
+    "audit round, gradcheck --op <op> --seed 0 --seeds 10 per AUDIT_OPS": (
+        None,
+        {},
+        [["gradcheck", "--op", op, "--seed", "0", "--seeds", "10"] for op in AUDIT_OPS],
+    ),
+    "gradcheck --op conv1x1 --eps 1e308 --seeds 1, failing": (
+        None, {}, [["gradcheck", "--op", "conv1x1", "--eps", "1e308", "--seeds", "1"]]
+    ),
     "train paired-default seed 77, forked, then heatmap": (
         DEFAULT_CONFIG + "seed = 77\n",
         FORKED,
