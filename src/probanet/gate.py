@@ -26,13 +26,15 @@ _KEYS = ("reduce_weight", "reduce_bias", "expand_weight", "expand_bias")
 
 
 def _arrays(params: Mapping[str, np.ndarray], x: np.ndarray) -> list[np.ndarray]:
-    """params' gate arrays, checked to map the C channels of the (N, C)
-    rows x to a hidden layer and back."""
+    """params' gate arrays, checked on their trailing axes to map the C
+    channels of the (N, C) rows x to a hidden layer and back."""
     rw, rb, ew, eb = arrays = [params[key] for key in _KEYS]
-    shapes = rw.shape[1:], rb.shape, ew.shape[1:], eb.shape
-    if x.ndim != 2 or shapes != (x.shape[1:], rw.shape[:1], rb.shape, ew.shape[:1]):
+    shapes = rw.shape[-1:], rb.shape[-1:], ew.shape[-1:], eb.shape[-1:]
+    fit = (x.shape[1:], rw.shape[-2:-1], rb.shape[-1:], ew.shape[-2:-1])
+    if x.ndim != 2 or min(rw.ndim, ew.ndim) < 2 or shapes != fit:
         raise DimensionError(
-            f"gate arrays of shapes {shapes} do not fit rows of shape {x.shape}"
+            f"gate arrays of shapes {[a.shape for a in arrays]} do not fit rows "
+            f"of shape {x.shape}"
         )
     return arrays
 
@@ -50,15 +52,21 @@ def gate_forward(
     C/r, expand maps them up to one weight per proposal channel (C').
     Other keys are ignored.
 
+    An array may carry leading stack axes, one copy of it per index:
+    x and t1 meet each copy of a weight transposed on its last two
+    axes, so the stack axes lead t1 and t2.  A bias is added in place,
+    so a stacked one needs its weight stacked too (np.broadcast_to will
+    do).
+
     t1 = relu(reduce(x)); t2 = sigmoid(expand(t1)).  The weighted map is
     a * t2, and truncation keeps the entries with t2 strictly above the
     threshold.
     """
     rw, rb, ew, eb = _arrays(params, x)
-    t1 = x @ rw.T
+    t1 = x @ rw.swapaxes(-1, -2)
     t1 += rb
     np.maximum(t1, 0.0, out=t1)
-    z2 = t1 @ ew.T
+    z2 = t1 @ ew.swapaxes(-1, -2)
     z2 += eb
     return t1, sigmoid(z2)
 
@@ -98,6 +106,13 @@ def gate_backward(
     }
 
 
+def _variance(t2: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Floor-clamped population variance over t2's last axis, and t2
+    centered on its mean there."""
+    centered = t2 - _mean(t2)[..., None]
+    return np.maximum(_mean(centered * centered), epsilon), centered
+
+
 def variance_constraint(t2: np.ndarray, epsilon: float) -> tuple[float, np.ndarray]:
     """Floor-clamped population variance of the gate weights, with gradient.
 
@@ -108,11 +123,10 @@ def variance_constraint(t2: np.ndarray, epsilon: float) -> tuple[float, np.ndarr
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if t2.size == 0:
         raise DimensionError("variance_constraint of an empty tensor")
-    centered = t2 - _mean(t2)
-    raw = float(_mean(centered * centered))
-    if raw <= epsilon:
+    v, centered = _variance(t2.reshape(-1), epsilon)
+    if v == epsilon:
         return epsilon, np.zeros_like(t2)
-    return raw, 2.0 * centered / t2.size
+    return float(v), (2.0 * centered / t2.size).reshape(t2.shape)
 
 
 def probanet_loss(

@@ -3,15 +3,19 @@ time and end to end through the full training loss.
 
 Every check differences one scalar functional in each named input, the
 others held fixed, and compares it with the analytic gradient under the
-same name (_worst_error).  An input the forward treats row by row (the
-features of relu, sigmoid, gate and conv1x1, both operands of hadamard)
-is differenced as a stack: a block of perturbed copies goes through the
-op in one call as more rows (along H for conv1x1; hadamard's other
-operand is broadcast), and each copy's value sums over its trailing
-axes.  Any other input is written into its array one copy at a time.
-Either way each difference is bit for bit that of a per-element loop
-over the scalar functional; only where OpenBLAS picks another kernel
-for the taller stack of conv1x1 rows may the last bits move.
+same name (_worst_error).  Most inputs are differenced as a stack: a
+block of perturbed copies goes through the forward in one call, and
+each copy's value reduces over its own trailing axes.  A row-separable
+input (the features of relu, sigmoid, gate and conv1x1, both operands
+of hadamard) adds its copies as more rows (along H for conv1x1;
+hadamard's other operand is broadcast).  The gate's four arrays, the
+variance input and the head's values, scale and shift add a leading
+stack axis, which gate_forward, the last-axis variance and the BCE
+carry through.  Only conv1x1's weight and bias and end_to_end's
+parameters are written into their arrays one copy at a time.  Either
+way each difference is bit for bit that of a per-element loop over the
+scalar functional; only where OpenBLAS picks another kernel for the
+taller stack of conv1x1 rows may the last bits move.
 
 Relative error is measured per element as |analytic - numeric|
 divided by max(1, |numeric|), and the worst element must stay below
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, ProbanetError
-from .gate import gate_backward, gate_forward, variance_constraint
+from .gate import _variance, gate_backward, gate_forward, variance_constraint
 from .rng import SplitMix64, derive_seed
 from .sim import BG, FG, IGNORE, LabelArrays
 from .tensor import (
@@ -72,6 +76,8 @@ _MIN_VARIANCE = 1e-2
 # The gate's reduction ratio in the gate and end-to-end checks: a shape
 # needs at least _R channels to leave the gate a hidden channel.
 _R = 2
+# Values of t1 and t2 one stacked forward of gate arrays may make.
+_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,10 @@ def check_variance(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     variance of x."""
     x = rng.uniform_range(-1.0, 1.0, shape)
     grads = {"x": variance_constraint(x, 1e-12)[1]}
-    return _worst_error(lambda: variance_constraint(x, 1e-12)[0], {"x": x}, grads, h)
+    return _worst_error(
+        lambda: variance_constraint(x, 1e-12)[0], {"x": x}, grads, h,
+        stacked={"x": lambda xs: _variance(xs.reshape(len(xs), -1), 1e-12)[0]},
+    )
 
 
 def _safe_threshold(t2: np.ndarray) -> tuple[float, float]:
@@ -243,8 +252,26 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     x, params, _ = _gate_instance(rng, shape, k, r=_R)
     g_t2 = rng.uniform_range(-1.0, 1.0, (hh * ww, k))
 
-    grad_z1, grads = gate_backward(*gate_forward(x, params), x, params, g_t2)
+    t1, t2 = gate_forward(x, params)
+    grad_z1, grads = gate_backward(t1, t2, x, params, g_t2)
     grads["x"] = grad_z1 @ params["reduce_weight"]
+
+    # A block of copies of a gate array goes through the forward a part
+    # at a time, so it costs about one forward at any size.
+    step = max(1, _VALUES // (t1.size + t2.size))
+
+    def stacked(name: str, s: np.ndarray) -> np.ndarray:
+        """sum(t2 * G) at each copy in the stack s of params[name]."""
+        if len(s) > step:
+            return np.concatenate(
+                [stacked(name, s[i : i + step]) for i in range(0, len(s), step)]
+            )
+        arrays = {**params, name: s[:, None]}
+        if name.endswith("_bias"):  # added in place, to a product stacked already
+            w = name.replace("_bias", "_weight")
+            arrays[w] = np.broadcast_to(params[w], (len(s), *params[w].shape))
+        return _sums(gate_forward(x, arrays)[1], g_t2)
+
     # A stack of copies of x is one array of their rows.
     return _worst_error(
         lambda: float((gate_forward(x, params)[1] * g_t2).sum()),
@@ -252,7 +279,8 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
         grads,
         h,
         stacked={
-            "x": lambda xs: _sums(gate_forward(xs.reshape(-1, c), params)[1], g_t2)
+            "x": lambda xs: _sums(gate_forward(xs.reshape(-1, c), params)[1], g_t2),
+            **{name: functools.partial(stacked, name) for name in params},
         },
     )
 
@@ -263,15 +291,22 @@ def check_head(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     n = max(4, shape[0] * shape[1])
     values = rng.uniform_range(-2.0, 2.0, n)
     targets = (rng.uniform(n) < 0.5).astype(np.float64)
-    # 0-d arrays, so the loop can difference them in place.
+    # 0-d arrays, so that each is an array to difference, as values is.
     scale = np.array(1.0 + rng.uniform())
     shift = np.array(rng.uniform() - 0.5)
     grad_values, grads = head_backward(values, scale * values + shift, targets, scale)
+
+    def loss(values=values, scale=scale, shift=shift):
+        return binary_cross_entropy(scale * values + shift, targets)
+
+    inputs = {"values": values, "scale": scale, "shift": shift}
+    # A stack of copies of any input, one row each, broadcasts against the others.
     return _worst_error(
-        lambda: binary_cross_entropy(scale * values + shift, targets),
-        {"values": values, "scale": scale, "shift": shift},
-        {"values": grad_values, **grads},
-        h,
+        loss, inputs, {"values": grad_values, **grads}, h,
+        stacked={
+            name: lambda s, name=name: loss(**{name: s.reshape(len(s), -1)})
+            for name in inputs
+        },
     )
 
 

@@ -332,11 +332,13 @@ def _check_gate_geometry(config: TrainConfig, sim_config: SimConfig) -> None:
         raise ConfigError(f"channels {c} not divisible by reduction {r}", field="r")
 
 
-def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean stabilized BCE: max(z,0) - z*y + log(1 + e^-|z|)."""
+def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float | np.ndarray:
+    """Mean stabilized BCE over the last axis: max(z,0) - z*y + log(1 + e^-|z|).
+    A float for 1-D logits; stacked logits give one mean per leading index."""
     z, y = logits, targets
     per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(_mean(per))
+    mean = _mean(per)
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def binary_cross_entropy_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -166,6 +166,35 @@ def test_every_check_fails_on_a_wrong_gradient_of_any_input(op, monkeypatch):
         assert not run_suite(**kwargs)[0].passed, name
 
 
+# The inputs each check writes into their arrays a copy at a time.
+IN_PLACE = {"conv1x1": {"weight", "bias"}, "end_to_end": NAMED_INPUTS["end_to_end"]}
+
+
+@pytest.mark.parametrize("op", sorted(NAMED_INPUTS))
+def test_only_conv1x1_and_end_to_end_difference_inputs_in_place(op, monkeypatch):
+    # Every other input goes through a stacked forward, so the audit
+    # never writes a copy of it into its array.
+    use_workers(monkeypatch, forked=False)
+    loop, adapt = gradcheck._worst_error, gradcheck.in_place
+    inputs, written = [], []
+
+    def record(f, named, grads, h, include=None, stacked=None):
+        inputs.append(named)
+        return loop(f, named, grads, h, include, stacked)
+
+    def spy(f, x):
+        written.append(x)
+        return adapt(f, x)
+
+    monkeypatch.setattr(gradcheck, "_worst_error", record)
+    monkeypatch.setattr(gradcheck, "in_place", spy)
+    assert run_suite(ops=[op], n_seeds=1, shapes=((3, 3, 4),))[0].passed
+    names = [name for named in inputs for name, a in named.items()
+             if any(a is x for x in written)]
+    assert sorted(names) == sorted(list(IN_PLACE.get(op, ())) * PASSES.get(op, 1))
+    assert len(written) == len(names)
+
+
 def _beside_the_loop(monkeypatch, op, shapes, names=None):
     """(input, the audit's differences, the per-element loop's, analytic
     gradient) for every input that the audit of op differences over
@@ -224,29 +253,50 @@ def test_stacked_conv1x1_differences_stay_near_the_loop_where_blas_regroups(
         assert passes == (relative_error(grad, loop_fd) < REL_TOL), name
 
 
-@pytest.mark.parametrize("shape", [(6, 6, 8), (16, 16, 32)])
-def test_differencing_the_gate_input_stays_within_a_memory_budget(shape, monkeypatch):
-    # The copies are built a bounded block at a time, not all at once: at
-    # 16x16x32 the input has 8,192 elements, so 2 * 8192 copies of 64 KB.
-    # The margins kept from kinks bear on accuracy only, and no instance
-    # of this size clears them, so they are waived.
+def _differencing_peak(monkeypatch, op, shape, name):
+    """The tracemalloc peak, in bytes, of differencing the input name of
+    the check op's instance at shape through the forward the audit uses.
+    The margins kept from kinks bear on accuracy only, and no gate
+    instance of 16x16x32 or larger clears them, so they are waived."""
     monkeypatch.setattr(gradcheck, "_MARGIN", 0.0)
     monkeypatch.setattr(gradcheck, "_MIN_VARIANCE", 1e-300)
     found = {}
 
     def capture(f, inputs, grads, h, include=None, stacked=None):
-        found.update(forward=stacked["x"], x=inputs["x"], h=h)
+        found.update(forward=stacked[name], x=inputs[name], h=h)
         return 0.0
 
     monkeypatch.setattr(gradcheck, "_worst_error", capture)
-    CHECKS["gate"](SplitMix64(0), shape)
+    CHECKS[op](SplitMix64(0), shape)
     tracemalloc.start()
     try:
         gradcheck.finite_diff_gradient(found["forward"], found["x"], found["h"])
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 8), (16, 16, 32)])
+def test_differencing_the_gate_input_stays_within_a_memory_budget(shape, monkeypatch):
+    # The copies are built a bounded block at a time, not all at once: at
+    # 16x16x32 the input has 8,192 elements, so 2 * 8192 copies of 64 KB.
+    peak = _differencing_peak(monkeypatch, "gate", shape, "x")
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 8), (16, 16, 32), (64, 64, 16)])
+@pytest.mark.parametrize(
+    "op, name", [("gate", name) for name in sorted(_GATE)] + [("head", "values")]
+)
+def test_differencing_a_parameter_stays_within_a_memory_budget(
+    op, name, shape, monkeypatch
+):
+    # Each copy of a parameter makes a whole forward, so a block of up to
+    # n pairs of an n-value array goes through the forward a bounded
+    # stack at a time: unbounded, expand_weight at 64x64x16 peaked at
+    # 100 MiB, where one forward takes about 1 MiB.
+    peak = _differencing_peak(monkeypatch, op, shape, name)
+    assert peak < 2 * 2**20, peak
 
 
 def test_end_to_end_audits_the_backward_over_the_batch_rows(monkeypatch):

@@ -13,8 +13,11 @@ and exits 0 only if every case is identical.
 The cases: `gradcheck` at seed 0, at seeds 3-9, and for the gate and
 end_to_end checks alone at seeds 7-16; one round of the benchmark's
 audit, `gradcheck --op <op> --seed 0 --seeds 10` for each op of
-AUDIT_OPS in bench/workloads.py; the failing `gradcheck --op conv1x1
---eps 1e308 --seeds 1`, whose error must read the same; `train` on the
+AUDIT_OPS in bench/workloads.py; `gradcheck --op variance --shapes
+2x2x64,6x6x8 --seeds 3` and `gradcheck --op conv1x1 --shapes 2x2x64
+--seeds 1`, whose weight of 4,160 values is differenced in place; the
+failing `gradcheck --op conv1x1 --eps 1e308 --seeds 1`, whose error
+must read the same; `train` on the
 two training workloads of bench/workloads.py, `paired-default` at seed
 77 (under OPENBLAS_NUM_THREADS=1, then with no BLAS variable set, then
 under OPENBLAS_NUM_THREADS=2) and `paired-wide` at seed 4099; and
@@ -62,6 +65,14 @@ CASES = {
         {},
         [["gradcheck", "--op", op, "--seed", "0", "--seeds", "10"] for op in AUDIT_OPS],
     ),
+    **{
+        f"gradcheck --op {op} --shapes {shapes} --seeds {seeds}": (
+            None, {}, [["gradcheck", "--op", op, "--shapes", shapes, "--seeds", seeds]]
+        )
+        for op, shapes, seeds in (
+            ("variance", "2x2x64,6x6x8", "3"), ("conv1x1", "2x2x64", "1")
+        )
+    },
     "gradcheck --op conv1x1 --eps 1e308 --seeds 1, failing": (
         None, {}, [["gradcheck", "--op", "conv1x1", "--eps", "1e308", "--seeds", "1"]]
     ),
