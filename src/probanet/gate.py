@@ -26,12 +26,18 @@ _KEYS = ("reduce_weight", "reduce_bias", "expand_weight", "expand_bias")
 
 
 def _arrays(params: Mapping[str, np.ndarray], x: np.ndarray) -> list[np.ndarray]:
-    """params' gate arrays, checked on their trailing axes to map the C
-    channels of the (N, C) rows x to a hidden layer and back."""
+    """params' gate arrays, checked to map the C channels of the (N, C)
+    rows x to a hidden layer and back.  A weight may carry leading stack
+    axes, and its bias then carries the same ones; where both layers are
+    stacked, they carry the same stack axes."""
     rw, rb, ew, eb = arrays = [params[key] for key in _KEYS]
-    shapes = rw.shape[-1:], rb.shape[-1:], ew.shape[-1:], eb.shape[-1:]
-    fit = (x.shape[1:], rw.shape[-2:-1], rb.shape[-1:], ew.shape[-2:-1])
-    if x.ndim != 2 or min(rw.ndim, ew.ndim) < 2 or shapes != fit:
+    rs, es = rw.shape, ew.shape
+    if (
+        x.ndim != 2 or len(rs) < 2 or len(es) < 2
+        or rb.shape != rs[:-1] or eb.shape != es[:-1]
+        or (rs[-1], es[-1]) != (x.shape[1], rs[-2])
+        or len(rs) > 2 < len(es) and rs[:-2] != es[:-2]
+    ):
         raise DimensionError(
             f"gate arrays of shapes {[a.shape for a in arrays]} do not fit rows "
             f"of shape {x.shape}"
@@ -52,11 +58,10 @@ def gate_forward(
     C/r, expand maps them up to one weight per proposal channel (C').
     Other keys are ignored.
 
-    An array may carry leading stack axes, one copy of it per index:
-    x and t1 meet each copy of a weight transposed on its last two
-    axes, so the stack axes lead t1 and t2.  A bias is added in place,
-    so a stacked one needs its weight stacked too (np.broadcast_to will
-    do).
+    A layer's weight and bias may carry leading stack axes, one copy of
+    the layer per index (np.broadcast_to stacks the one of the pair that
+    does not vary): x and t1 meet each copy of a weight transposed on
+    its last two axes, so the stack axes lead t1 and t2.
 
     t1 = relu(reduce(x)); t2 = sigmoid(expand(t1)).  The weighted map is
     a * t2, and truncation keeps the entries with t2 strictly above the
@@ -64,10 +69,12 @@ def gate_forward(
     """
     rw, rb, ew, eb = _arrays(params, x)
     t1 = x @ rw.swapaxes(-1, -2)
-    t1 += rb
+    # A stacked bias gets a row axis, so each copy's bias meets its N
+    # rows; a 1-D one needs none, and training would pay for the view.
+    t1 += rb if rb.ndim == 1 else rb[..., None, :]
     np.maximum(t1, 0.0, out=t1)
     z2 = t1 @ ew.swapaxes(-1, -2)
-    z2 += eb
+    z2 += eb if eb.ndim == 1 else eb[..., None, :]
     return t1, sigmoid(z2)
 
 
@@ -91,9 +98,12 @@ def gate_backward(
     entries (zero where truncation dropped them) plus any loss on t2
     itself, such as the variance loss.  Rows are independent and the
     gradients linear in grad_t2, so x may hold any cells' rows, a cell
-    in several rows each carrying part of its gradient.
+    in several rows each carrying part of its gradient.  It takes one
+    copy of the gate arrays, not a stack.
     """
-    _, _, ew, _ = _arrays(params, x)
+    rw, _, ew, _ = _arrays(params, x)
+    if max(rw.ndim, ew.ndim) > 2:
+        raise DimensionError("gate_backward takes one copy of the gate arrays")
     grad_z2 = sigmoid_backward(t2, grad_t2)
     # t1 > 0 exactly where the pre-activation was > 0, so t1 doubles as
     # the ReLU mask carrier.
@@ -106,11 +116,12 @@ def gate_backward(
     }
 
 
-def _variance(t2: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Floor-clamped population variance over t2's last axis, and t2
-    centered on its mean there."""
-    centered = t2 - _mean(t2)[..., None]
-    return np.maximum(_mean(centered * centered), epsilon), centered
+def _variance(t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Population variance over t2's last axis, and t2 centered on its
+    mean there."""
+    mean = _mean(t2)
+    centered = t2 - (mean[..., None] if t2.ndim > 1 else mean)  # 1-D: a scalar
+    return _mean(centered * centered), centered
 
 
 def variance_constraint(t2: np.ndarray, epsilon: float) -> tuple[float, np.ndarray]:
@@ -123,10 +134,11 @@ def variance_constraint(t2: np.ndarray, epsilon: float) -> tuple[float, np.ndarr
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if t2.size == 0:
         raise DimensionError("variance_constraint of an empty tensor")
-    v, centered = _variance(t2.reshape(-1), epsilon)
-    if v == epsilon:
+    raw, centered = _variance(t2.reshape(-1))
+    raw = float(raw)
+    if raw <= epsilon:
         return epsilon, np.zeros_like(t2)
-    return float(v), (2.0 * centered / t2.size).reshape(t2.shape)
+    return raw, (2.0 * centered / t2.size).reshape(t2.shape)
 
 
 def probanet_loss(

@@ -192,7 +192,9 @@ def check_variance(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     grads = {"x": variance_constraint(x, 1e-12)[1]}
     return _worst_error(
         lambda: variance_constraint(x, 1e-12)[0], {"x": x}, grads, h,
-        stacked={"x": lambda xs: _variance(xs.reshape(len(xs), -1), 1e-12)[0]},
+        stacked={
+            "x": lambda xs: np.maximum(_variance(xs.reshape(len(xs), -1))[0], 1e-12)
+        },
     )
 
 
@@ -256,21 +258,23 @@ def check_gate(rng: SplitMix64, shape, h: float = 1e-5) -> float:
     grad_z1, grads = gate_backward(t1, t2, x, params, g_t2)
     grads["x"] = grad_z1 @ params["reduce_weight"]
 
-    # A block of copies of a gate array goes through the forward a part
-    # at a time, so it costs about one forward at any size.
+    # A copy of a layer's weight or bias goes with the other of the pair
+    # broadcast to the stack.  A block of copies goes through the forward
+    # a part at a time, so it costs about one forward at any size.
     step = max(1, _VALUES // (t1.size + t2.size))
+    pairs = ("reduce_weight", "reduce_bias"), ("expand_weight", "expand_bias")
+    partner = {a: b for pair in pairs for a, b in (pair, pair[::-1])}
 
     def stacked(name: str, s: np.ndarray) -> np.ndarray:
         """sum(t2 * G) at each copy in the stack s of params[name]."""
-        if len(s) > step:
-            return np.concatenate(
-                [stacked(name, s[i : i + step]) for i in range(0, len(s), step)]
-            )
-        arrays = {**params, name: s[:, None]}
-        if name.endswith("_bias"):  # added in place, to a product stacked already
-            w = name.replace("_bias", "_weight")
-            arrays[w] = np.broadcast_to(params[w], (len(s), *params[w].shape))
-        return _sums(gate_forward(x, arrays)[1], g_t2)
+        other, sums = params[partner[name]], []
+        for i in range(0, len(s), step):
+            part = s[i : i + step]
+            arrays = {**params, name: part, partner[name]: np.broadcast_to(
+                other, (len(part), *other.shape)
+            )}
+            sums.append(_sums(gate_forward(x, arrays)[1], g_t2))
+        return np.concatenate(sums)
 
     # A stack of copies of x is one array of their rows.
     return _worst_error(

@@ -33,10 +33,8 @@ FeatureMap = np.ndarray
 _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
-# Values per block of perturbed copies in finite_diff_gradient: for a
-# stacked forward, which works on all at once, and for in_place's.
+# Values per block of perturbed copies in finite_diff_gradient.
 _BLOCK = 8192
-_IN_PLACE_BLOCK = 8 * _BLOCK
 
 
 @dataclass(frozen=True)
@@ -153,9 +151,9 @@ def finite_diff_gradient(
     f is stacked: it maps a block of m perturbed copies of x, shaped
     (m, *x.shape) and read-only, to their m values.  The copies
     x + h e_k and x - h e_k sit side by side, element by element in
-    order, and a block holds at most f.block values, or _BLOCK where f
-    sets none (one pair if x is larger).  in_place(f, x) adapts a
-    functional that reads x itself.  A non-finite value names
+    order, and a block holds at most _BLOCK values (one pair if x is
+    larger).  in_place(f, x)
+    adapts a functional that reads x itself.  A non-finite value names
     the lowest element whose plus or minus value is not finite."""
     if not 0 < h < np.inf:
         raise DomainError(f"difference step must be finite and positive, got {h}")
@@ -166,7 +164,7 @@ def finite_diff_gradient(
     # pair i of a block holds element start + i, at flat positions
     # start + i * (2n + 1) (plus) and n after (minus), so one strided
     # slice reaches each side.
-    per_block = max(1, min(n, getattr(f, "block", _BLOCK) // (2 * n or 1)))
+    per_block = max(1, min(n, _BLOCK // (2 * n or 1)))
     block = np.empty((per_block, 2, n))
     block[...] = flat
     buf, stride = block.reshape(-1), 2 * n + 1
@@ -199,12 +197,7 @@ def in_place(
     C-contiguous float64 ndarray, and f(x) evaluated, so f may read x
     through a closure; x is restored after the block, also if f raises.
     Evaluation stops at the first non-finite value (the rest read NaN),
-    where differencing fails.
-
-    One copy at a time is live, so its blocks hold _IN_PLACE_BLOCK
-    values: many pairs, where a stacked forward gets one of a large x.
-    A copy is written whole: finding the elements that differ from the
-    last copy scans the block, which costs more than the write."""
+    where differencing fails."""
     if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.flags.carray):
         raise DimensionError("x must be a writable C-contiguous float64 ndarray")
 
@@ -221,7 +214,6 @@ def in_place(
             x[...] = saved
         return values
 
-    stacked.block = _IN_PLACE_BLOCK
     return stacked
 
 

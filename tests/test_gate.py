@@ -99,6 +99,42 @@ def test_gate_forward_shape_errors():
     wrong_mid = {**params, "expand_weight": np.zeros((2, 3))}
     with pytest.raises(DimensionError):
         gate_forward(random_rows(0, (4, 4)), wrong_mid)
+    # A bias carries its weight's stack axes, no more and no fewer: one
+    # bias per row is not a stack, nor is a stacked weight's lone bias.
+    per_row = {**params, "reduce_bias": np.zeros((4, 2))}
+    with pytest.raises(DimensionError):
+        gate_forward(random_rows(0, (4, 4)), per_row)
+    lone = {**params, "expand_weight": np.zeros((3, 2, 2))}
+    with pytest.raises(DimensionError):
+        gate_forward(random_rows(0, (4, 4)), lone)
+    # Where both layers are stacked, they carry the same stack axes.
+    both = {
+        **params,
+        "reduce_weight": np.zeros((3, 2, 4)), "reduce_bias": np.zeros((3, 2)),
+        "expand_weight": np.zeros((5, 2, 2)), "expand_bias": np.zeros((5, 2)),
+    }
+    with pytest.raises(DimensionError):
+        gate_forward(random_rows(0, (4, 4)), both)
+
+
+def test_gate_forward_takes_stacked_layers_gate_backward_does_not():
+    params, x = small_gate(seed=5), random_rows(6, (5, 4))
+    copies = [
+        {**params, "reduce_weight": params["reduce_weight"] + d, "expand_bias": e}
+        for d, e in ((0.0, params["expand_bias"]), (0.25, np.array([0.5, -1.0])))
+    ]
+    stack = {
+        name: np.stack([copy[name] for copy in copies]) for name in params
+    }
+    t1, t2 = gate_forward(x, stack)
+    assert t1.shape == (2, 5, 2) and t2.shape == (2, 5, 2)
+    for i, copy in enumerate(copies):
+        want_t1, want_t2 = gate_forward(x, copy)
+        assert np.array_equal(t1[i], want_t1)
+        assert np.array_equal(t2[i], want_t2)
+    # The backward differentiates one copy of the gate, not a stack.
+    with pytest.raises(DimensionError):
+        gate_backward(t1, t2, x, stack, np.ones_like(t2))
 
 
 def test_truncate_train_strict_and_test_keeps_all():

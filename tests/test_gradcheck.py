@@ -299,6 +299,25 @@ def test_differencing_a_parameter_stays_within_a_memory_budget(
     assert peak < 2 * 2**20, peak
 
 
+def test_the_stacked_variance_is_floor_clamped_as_variance_constraint_is(
+    monkeypatch,
+):
+    # No audited instance sits at the floor, so a copy with no variance
+    # shows that each stacked value is variance_constraint's.
+    found = {}
+
+    def capture(f, inputs, grads, h, include=None, stacked=None):
+        found.update(forward=stacked["x"], x=inputs["x"])
+        return 0.0
+
+    monkeypatch.setattr(gradcheck, "_worst_error", capture)
+    CHECKS["variance"](SplitMix64(0), (2, 2, 3))
+    copies = np.stack([found["x"], np.full_like(found["x"], 0.5)])
+    want = [gradcheck.variance_constraint(x, 1e-12)[0] for x in copies]
+    assert found["forward"](copies).tolist() == want
+    assert want[1] == 1e-12
+
+
 def test_end_to_end_audits_the_backward_over_the_batch_rows(monkeypatch):
     # At the floor the step runs the gate's backward over the sampled
     # anchors' rows only, one per anchor, whose t2 gradient sits in that
